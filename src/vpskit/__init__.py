@@ -26,7 +26,7 @@ from .fillfuse import (
     rasterize_ownership,
     run_fillfuse_sequence,
 )
-from .metrics import MetricReport, PqStats, match_segments, pq, vpq
+from .metrics import MetricReport, PqStats, pq, vpq
 from .synth import (
     Actor,
     Band,
@@ -81,7 +81,6 @@ __all__ = [
     "invert_flow",
     "iou",
     "match_ids",
-    "match_segments",
     "pq",
     "rasterize_ownership",
     "relabel",

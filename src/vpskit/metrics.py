@@ -21,15 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    ClassTaxonomy,
-    LabelGrid,
-    PanopticMap,
-    Segment,
-    _check_known_classes,
-    extract_segments,
-    iou,
-)
+from .core import ClassTaxonomy, PanopticMap, _check_known_classes, _pair_keys
+from .core import extract_segments  # noqa: F401 - not called; perfbench/spans.py traces this name here
 from .errors import DimensionMismatch, SequenceLengthMismatch
 
 DEFAULT_WINDOW_SIZES = (1, 2, 3, 4)
@@ -95,7 +88,8 @@ class MetricReport:
 
     def mean_pq_over(self, class_ids: Iterable[int]) -> float | None:
         """Mean PQ restricted to the given classes; None if none are scored."""
-        values = [m.pq for c, m in self.per_class.items() if c in set(class_ids)]
+        wanted = set(class_ids)
+        values = [m.pq for c, m in self.per_class.items() if c in wanted]
         return sum(values) / len(values) if values else None
 
     def to_json_dict(self) -> dict:
@@ -128,71 +122,10 @@ def _round6(value: float) -> float:
     return float(f"{value:.6f}")
 
 
-def match_segments(
-    pred: Sequence[Segment], gt: Sequence[Segment]
-) -> tuple[list[tuple[Segment, Segment, float]], list[Segment], list[Segment]]:
-    """Unique same-class matching with IoU strictly above 0.5.
-
-    Returns (true-positive pairs with their IoU, unmatched predictions,
-    unmatched ground truths). Uniqueness is a theorem of the > 0.5 rule and
-    is still re-checked defensively.
-    """
-    matched_pred: set[int] = set()
-    matched_gt: set[int] = set()
-    tps = []
-    for gi, g in enumerate(gt):
-        for pi, p in enumerate(pred):
-            if p.class_id != g.class_id:
-                continue
-            value = iou(p.pixels, g.pixels)
-            if value > MATCH_IOU_THRESHOLD:
-                if pi in matched_pred or gi in matched_gt:
-                    raise RuntimeError(
-                        "IoU > 0.5 produced a double match; matching rule violated"
-                    )
-                matched_pred.add(pi)
-                matched_gt.add(gi)
-                tps.append((p, g, value))
-    fps = [p for pi, p in enumerate(pred) if pi not in matched_pred]
-    fns = [g for gi, g in enumerate(gt) if gi not in matched_gt]
-    return tps, fps, fns
-
-
-def _scoreable(segments: Iterable[Segment], taxonomy: ClassTaxonomy) -> list[Segment]:
-    # unassigned thing regions (instance 0) are ignore regions, not segments
-    return [
-        s
-        for s in segments
-        if not (s.instance_id == 0 and taxonomy.is_thing(s.class_id))
-    ]
-
-
-def _mask_gt_void(pred: PanopticMap, gt: PanopticMap, void: int) -> PanopticMap:
-    gt_void = gt.classes.values == np.uint32(void)
-    if not gt_void.any():
-        return pred
-    classes = np.where(gt_void, np.uint32(void), pred.classes.values)
-    instances = np.where(gt_void, np.uint32(0), pred.instances.values)
-    return PanopticMap(LabelGrid(classes), LabelGrid(instances))
-
-
 def pq_stats(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> PqStats:
-    """Single-frame PQ stats via explicit segment extraction and matching."""
-    if pred.classes.values.shape != gt.classes.values.shape:
-        raise DimensionMismatch(
-            f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
-        )
-    pred_f = _mask_gt_void(pred, gt, taxonomy.void_class_id)
-    pred_segs = _scoreable(extract_segments(pred_f, taxonomy), taxonomy)
-    gt_segs = _scoreable(extract_segments(gt, taxonomy), taxonomy)
-    tps, fps, fns = match_segments(pred_segs, gt_segs)
+    """Single-frame PQ stats: the k=1 window over one frame table."""
     stats = PqStats()
-    for _, g, value in tps:
-        stats.add_tp(g.class_id, value)
-    for p in fps:
-        stats.add_fp(p.class_id)
-    for g in fns:
-        stats.add_fn(g.class_id)
+    _window_stats([_frame_table(pred, gt, taxonomy)], stats)
     return stats
 
 
@@ -261,27 +194,34 @@ def _frame_table(
     gt_void = gt.classes.values == np.uint32(taxonomy.void_class_id)
     pred_valid = _valid_mask(pred, taxonomy, gt_void)
     gt_valid = _valid_mask(gt, taxonomy, gt_void)
-
-    pred_keys = pred.classes.values.astype(np.uint64) << np.uint64(32)
-    pred_keys |= pred.instances.values.astype(np.uint64)
-    gt_keys = gt.classes.values.astype(np.uint64) << np.uint64(32)
-    gt_keys |= gt.instances.values.astype(np.uint64)
-
-    def unkey(key: int) -> tuple[int, int]:
-        return key >> 32, key & 0xFFFFFFFF
-
-    pk, pc = np.unique(pred_keys[pred_valid], return_counts=True)
-    gk, gc = np.unique(gt_keys[gt_valid], return_counts=True)
-    pred_area = {unkey(k): int(c) for k, c in zip(pk.tolist(), pc.tolist())}
-    gt_area = {unkey(k): int(c) for k, c in zip(gk.tolist(), gc.tolist())}
-
-    inter = {}
     both = pred_valid & gt_valid
-    if both.any():
-        joint = np.stack([pred_keys[both], gt_keys[both]], axis=1)
-        pairs, counts = np.unique(joint, axis=0, return_counts=True)
-        for (p_key, g_key), c in zip(pairs.tolist(), counts.tolist()):
-            inter[(unkey(p_key), unkey(g_key))] = int(c)
+
+    # Factorize each side's keys once, then count the combined code
+    # pred_idx * n_gt + gt_idx (COCO panopticapi's pq_compute trick).
+    # Codes ascend with (pred key, gt key), so ``inter`` keeps sorted order.
+    pred_keys, pred_idx = np.unique(
+        _pair_keys(pred.classes.values, pred.instances.values)[pred_valid],
+        return_inverse=True,
+    )
+    gt_keys, gt_idx = np.unique(
+        _pair_keys(gt.classes.values, gt.instances.values)[gt_valid],
+        return_inverse=True,
+    )
+    n_gt = gt_keys.size
+    codes, counts = np.unique(
+        pred_idx[both[pred_valid]] * n_gt + gt_idx[both[gt_valid]], return_counts=True
+    )
+    pred_areas = np.bincount(pred_idx, minlength=pred_keys.size)
+    gt_areas = np.bincount(gt_idx, minlength=n_gt)
+
+    pred_pairs = [(k >> 32, k & 0xFFFFFFFF) for k in pred_keys.tolist()]
+    gt_pairs = [(k >> 32, k & 0xFFFFFFFF) for k in gt_keys.tolist()]
+    pred_area = dict(zip(pred_pairs, pred_areas.tolist()))
+    gt_area = dict(zip(gt_pairs, gt_areas.tolist()))
+    inter = {
+        (pred_pairs[code // n_gt], gt_pairs[code % n_gt]): count
+        for code, count in zip(codes.tolist(), counts.tolist())
+    }
     return _FrameTable(pred_area, gt_area, inter)
 
 
@@ -331,8 +271,8 @@ def vpq(
     VPQ^k accumulates tube stats over every window start position; the
     headline VPQ is the mean over the requested window sizes. Window sizes
     exceeding the sequence length are skipped. The report's per-class PQ
-    section accumulates single-frame stats over all frames (the k=1
-    definition) via the independent segment-matching path.
+    section accumulates single-frame stats over all frames: the k=1 window
+    stats, from the same frame tables as every other window size.
     """
     if len(pred_seq) != len(gt_seq):
         raise SequenceLengthMismatch(
@@ -348,6 +288,11 @@ def vpq(
         _frame_table(pred, gt, taxonomy) for pred, gt in zip(pred_seq, gt_seq)
     ]
 
+    # The PQ section is the k=1 accumulation: every frame is one window.
+    frame_stats = PqStats()
+    for table in tables:
+        _window_stats([table], frame_stats)
+
     vpq_per_k: dict[int, float] = {}
     for k in sizes:
         if k > len(tables):
@@ -357,8 +302,5 @@ def vpq(
             _window_stats(tables[start : start + k], stats)
         vpq_per_k[k] = report_from_stats(stats).pq
 
-    frame_stats = PqStats()
-    for pred, gt in zip(pred_seq, gt_seq):
-        frame_stats.merge(pq_stats(pred, gt, taxonomy))
     mean = sum(vpq_per_k.values()) / len(vpq_per_k) if vpq_per_k else None
     return report_from_stats(frame_stats, vpq_per_k=vpq_per_k, vpq_mean=mean)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.ndimage import binary_erosion
 
 from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from .errors import InvalidConfig
@@ -358,6 +357,8 @@ def corrupt_masks(
         return list(bundle.panoptic)
     if bundle.background_classes is None:
         raise ValueError("bundle lacks background classes; regenerate it")
+    from scipy.ndimage import binary_erosion  # lazy: only erosion needs scipy
+
     structure = np.ones((2 * erode + 1, 2 * erode + 1), dtype=bool)
     background = bundle.background_classes.values
     out: list[PanopticMap] = []

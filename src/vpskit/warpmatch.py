@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from .errors import DimensionMismatch, IncompleteAssignment, SequenceLengthMismatch
@@ -231,6 +230,8 @@ def _match_greedy(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
 
 
 def _match_optimal(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
+    from scipy.optimize import linear_sum_assignment  # lazy: only this matcher needs scipy
+
     benefit = np.where(matrix.values >= threshold, matrix.values, 0.0)
     rows, cols = linear_sum_assignment(benefit, maximize=True)
     matches = {}

@@ -1,8 +1,22 @@
-"""Shared test oracles: random valid panoptic maps and brute-force matching."""
+"""Shared test oracles: random valid panoptic maps and brute-force matching.
+
+The frozenset-of-pixels segment matcher lives here, not in the package: it
+is the independent reference the table-based metric engine is checked
+against.
+"""
 
 import numpy as np
 
-from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, Segment, iou
+from vpskit.core import (
+    ClassEntry,
+    ClassTaxonomy,
+    LabelGrid,
+    PanopticMap,
+    Segment,
+    extract_segments,
+    iou,
+)
+from vpskit.metrics import PqStats
 from vpskit.rng import Xoshiro256StarStar
 
 
@@ -66,3 +80,83 @@ def match_keys(tps: list[tuple[Segment, Segment, float]]):
         ((p.class_id, p.instance_id), (g.class_id, g.instance_id), value)
         for p, g, value in tps
     )
+
+
+def match_segments(pred, gt):
+    """Unique same-class matching of pixel-set segments with IoU strictly above 0.5.
+
+    Returns (true-positive pairs with their IoU, unmatched predictions,
+    unmatched ground truths). Uniqueness is a theorem of the > 0.5 rule and
+    is still re-checked.
+    """
+    matched_pred: set[int] = set()
+    matched_gt: set[int] = set()
+    tps = []
+    for gi, g in enumerate(gt):
+        for pi, p in enumerate(pred):
+            if p.class_id != g.class_id:
+                continue
+            value = iou(p.pixels, g.pixels)
+            if value > 0.5:
+                if pi in matched_pred or gi in matched_gt:
+                    raise RuntimeError("IoU > 0.5 produced a double match")
+                matched_pred.add(pi)
+                matched_gt.add(gi)
+                tps.append((p, g, value))
+    fps = [p for pi, p in enumerate(pred) if pi not in matched_pred]
+    fns = [g for gi, g in enumerate(gt) if gi not in matched_gt]
+    return tps, fps, fns
+
+
+def oracle_pq_stats(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> PqStats:
+    """Single-frame PQ stats via pixel-set segments and match_segments.
+
+    Pixels void in the ground truth are removed from both maps; thing pixels
+    with instance 0 are ignore regions on both sides.
+    """
+    gt_void = gt.classes.values == taxonomy.void_class_id
+    pred = PanopticMap(
+        LabelGrid(np.where(gt_void, taxonomy.void_class_id, pred.classes.values)),
+        LabelGrid(np.where(gt_void, 0, pred.instances.values)),
+    )
+
+    def scoreable(pmap):
+        return [
+            s
+            for s in extract_segments(pmap, taxonomy)
+            if not (s.instance_id == 0 and taxonomy.is_thing(s.class_id))
+        ]
+
+    tps, fps, fns = match_segments(scoreable(pred), scoreable(gt))
+    stats = PqStats()
+    for _, g, value in tps:
+        stats.add_tp(g.class_id, value)
+    for p in fps:
+        stats.add_fp(p.class_id)
+    for g in fns:
+        stats.add_fn(g.class_id)
+    return stats
+
+
+def assert_same_stats(got: PqStats, want: PqStats) -> None:
+    """Per-class TP/FP/FN equal exactly; IoU sums may differ in summation order."""
+    assert got.classes() == want.classes()
+    for c in want.classes():
+        *counts, iou_sum = got.cell(c)
+        *want_counts, want_iou_sum = want.cell(c)
+        assert counts == want_counts, c
+        assert abs(iou_sum - want_iou_sum) <= 1e-12, c
+
+
+def with_ignore_regions(pmap: PanopticMap, rng: Xoshiro256StarStar, void: bool) -> PanopticMap:
+    """Unassign about 1/4 of the thing pixels and, if ``void``, void about 1/8 of all pixels."""
+    classes = pmap.classes.values.astype(np.int64)
+    instances = pmap.instances.values.astype(np.int64)
+    for y in range(classes.shape[0]):
+        for x in range(classes.shape[1]):
+            roll = rng.next_below(8)
+            if roll < 2 and classes[y, x] in (10, 11):
+                instances[y, x] = 0
+            elif roll == 2 and void:
+                classes[y, x] = instances[y, x] = 0
+    return PanopticMap(LabelGrid(classes), LabelGrid(instances))

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assert_same_stats,
     brute_force_match,
     brute_force_ownership,
     match_keys,
+    match_segments,
+    oracle_pq_stats,
     random_panoptic_map,
     small_taxonomy,
 )
@@ -25,7 +28,7 @@ from vpskit.cli import main
 from vpskit.core import FlowField, LabelGrid, PanopticMap, extract_segments
 from vpskit.errors import FormatError
 from vpskit.fillfuse import TrackedBox, rasterize_ownership
-from vpskit.metrics import match_segments, pq, vpq
+from vpskit.metrics import pq, pq_stats, vpq
 from vpskit.rng import Xoshiro256StarStar
 from vpskit.synth import Actor, Band, SceneConfig, generate
 from vpskit.warpmatch import warp_backward
@@ -267,6 +270,7 @@ def test_criterion_6_metric_oracle_equivalence():
         gt_segs = extract_segments(gt, TAX)
         tps, _, _ = match_segments(pred_segs, gt_segs)
         assert match_keys(tps) == brute_force_match(pred_segs, gt_segs)
+        assert_same_stats(pq_stats(pred, gt, TAX), oracle_pq_stats(pred, gt, TAX))
         if extract_segments(pred, TAX):
             assert pq(pred, pred, TAX).pq == 1.0
 
@@ -283,7 +287,7 @@ def test_criterion_6_metric_oracle_equivalence():
     ]
     pred_seq = [gt_seq[0], PanopticMap(LabelGrid(classes), LabelGrid(inst_b))]
     assert vpq(pred_seq, gt_seq, TAX, window_sizes=(2,)).vpq_per_k[2] == 0.0
-    print("CRITERION 6 PASS: 200 map pairs match brute force; pq(x,x)=1; id-swap VPQ^2=0")
+    print("CRITERION 6 PASS: 200 map pairs: engine = oracle = brute force; pq(x,x)=1; id-swap VPQ^2=0")
 
 
 def test_criterion_7_warp_identity_and_shift():

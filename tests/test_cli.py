@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +185,40 @@ class TestPipelines:
         assert code == 0
         inv = vio.read_flow(tmp_path / "inv.flo")
         assert inv.vectors[0, 2, 0] == -1.0
+
+
+# Runs in a fresh interpreter so that no other test's imports count.
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import vpskit.cli
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert vpskit.cli.main(list(argv)) == 0, argv
+    return json.loads(buf.getvalue())
+
+config, out = sys.argv[1:]
+s = run("synth", "--config", config, "--out", out, "--shuffle-ids")
+wm = run("warpmatch", "--panoptic", s["corrupt_manifest"], "--flows", s["corrupt_manifest"],
+         "--out", out + "/wm")["manifest"]
+run("eval", "--pred", wm, "--gt", s["gt_manifest"])
+run("fillfuse", "--semantic", s["semantic_manifest"], "--tracks", s["tracks"], "--out", out + "/ff")
+run("render", "--in", wm, "--out", out + "/ppm")
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    vpskit.cli.main(["--help"])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_without_erode_or_optimal_matcher_never_import_scipy(tmp_path):
+    config = write_config(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(config), str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestErrors:

@@ -1,10 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_match, match_keys, random_panoptic_map, small_taxonomy
+from helpers import (
+    assert_same_stats,
+    brute_force_match,
+    match_keys,
+    match_segments,
+    oracle_pq_stats,
+    random_panoptic_map,
+    small_taxonomy,
+    with_ignore_regions,
+)
 from vpskit.core import LabelGrid, PanopticMap, Segment, extract_segments
 from vpskit.errors import DimensionMismatch, SequenceLengthMismatch
-from vpskit.metrics import PqStats, match_segments, pq, pq_stats, report_from_stats, vpq
+from vpskit.metrics import (
+    ClassMetrics,
+    MetricReport,
+    PqStats,
+    pq,
+    pq_stats,
+    report_from_stats,
+    vpq,
+)
 from vpskit.rng import Xoshiro256StarStar
 
 TAX = small_taxonomy()
@@ -154,7 +173,7 @@ class TestVpq:
         report = vpq(pred, gt, TAX, window_sizes=(1,))
         acc = PqStats()
         for p, g in zip(pred, gt):
-            acc.merge(pq_stats(p, g, TAX))
+            acc.merge(oracle_pq_stats(p, g, TAX))
         assert report.vpq_per_k[1] == pytest.approx(report_from_stats(acc).pq, abs=1e-12)
         # the report's own pq section is that same accumulation
         assert report.vpq_per_k[1] == pytest.approx(report.pq, abs=1e-12)
@@ -209,3 +228,27 @@ class TestVpq:
         seq = [pmap(on_cls, on_inst), pmap(off_cls, off_inst), pmap(on_cls, on_inst)]
         report = vpq(seq, seq, TAX, window_sizes=(3,))
         assert report.vpq_per_k[3] == 1.0
+
+
+class TestEngineAgainstOracle:
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_table_engine_equals_pixel_set_oracle(self, seed, frames):
+        rng = Xoshiro256StarStar(seed)
+        w, h = rng.next_int(2, 10), rng.next_int(2, 10)
+        pred, gt = [], []
+        for _ in range(frames):
+            pred.append(with_ignore_regions(random_panoptic_map(rng, w, h), rng, void=False))
+            gt.append(with_ignore_regions(random_panoptic_map(rng, w, h), rng, void=True))
+        for p, g in zip(pred, gt):
+            assert_same_stats(pq_stats(p, g, TAX), oracle_pq_stats(p, g, TAX))
+        report = vpq(pred, gt, TAX, window_sizes=(1,))
+        assert report.vpq_per_k[1] == report.pq
+
+
+class TestMeanPqOver:
+    def test_accepts_a_generator(self):
+        pqs = {1: 1.0, 10: 0.5, 11: 1.0, 2: 0.0}
+        per_class = {c: ClassMetrics(v, v, 1.0, 1, 0, 0, v) for c, v in pqs.items()}
+        report = MetricReport(per_class, pq=0.625, sq=0.625, rq=1.0, vpq_per_k={})
+        assert report.mean_pq_over(c for c in (1, 10, 11)) == pytest.approx(2.5 / 3)
