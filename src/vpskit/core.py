@@ -14,6 +14,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -279,8 +280,36 @@ def _check_known_classes(classes: LabelGrid, taxonomy: ClassTaxonomy) -> None:
         )
 
 
-def _pair_keys(classes: np.ndarray, instances: np.ndarray) -> np.ndarray:
-    return classes.astype(np.uint64) << np.uint64(32) | instances.astype(np.uint64)
+def pack_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """One uint64 key per element, ``high << 32 | low``, from two uint32 label arrays.
+
+    Keys order like the ``(high, low)`` pairs they pack; unpack_keys inverts.
+    """
+    return high.astype(np.uint64) << np.uint64(32) | low.astype(np.uint64)
+
+
+def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(high, low)`` uint32 arrays that pack_keys packed into ``keys``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    high = (keys >> np.uint64(32)).astype(np.uint32)
+    return high, (keys & np.uint64(_MAX_LABEL)).astype(np.uint32)
+
+
+def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:
+    """A copy of ``values`` with each key of ``mapping`` replaced by its value.
+
+    Other values pass through. One sorted-key ``np.searchsorted`` replaces a
+    full-array pass per key; keys and values must fit the dtype of ``values``.
+    """
+    values = np.asarray(values)
+    if not mapping:
+        return values.copy()
+    old = np.fromiter(mapping.keys(), dtype=values.dtype, count=len(mapping))
+    new = np.fromiter(mapping.values(), dtype=values.dtype, count=len(mapping))
+    order = np.argsort(old)
+    old, new = old[order], new[order]
+    slot = np.minimum(np.searchsorted(old, values), old.size - 1)
+    return np.where(old[slot] == values, new[slot], values)
 
 
 def extract_segments(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> list[Segment]:
@@ -291,7 +320,7 @@ def extract_segments(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> list[Segment
     with instance 0 form an "unassigned" segment for their class.
     """
     _check_known_classes(pmap.classes, taxonomy)
-    keys = _pair_keys(pmap.classes.values, pmap.instances.values)
+    keys = pack_keys(pmap.classes.values, pmap.instances.values)
     valid = pmap.classes.values != np.uint32(taxonomy.void_class_id)
     segments = []
     for key in np.unique(keys[valid]):

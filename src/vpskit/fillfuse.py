@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, LabelGrid, PanopticMap
+from .core import _MAX_LABEL, ClassTaxonomy, LabelGrid, PanopticMap, remap
 from .errors import DimensionMismatch, UnknownClass
 
 
@@ -40,6 +40,8 @@ class TrackedBox:
             raise ValueError(f"frame {self.frame} is negative")
         if self.track_id < 1:
             raise ValueError(f"track id {self.track_id} must be >= 1 (0 means no instance)")
+        if self.track_id > _MAX_LABEL:
+            raise ValueError(f"track id {self.track_id} exceeds the 32-bit label range")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError(
                 f"degenerate box [{self.x0},{self.x1})x[{self.y0},{self.y1})"
@@ -132,13 +134,10 @@ def fill_and_fuse(
             raise ValueError(f"track {box.track_id} maps to conflicting classes")
         kept.append(box)
 
-    owner = rasterize_ownership(kept, semantic.width, semantic.height)
-    instances = np.zeros_like(semantic.values)
-    for track_id, class_id in bound_class.items():
-        hit = (owner.values == np.uint32(track_id)) & (
-            semantic.values == np.uint32(class_id)
-        )
-        instances[hit] = track_id
+    owner = rasterize_ownership(kept, semantic.width, semantic.height).values
+    # unowned pixels map 0 -> 0, so a hit there writes the instance 0 it already has
+    hit = remap(owner, bound_class) == semantic.values
+    instances = np.where(hit, owner, np.uint32(0))
     return PanopticMap(classes=semantic, instances=LabelGrid(instances))
 
 

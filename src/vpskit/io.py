@@ -283,7 +283,10 @@ def read_manifest(path: str | Path) -> SequenceManifest:
     for i, entry in enumerate(frames_doc):
         if not isinstance(entry, dict) or "classes" not in entry:
             raise ParseError(f"{path}: frame {i} entry malformed")
-        frames.append(FrameRef(classes=entry["classes"], instances=entry.get("instances")))
+        classes, instances = entry["classes"], entry.get("instances")
+        if instances is not None:
+            instances = _referenced_file(path, instances)
+        frames.append(FrameRef(classes=_referenced_file(path, classes), instances=instances))
     if doc.get("frame_count") != len(frames):
         raise ParseError(
             f"{path}: frame_count {doc.get('frame_count')} != {len(frames)} frame entries"
@@ -292,7 +295,7 @@ def read_manifest(path: str | Path) -> SequenceManifest:
     taxonomy = None
     tax_doc = doc.get("taxonomy")
     if isinstance(tax_doc, str):
-        taxonomy = read_taxonomy(path.parent / tax_doc)
+        taxonomy = read_taxonomy(path.parent / _referenced_file(path, tax_doc))
     elif isinstance(tax_doc, dict):
         taxonomy = ClassTaxonomy.from_dict(tax_doc)
     elif tax_doc is not None:
@@ -314,26 +317,26 @@ def read_manifest(path: str | Path) -> SequenceManifest:
                 f"{path}: {len(frames)} frames need {max(len(frames) - 1, 0)} flow "
                 f"files, manifest lists {len(paths)}"
             )
-        flows = FlowSetRef(direction=direction, paths=tuple(paths))
+        flows = FlowSetRef(
+            direction=direction, paths=tuple(_referenced_file(path, p) for p in paths)
+        )
 
-    manifest = SequenceManifest(
+    return SequenceManifest(
         frame_count=len(frames), frames=tuple(frames), taxonomy=taxonomy, flows=flows
     )
-    for ref in _all_paths(manifest):
-        if not (path.parent / ref).exists():
-            raise ParseError(f"{path}: referenced file {ref} does not exist")
-    return manifest
 
 
-def _all_paths(manifest: SequenceManifest) -> list[str]:
-    paths = []
-    for frame in manifest.frames:
-        paths.append(frame.classes)
-        if frame.instances:
-            paths.append(frame.instances)
-    if manifest.flows:
-        paths.extend(manifest.flows.paths)
-    return paths
+def _referenced_file(manifest_path: Path, ref) -> str:
+    """Check that a manifest entry names an existing file inside the manifest's directory."""
+    if not isinstance(ref, str) or "\0" in ref:
+        raise ParseError(f"{manifest_path}: file reference {ref!r} is not a path string")
+    base = manifest_path.parent.resolve()
+    target = (base / ref).resolve()
+    if not target.is_relative_to(base):
+        raise ParseError(f"{manifest_path}: {ref!r} is outside the manifest's directory")
+    if not target.is_file():
+        raise ParseError(f"{manifest_path}: referenced file {ref} does not exist")
+    return ref
 
 
 # --------------------------------------------------------- sequence (de)serde

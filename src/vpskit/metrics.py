@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, _check_known_classes, _pair_keys
+from .core import ClassTaxonomy, PanopticMap, _check_known_classes, pack_keys, unpack_keys
 from .core import extract_segments  # noqa: F401 - not called; perfbench/spans.py traces this name here
 from .errors import DimensionMismatch, SequenceLengthMismatch
 
@@ -200,11 +200,11 @@ def _frame_table(
     # pred_idx * n_gt + gt_idx (COCO panopticapi's pq_compute trick).
     # Codes ascend with (pred key, gt key), so ``inter`` keeps sorted order.
     pred_keys, pred_idx = np.unique(
-        _pair_keys(pred.classes.values, pred.instances.values)[pred_valid],
+        pack_keys(pred.classes.values, pred.instances.values)[pred_valid],
         return_inverse=True,
     )
     gt_keys, gt_idx = np.unique(
-        _pair_keys(gt.classes.values, gt.instances.values)[gt_valid],
+        pack_keys(gt.classes.values, gt.instances.values)[gt_valid],
         return_inverse=True,
     )
     n_gt = gt_keys.size
@@ -214,8 +214,8 @@ def _frame_table(
     pred_areas = np.bincount(pred_idx, minlength=pred_keys.size)
     gt_areas = np.bincount(gt_idx, minlength=n_gt)
 
-    pred_pairs = [(k >> 32, k & 0xFFFFFFFF) for k in pred_keys.tolist()]
-    gt_pairs = [(k >> 32, k & 0xFFFFFFFF) for k in gt_keys.tolist()]
+    pred_pairs = _key_pairs(pred_keys)
+    gt_pairs = _key_pairs(gt_keys)
     pred_area = dict(zip(pred_pairs, pred_areas.tolist()))
     gt_area = dict(zip(gt_pairs, gt_areas.tolist()))
     inter = {
@@ -223,6 +223,11 @@ def _frame_table(
         for code, count in zip(codes.tolist(), counts.tolist())
     }
     return _FrameTable(pred_area, gt_area, inter)
+
+
+def _key_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
+    classes, instances = unpack_keys(keys)
+    return list(zip(classes.tolist(), instances.tolist()))
 
 
 def _window_stats(tables: Sequence[_FrameTable], stats: PqStats) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap
+from .core import ClassTaxonomy, PanopticMap, pack_keys, unpack_keys
 from .errors import UnknownClass
 from .io import _atomic_write_bytes
 from .rng import splitmix64
@@ -53,21 +53,19 @@ def instance_color(class_id: int, instance_id: int) -> tuple[int, int, int]:
 
 def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Render a panoptic map to an (h, w, 3) uint8 RGB buffer."""
-    classes = pmap.classes.values
-    instances = pmap.instances.values
-    image = np.zeros((pmap.height, pmap.width, 3), dtype=np.uint8)
-    keys = classes.astype(np.uint64) << np.uint64(32) | instances.astype(np.uint64)
-    for key in np.unique(keys):
-        class_id = int(key >> np.uint64(32))
-        instance_id = int(key & np.uint64(0xFFFFFFFF))
+    keys, index = np.unique(
+        pack_keys(pmap.classes.values, pmap.instances.values), return_inverse=True
+    )
+    classes, instances = unpack_keys(keys)
+    palette = np.empty((keys.size, 3), dtype=np.uint8)
+    for n, (class_id, instance_id) in enumerate(zip(classes.tolist(), instances.tolist())):
         if not taxonomy.has(class_id):
             raise UnknownClass(f"class {class_id} not in taxonomy")
         if taxonomy.is_stuff(class_id):
-            color = stuff_color(class_id)
+            palette[n] = stuff_color(class_id)
         else:
-            color = instance_color(class_id, instance_id)
-        image[keys == key] = color
-    return image
+            palette[n] = instance_color(class_id, instance_id)
+    return palette[index.reshape(pmap.height, pmap.width)]
 
 
 def encode_ppm(image: np.ndarray) -> bytes:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
+from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, remap
 from .errors import InvalidConfig
 from .fillfuse import TrackedBox
 from .rng import Xoshiro256StarStar
@@ -181,25 +182,24 @@ def _background_grid(config: SceneConfig) -> np.ndarray:
     return grid
 
 
-def _actor_mask(actor: Actor, frame: int, width: int, height: int) -> np.ndarray:
+def _actor_mask(
+    actor: Actor, frame: int, width: int, height: int
+) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The actor's pixel box clipped to the grid, as (rows, cols) slices, and its mask there."""
     x, y = actor.position(frame)
     size = actor.size
-    mask = np.zeros((height, width), dtype=bool)
     x_lo = max(0, math.ceil(x - 0.5))
-    x_hi = min(width, math.ceil(x + size - 0.5))
+    x_hi = max(x_lo, min(width, math.ceil(x + size - 0.5)))
     y_lo = max(0, math.ceil(y - 0.5))
-    y_hi = min(height, math.ceil(y + size - 0.5))
-    if x_lo >= x_hi or y_lo >= y_hi:
-        return mask
+    y_hi = max(y_lo, min(height, math.ceil(y + size - 0.5)))
+    window = (slice(y_lo, y_hi), slice(x_lo, x_hi))
     if actor.shape == RECTANGLE:
-        mask[y_lo:y_hi, x_lo:x_hi] = True
-    else:
-        cx = x + size / 2.0
-        cy = y + size / 2.0
-        r2 = (size / 2.0) ** 2
-        yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-        mask[y_lo:y_hi, x_lo:x_hi] = (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r2
-    return mask
+        return window, np.ones((y_hi - y_lo, x_hi - x_lo), dtype=bool)
+    cx = x + size / 2.0
+    cy = y + size / 2.0
+    r2 = (size / 2.0) ** 2
+    yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+    return window, (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r2
 
 
 def generate(config: SceneConfig) -> GroundTruthBundle:
@@ -212,56 +212,45 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
     _validate_config(config)
     taxonomy = config.taxonomy
     background = _background_grid(config)
+    # per instance id; id 0 (no actor) keeps the background class and has zero flow
+    actor_class = np.array([0] + [a.class_id for a in config.actors], dtype=np.uint32)
+    velocity = np.array([(0.0, 0.0)] + [a.velocity for a in config.actors], dtype=np.float32)
 
     panoptic: list[PanopticMap] = []
     semantic: list[LabelGrid] = []
     boxes: list[list[TrackedBox]] = []
-    owners: list[np.ndarray] = []
+    flows: list[FlowField] = []
 
     order = sorted(range(len(config.actors)), key=lambda i: (config.actors[i].depth, i))
     for t in range(config.frames):
-        owner = np.full((config.height, config.width), -1, dtype=np.int64)
-        for i in order:
-            mask = _actor_mask(config.actors[i], t, config.width, config.height)
-            owner[mask] = i
-        owners.append(owner)
-
-        classes = background.copy()
+        footprints = [_actor_mask(a, t, config.width, config.height) for a in config.actors]
         instances = np.zeros_like(background)
+        for i in order:
+            window, mask = footprints[i]
+            instances[window][mask] = i + 1
+
         frame_boxes: list[TrackedBox] = []
-        for i, actor in enumerate(config.actors):
-            visible = owner == i
-            if not visible.any():
+        for i, ((rows, cols), mask) in enumerate(footprints):
+            ys, xs = np.nonzero(mask & (instances[rows, cols] == i + 1))
+            if not ys.size:
                 continue
-            classes[visible] = actor.class_id
-            instances[visible] = i + 1
-            ys, xs = np.nonzero(visible)
             frame_boxes.append(
                 TrackedBox(
                     frame=t,
                     track_id=i + 1,
-                    class_id=actor.class_id,
-                    x0=float(xs.min()),
-                    y0=float(ys.min()),
-                    x1=float(xs.max() + 1),
-                    y1=float(ys.max() + 1),
+                    class_id=config.actors[i].class_id,
+                    x0=float(cols.start + xs.min()),
+                    y0=float(rows.start + ys.min()),
+                    x1=float(cols.start + xs.max() + 1),
+                    y1=float(rows.start + ys.max() + 1),
                 )
             )
-        class_grid = LabelGrid(classes)
+        class_grid = LabelGrid(np.where(instances == 0, background, actor_class[instances]))
         panoptic.append(PanopticMap(classes=class_grid, instances=LabelGrid(instances)))
         semantic.append(class_grid)
         boxes.append(frame_boxes)
-
-    flows: list[FlowField] = []
-    for t in range(1, config.frames):
-        vec = np.zeros((config.height, config.width, 2), dtype=np.float32)
-        prev_owner = owners[t - 1]
-        for i, actor in enumerate(config.actors):
-            visible = prev_owner == i
-            if visible.any():
-                vec[visible, 0] = actor.velocity[0]
-                vec[visible, 1] = actor.velocity[1]
-        flows.append(FlowField(vec))
+        if t + 1 < config.frames:
+            flows.append(FlowField(velocity[instances]))
 
     return GroundTruthBundle(
         config=config,
@@ -291,9 +280,7 @@ def corrupt_shuffle_ids(
         permuted = list(ids)
         rng.shuffle(permuted)
         mapping = dict(zip(ids, permuted))
-        values = pmap.instances.values.copy()
-        for old, new in mapping.items():
-            values[pmap.instances.values == np.uint32(old)] = new
+        values = remap(pmap.instances.values, mapping)
         out.append(PanopticMap(classes=pmap.classes, instances=LabelGrid(values)))
         mappings.append(mapping)
     return out, mappings
@@ -341,13 +328,23 @@ def corrupt_boxes(
     return out
 
 
+def _square_window(grid: np.ndarray, radius: int, reduce) -> np.ndarray:
+    """``reduce`` over each pixel's (2*radius+1) square of the zero-padded grid, axis by axis."""
+    padded = np.pad(grid, radius)
+    cols = reduce(sliding_window_view(padded, 2 * radius + 1, axis=0), axis=-1)
+    return reduce(sliding_window_view(cols, 2 * radius + 1, axis=1), axis=-1)
+
+
 def corrupt_masks(
     bundle: GroundTruthBundle, erode: int, seed: int = 0
 ) -> list[PanopticMap]:
     """Erode every actor mask by a (2*erode+1) square; erode=0 is the identity.
 
-    Eroded pixels fall back to the background band class with instance 0.
-    The image border counts as outside the mask. The seed is accepted for
+    A pixel keeps its instance iff every pixel of the square centred on it
+    carries the same id, i.e. iff the minimum and the maximum id over that
+    square both equal its own; the grid is zero-padded, so the image border
+    counts as outside every mask. Eroded pixels fall back to the background
+    band class with instance 0. The seed is accepted for
     interface symmetry with the other corruptions but erosion is
     deterministic and ignores it.
     """
@@ -357,21 +354,15 @@ def corrupt_masks(
         return list(bundle.panoptic)
     if bundle.background_classes is None:
         raise ValueError("bundle lacks background classes; regenerate it")
-    from scipy.ndimage import binary_erosion  # lazy: only erosion needs scipy
-
-    structure = np.ones((2 * erode + 1, 2 * erode + 1), dtype=bool)
     background = bundle.background_classes.values
     out: list[PanopticMap] = []
     for pmap in bundle.panoptic:
-        classes = pmap.classes.values.copy()
-        instances = pmap.instances.values.copy()
-        for inst_id in np.unique(pmap.instances.values):
-            if inst_id == 0:
-                continue
-            mask = pmap.instances.values == inst_id
-            kept = binary_erosion(mask, structure=structure, border_value=0)
-            removed = mask & ~kept
-            classes[removed] = background[removed]
-            instances[removed] = 0
+        instances = pmap.instances.values
+        low = _square_window(instances, erode, np.min)
+        high = _square_window(instances, erode, np.max)
+        kept = (low == instances) & (high == instances)
+        removed = (instances != 0) & ~kept
+        classes = np.where(removed, background, pmap.classes.values)
+        instances = np.where(removed, np.uint32(0), instances)
         out.append(PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances)))
     return out

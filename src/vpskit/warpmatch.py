@@ -16,8 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from .errors import DimensionMismatch, IncompleteAssignment, SequenceLengthMismatch
+from .core import _MAX_LABEL, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
+from .core import pack_keys, remap, unpack_keys
+from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 
 DEFAULT_IOU_THRESHOLD = 0.3
 
@@ -143,20 +144,13 @@ def _thing_mask(
 
 def _dominant_class(
     inst_values: np.ndarray, class_values: np.ndarray, mask: np.ndarray
-) -> dict[int, int]:
-    """Per instance id, the most frequent class on its masked pixels (ties: lower id)."""
-    key = inst_values[mask].astype(np.uint64) << np.uint64(32) | class_values[mask].astype(
-        np.uint64
-    )
-    pairs, counts = np.unique(key, return_counts=True)
-    best: dict[int, tuple[int, int]] = {}
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        inst = pair >> 32
-        cls = pair & 0xFFFFFFFF
-        cur = best.get(inst)
-        if cur is None or (-count, cls) < cur:
-            best[inst] = (-count, cls)
-    return {inst: cls for inst, (_, cls) in best.items()}
+) -> np.ndarray:
+    """Per masked instance id in ascending order, its most frequent class (ties: lower id)."""
+    pairs, counts = np.unique(pack_keys(inst_values[mask], class_values[mask]), return_counts=True)
+    inst, cls = unpack_keys(pairs)
+    order = np.lexsort((cls, -counts, inst))
+    _, first = np.unique(inst[order], return_index=True)
+    return cls[order][first]
 
 
 def build_iou_matrix(
@@ -181,51 +175,37 @@ def build_iou_matrix(
 
     cur_ids, cur_areas = np.unique(warped_inst.values[cur_mask], return_counts=True)
     prev_ids, prev_areas = np.unique(prev.instances.values[prev_mask], return_counts=True)
-    cur_area = dict(zip(cur_ids.tolist(), cur_areas.tolist()))
-    prev_area = dict(zip(prev_ids.tolist(), prev_areas.tolist()))
 
     both = cur_mask & prev_mask
-    joint = warped_inst.values[both].astype(np.uint64) << np.uint64(32)
-    joint |= prev.instances.values[both].astype(np.uint64)
-    pair_keys, pair_counts = np.unique(joint, return_counts=True)
-
-    current_ids = tuple(int(i) for i in cur_ids.tolist())
-    previous_ids = tuple(int(i) for i in prev_ids.tolist())
-    row = {i: r for r, i in enumerate(current_ids)}
-    col = {j: c for c, j in enumerate(previous_ids)}
-    values = np.zeros((len(current_ids), len(previous_ids)), dtype=np.float64)
-    for key, inter in zip(pair_keys.tolist(), pair_counts.tolist()):
-        i = key >> 32
-        j = key & 0xFFFFFFFF
-        union = cur_area[i] + prev_area[j] - inter
-        values[row[i], col[j]] = inter / union
+    pair_keys, inter = np.unique(
+        pack_keys(warped_inst.values[both], prev.instances.values[both]), return_counts=True
+    )
+    cur_of_pair, prev_of_pair = unpack_keys(pair_keys)
+    row = np.searchsorted(cur_ids, cur_of_pair)
+    col = np.searchsorted(prev_ids, prev_of_pair)
+    values = np.zeros((cur_ids.size, prev_ids.size), dtype=np.float64)
+    values[row, col] = inter / (cur_areas[row] + prev_areas[col] - inter)
 
     if class_strict and values.size:
         cur_cls = _dominant_class(warped_inst.values, warped_class.values, cur_mask)
         prev_cls = _dominant_class(prev.instances.values, prev.classes.values, prev_mask)
-        for i in current_ids:
-            for j in previous_ids:
-                if cur_cls[i] != prev_cls[j]:
-                    values[row[i], col[j]] = 0.0
+        values[cur_cls[:, None] != prev_cls[None, :]] = 0.0
 
-    return IoUMatrix(current_ids, previous_ids, values)
+    return IoUMatrix(tuple(cur_ids.tolist()), tuple(prev_ids.tolist()), values)
 
 
 def _match_greedy(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
-    candidates = []
-    for r, cur in enumerate(matrix.current_ids):
-        for c, prev in enumerate(matrix.previous_ids):
-            v = matrix.values[r, c]
-            if v >= threshold:
-                candidates.append((-v, prev, cur))
-    candidates.sort()
+    rows, cols = np.nonzero(matrix.values >= threshold)
+    cur = np.asarray(matrix.current_ids, dtype=np.int64)[rows]
+    prev = np.asarray(matrix.previous_ids, dtype=np.int64)[cols]
+    order = np.lexsort((cur, prev, -matrix.values[rows, cols]))
     matches: dict[int, int] = {}
     used_prev: set[int] = set()
-    for _, prev, cur in candidates:
-        if cur in matches or prev in used_prev:
+    for c, p in zip(cur[order].tolist(), prev[order].tolist()):
+        if c in matches or p in used_prev:
             continue
-        matches[cur] = prev
-        used_prev.add(prev)
+        matches[c] = p
+        used_prev.add(p)
     return matches
 
 
@@ -276,18 +256,13 @@ def relabel(
     if uncovered:
         raise IncompleteAssignment(f"ids {uncovered} not covered by the assignment")
 
-    mapping: dict[int, int] = {}
-    next_id = state.next_fresh_id
-    for old in present:
-        if old in assignment.matches:
-            mapping[old] = assignment.matches[old]
-    for old in sorted(i for i in present if i in assignment.fresh):
-        mapping[old] = next_id
-        next_id += 1
-
-    out = curr.instances.values.copy()
-    for old, new in mapping.items():
-        out[curr.instances.values == np.uint32(old)] = new
+    mapping = {old: assignment.matches[old] for old in present if old in assignment.matches}
+    fresh = [old for old in present if old in assignment.fresh]  # ascending, as np.unique sorts
+    next_id = state.next_fresh_id + len(fresh)
+    mapping.update(zip(fresh, range(state.next_fresh_id, next_id)))
+    if next_id - 1 > _MAX_LABEL:
+        raise Overflow(f"fresh id {next_id - 1} exceeds the 32-bit label range")
+    out = remap(curr.instances.values, mapping)
     emitted = max(mapping.values(), default=0)
     new_state = replace(state, next_fresh_id=max(next_id, emitted + 1))
     return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), new_state
@@ -330,9 +305,7 @@ def run_warpmatch_sequence(
         )
         assignment = match_ids(matrix, threshold, matcher)
         # instances whose warped support vanished never enter the matrix
-        present = frozenset(
-            int(i) for i in np.unique(curr.instances.values) if i != 0
-        )
+        present = frozenset(np.unique(curr.instances.values).tolist()) - {0}
         missing = present - assignment.covers()
         if missing:
             assignment = IdAssignment(

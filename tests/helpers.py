@@ -2,7 +2,8 @@
 
 The frozenset-of-pixels segment matcher lives here, not in the package: it
 is the independent reference the table-based metric engine is checked
-against.
+against. So do the per-instance erosion and the sorted-tuple greedy
+matcher that the package's table lookups replaced.
 """
 
 import numpy as np
@@ -160,3 +161,38 @@ def with_ignore_regions(pmap: PanopticMap, rng: Xoshiro256StarStar, void: bool) 
             elif roll == 2 and void:
                 classes[y, x] = instances[y, x] = 0
     return PanopticMap(LabelGrid(classes), LabelGrid(instances))
+
+
+def oracle_corrupt_masks(panoptic, background: np.ndarray, erode: int) -> list[PanopticMap]:
+    """Per-instance ``binary_erosion`` with a full square and a zero border."""
+    from scipy.ndimage import binary_erosion
+
+    structure = np.ones((2 * erode + 1, 2 * erode + 1), dtype=bool)
+    out = []
+    for pmap in panoptic:
+        classes = pmap.classes.values.copy()
+        instances = pmap.instances.values.copy()
+        for inst_id in np.unique(pmap.instances.values):
+            if inst_id == 0:
+                continue
+            mask = pmap.instances.values == inst_id
+            removed = mask & ~binary_erosion(mask, structure=structure, border_value=0)
+            classes[removed] = background[removed]
+            instances[removed] = 0
+        out.append(PanopticMap(LabelGrid(classes), LabelGrid(instances)))
+    return out
+
+
+def oracle_match_greedy(matrix, threshold: float) -> list[tuple[int, int]]:
+    """Greedy matches (cur, prev) in acceptance order: sort (-IoU, prev id, cur id) tuples."""
+    candidates = sorted(
+        (-float(matrix.values[r, c]), prev, cur)
+        for r, cur in enumerate(matrix.current_ids)
+        for c, prev in enumerate(matrix.previous_ids)
+        if matrix.values[r, c] >= threshold
+    )
+    matches: dict[int, int] = {}
+    for _, prev, cur in candidates:
+        if cur not in matches and prev not in matches.values():
+            matches[cur] = prev
+    return list(matches.items())

@@ -9,6 +9,7 @@ import pytest
 from helpers import small_taxonomy
 from vpskit import io as vio
 from vpskit.cli import main
+from vpskit.core import FlowField, LabelGrid, PanopticMap
 from vpskit.synth import Actor, Band, SceneConfig
 
 TAX = small_taxonomy()
@@ -199,7 +200,7 @@ def run(*argv):
     return json.loads(buf.getvalue())
 
 config, out = sys.argv[1:]
-s = run("synth", "--config", config, "--out", out, "--shuffle-ids")
+s = run("synth", "--config", config, "--out", out, "--shuffle-ids", "--erode", "1")
 wm = run("warpmatch", "--panoptic", s["corrupt_manifest"], "--flows", s["corrupt_manifest"],
          "--out", out + "/wm")["manifest"]
 run("eval", "--pred", wm, "--gt", s["gt_manifest"])
@@ -211,7 +212,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_commands_without_erode_or_optimal_matcher_never_import_scipy(tmp_path):
+def test_commands_without_optimal_matcher_never_import_scipy(tmp_path):
     config = write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(config), str(tmp_path / "o")],
@@ -263,3 +264,42 @@ class TestErrors:
         )
         assert code == 1
         assert json.loads(err)["error"] == "SequenceLengthMismatch"
+
+    def assert_one_error_line(self, code, out, err, kind):
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == kind
+
+    def test_track_id_beyond_uint32_is_error_json(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        summary = json.loads(out)
+        tracks = tmp_path / "big.jsonl"
+        tracks.write_text(
+            '{"frame": 0, "track_id": 4294967296, "class_id": 10, '
+            '"x0": 0, "y0": 0, "x1": 2, "y1": 2}\n'
+        )
+        argv = ["fillfuse", "--semantic", summary["semantic_manifest"], "--tracks", str(tracks)]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "ff")])
+        self.assert_one_error_line(code, out, err, "ParseError")
+
+    def test_non_string_manifest_path_is_error_json(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        manifest = Path(json.loads(out)["gt_manifest"])
+        doc = json.loads(manifest.read_text())
+        doc["frames"][0]["classes"] = 5
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["render", "--in", str(manifest), "--out", str(tmp_path / "ppm")])
+        self.assert_one_error_line(code, out, err, "ParseError")
+
+    def test_id_counter_overflow_is_error_json(self, tmp_path, capsys):
+        top = (1 << 32) - 1
+        maps = [
+            PanopticMap(LabelGrid(np.array([[10, 1, 1]])), LabelGrid(np.array([[top, 0, 0]]))),
+            PanopticMap(LabelGrid(np.array([[1, 1, 10]])), LabelGrid(np.array([[0, 0, 5]]))),
+        ]
+        manifest = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, [FlowField.zero(3, 1)])
+        argv = ["warpmatch", "--panoptic", str(manifest), "--flows", str(manifest)]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
+        self.assert_one_error_line(code, out, err, "Overflow")

@@ -12,6 +12,9 @@ from vpskit.core import (
     Segment,
     extract_segments,
     iou,
+    pack_keys,
+    remap,
+    unpack_keys,
     validate_panoptic,
 )
 from vpskit.errors import (
@@ -221,3 +224,38 @@ class TestValidatePanoptic:
             if classes[y][x] in (0, 1) and instances[y][x] != 0
         )
         assert len(violations) == expected
+
+
+_TOP = (1 << 32) - 1
+_LABELS = st.sampled_from([0, 1, 2, 7, _TOP - 1, _TOP])
+
+
+class TestKeysAndRemap:
+    @given(st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=30))
+    def test_pack_unpack_round_trip_and_order(self, pairs):
+        high = np.array([h for h, _ in pairs], dtype=np.uint32)
+        low = np.array([lo for _, lo in pairs], dtype=np.uint32)
+        keys = pack_keys(high, low)
+        assert keys.dtype == np.uint64
+        back_high, back_low = unpack_keys(keys)
+        assert back_high.dtype == back_low.dtype == np.uint32
+        assert np.array_equal(back_high, high) and np.array_equal(back_low, low)
+        assert sorted(keys.tolist()) == [(h << 32) | lo for h, lo in sorted(pairs)]
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.data(),
+        st.dictionaries(_LABELS, st.integers(0, _TOP), max_size=5),
+    )
+    @settings(max_examples=150)
+    def test_remap_matches_dict_loop(self, h, w, data, mapping):
+        grid = np.array(
+            data.draw(st.lists(_LABELS, min_size=h * w, max_size=h * w)), dtype=np.uint32
+        ).reshape(h, w)
+        before = grid.copy()
+        want = np.array([[mapping.get(v, v) for v in row] for row in grid.tolist()])
+        got = remap(grid, mapping)
+        assert got.dtype == np.uint32 and got.shape == grid.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(grid, before)  # input untouched

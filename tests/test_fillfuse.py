@@ -35,6 +35,11 @@ class TestTrackedBox:
         with pytest.raises(ValueError):
             box(0, 0, 0, 1, 1)  # track 0 reserved
 
+    def test_rejects_track_id_beyond_uint32(self):
+        assert box((1 << 32) - 1, 0, 0, 1, 1).track_id == (1 << 32) - 1
+        with pytest.raises(ValueError, match="32-bit"):
+            box(1 << 32, 0, 0, 1, 1)
+
     def test_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             TrackedBox(frame=-1, track_id=1, class_id=10, x0=0, y0=0, x1=1, y1=1)

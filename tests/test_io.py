@@ -282,6 +282,64 @@ class TestManifests:
         manifest = vio.read_manifest(manifest_path)
         assert manifest.taxonomy == taxonomy
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["frames"][0].update(classes=5),
+            lambda doc: doc["frames"][1].update(instances=["instances_0001.lmap"]),
+            lambda doc: doc["flows"]["paths"].__setitem__(0, None),
+            lambda doc: doc.update(taxonomy=7),
+        ],
+        ids=["classes-int", "instances-list", "flow-null", "taxonomy-int"],
+    )
+    def test_non_string_file_reference_is_parse_error(self, tmp_path, edit):
+        maps = make_maps()
+        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, make_taxonomy(), flows)
+        doc = json.loads(manifest_path.read_text())
+        edit(doc)
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            vio.read_manifest(manifest_path)
+
+    @pytest.mark.parametrize(
+        "key, source",
+        [
+            ("classes", "classes_0000.lmap"),
+            ("instances", "instances_0000.lmap"),
+            ("flow", "flow_0000.flo"),
+            ("taxonomy", "taxonomy.json"),
+        ],
+    )
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_reference_outside_manifest_directory_is_refused(self, tmp_path, key, source, absolute):
+        maps = make_maps()
+        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, make_taxonomy(), flows)
+        vio.write_taxonomy(make_taxonomy(), tmp_path / "seq" / "taxonomy.json")
+        # a valid file of the right kind, one level above the manifest
+        secret = tmp_path / source
+        secret.write_bytes((tmp_path / "seq" / source).read_bytes())
+        ref = str(secret) if absolute else f"../{source}"
+        doc = json.loads(manifest_path.read_text())
+        if key == "flow":
+            doc["flows"]["paths"][0] = ref
+        elif key == "taxonomy":
+            doc["taxonomy"] = ref
+        else:
+            doc["frames"][0][key] = ref
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="is outside the manifest's directory"):
+            vio.read_manifest(manifest_path)
+
+    def test_reference_to_a_directory_is_parse_error(self, tmp_path):
+        manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", make_maps(), make_taxonomy())
+        doc = json.loads(manifest_path.read_text())
+        doc["frames"][0]["instances"] = ""
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="does not exist"):
+            vio.read_manifest(manifest_path)
+
     def test_semantic_only_refused_as_panoptic(self, tmp_path):
         taxonomy = make_taxonomy()
         grids = [m.classes for m in make_maps()]

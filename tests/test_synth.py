@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import small_taxonomy
+from helpers import oracle_corrupt_masks, small_taxonomy
+from vpskit.core import LabelGrid, PanopticMap
 from vpskit.errors import InvalidConfig
 from vpskit.metrics import pq, vpq
 from vpskit.synth import (
     Actor,
     Band,
+    GroundTruthBundle,
     SceneConfig,
     corrupt_boxes,
     corrupt_masks,
@@ -273,3 +277,24 @@ class TestCorruptMasks:
         assert after == 16  # 6x6 minus its 1px ring = 4x4
         kept = eroded[0].instances.values == 1
         assert kept[4:8, 4:8].all()
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)  # the oracle imports scipy on first use
+    def test_matches_per_instance_binary_erosion(self, h, w, erode, data):
+        # ids near the top of the uint32 range; radii up to larger than the frame
+        ids = st.sampled_from([0, 0, 1, 2, (1 << 32) - 2, (1 << 32) - 1])
+        instances = np.array(
+            data.draw(st.lists(ids, min_size=h * w, max_size=h * w)), dtype=np.uint32
+        ).reshape(h, w)
+        background = np.where(np.arange(h * w).reshape(h, w) < h * w // 2, 1, 2)
+        classes = np.where(instances != 0, 10, background)
+        frame = PanopticMap(LabelGrid(classes), LabelGrid(instances))
+        bundle = GroundTruthBundle(
+            config=scene(width=w, height=h, frames=1),
+            taxonomy=TAX,
+            panoptic=[frame],
+            boxes=[[]],
+            semantic=[frame.classes],
+            background_classes=LabelGrid(background),
+        )
+        assert corrupt_masks(bundle, erode) == oracle_corrupt_masks([frame], background, erode)

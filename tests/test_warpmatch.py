@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import oracle_match_greedy
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from vpskit.errors import DimensionMismatch, IncompleteAssignment, SequenceLengthMismatch
+from vpskit.errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 from vpskit.rng import Xoshiro256StarStar
 from vpskit.warpmatch import (
     IdAssignment,
@@ -144,6 +145,13 @@ class TestBuildIoUMatrix:
         loose = build_iou_matrix(warped.instances, warped.classes, prev, TAX, class_strict=False)
         assert loose.values.tolist() == [[1.0]]
 
+    def test_class_strict_uses_majority_class_lower_id_on_ties(self):
+        # warped 1 is 2x person, 2x rider (tie -> person); warped 3 is 1x person, 2x rider
+        warped = pmap([[10, 10, 11, 11, 10, 11, 11]], [[1, 1, 1, 1, 3, 3, 3]])
+        prev = pmap([[10, 10, 10, 10, 11, 11, 11]], [[4, 4, 4, 4, 6, 6, 6]])
+        matrix = build_iou_matrix(warped.instances, warped.classes, prev, TAX)
+        assert matrix.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_stuff_and_unassigned_ignored(self):
         # nonzero id on a stuff pixel and thing pixels with id 0 don't participate
         warped = pmap([[1, 10]], [[5, 0]])
@@ -175,6 +183,24 @@ class TestMatchIds:
         matrix = IoUMatrix((4, 9), (2, 6), np.array([[0.5, 0.5], [0.5, 0.5]]))
         a = match_ids(matrix, 0.3)
         assert a.matches == {4: 2, 9: 6}
+
+    def test_greedy_on_tied_matrices_follows_sorted_tuple_rule(self):
+        rng = Xoshiro256StarStar(0x71E)
+        levels = (0.0, 0.3, 0.5, 0.5, 1.0)
+        for _ in range(300):
+            rows, cols = rng.next_below(6), rng.next_below(6)
+            values = np.array(
+                [levels[rng.next_below(len(levels))] for _ in range(rows * cols)]
+            ).reshape(rows, cols)
+            # unsorted ids, some near the top of the uint32 range
+            pool = [1, 2, 3, 8, 40, (1 << 32) - 2, (1 << 32) - 1]
+            rng.shuffle(pool)
+            current = tuple(pool[:rows])
+            rng.shuffle(pool)
+            matrix = IoUMatrix(current, tuple(pool[:cols]), values)
+            threshold = (0.0, 0.3, 0.5, 1.0)[rng.next_below(4)]
+            got = match_ids(matrix, threshold)
+            assert list(got.matches.items()) == oracle_match_greedy(matrix, threshold)
 
     def test_greedy_prefers_largest_entry(self):
         # row 0 would take prev 0 at 0.6, but row 1 has 0.9 there first
@@ -245,6 +271,15 @@ class TestRelabel:
         curr = pmap([[10, 10]], [[1, 2]])
         with pytest.raises(IncompleteAssignment):
             relabel(curr, IdAssignment({1: 1}, frozenset()), TrackerState(next_fresh_id=3))
+
+    def test_fresh_id_beyond_uint32_is_overflow(self):
+        curr = pmap([[10, 10]], [[1, 2]])
+        assignment = IdAssignment({1: 1}, frozenset({2}))
+        out, state = relabel(curr, assignment, TrackerState(next_fresh_id=(1 << 32) - 1))
+        assert out.instances.values.tolist() == [[1, (1 << 32) - 1]]
+        assert state.next_fresh_id == 1 << 32
+        with pytest.raises(Overflow):
+            relabel(curr, assignment, state)
 
     def test_class_grid_untouched_and_support_preserved(self):
         curr = pmap([[10, 11], [1, 1]], [[1, 2], [0, 0]])
@@ -339,6 +374,13 @@ class TestSequence:
         seq = [pmap(classes, inst), empty, pmap(classes, inst)]
         out = run_warpmatch_sequence(seq, [FlowField.zero(4, 4)] * 2, TAX)
         assert int(out[2].instances.values[0, 0]) != 1  # memory horizon is one frame
+
+    def test_top_id_in_first_frame_then_fresh_id_is_overflow(self):
+        top = (1 << 32) - 1
+        first = pmap([[10, 1, 1]], [[top, 0, 0]])
+        second = pmap([[1, 1, 10]], [[0, 0, 5]])  # disjoint from the first mask
+        with pytest.raises(Overflow):
+            run_warpmatch_sequence([first, second], [FlowField.zero(3, 1)], TAX)
 
     def test_determinism_byte_identical(self):
         seq = static_scene(frames=5, permutes={1, 3})
