@@ -284,8 +284,12 @@ def pack_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """One uint64 key per element, ``high << 32 | low``, from two uint32 label arrays.
 
     Keys order like the ``(high, low)`` pairs they pack; unpack_keys inverts.
+    Built in place, so the key array is the only full-size allocation.
     """
-    return high.astype(np.uint64) << np.uint64(32) | low.astype(np.uint64)
+    keys = high.astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= low
+    return keys
 
 
 def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

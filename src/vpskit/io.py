@@ -42,10 +42,21 @@ _TRACK_KEYS = ("frame", "track_id", "class_id", "x0", "y0", "x1", "y1")
 
 
 def _atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a fresh temp file beside ``path``, then rename it over ``path``.
+
+    Each call creates its own temp name (``O_EXCL``), so concurrent writers
+    to one path never share a temp file; on any error the temp file is removed.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: str | Path, text: str) -> None:
@@ -77,7 +88,7 @@ def decode_label_grid(data: bytes) -> LabelGrid:
     if len(data) > expected:
         raise Truncated(f"LMAP has {len(data) - expected} trailing bytes")
     values = np.frombuffer(data, dtype="<u4", count=width * height, offset=12)
-    return LabelGrid(values.reshape(height, width).astype(np.uint32))
+    return LabelGrid(values.reshape(height, width))  # LabelGrid copies into native uint32
 
 
 def write_label_grid(grid: LabelGrid, path: str | Path) -> None:

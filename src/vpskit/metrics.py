@@ -199,20 +199,18 @@ def _frame_table(
     # Factorize each side's keys once, then count the combined code
     # pred_idx * n_gt + gt_idx (COCO panopticapi's pq_compute trick).
     # Codes ascend with (pred key, gt key), so ``inter`` keeps sorted order.
-    pred_keys, pred_idx = np.unique(
-        pack_keys(pred.classes.values, pred.instances.values)[pred_valid],
-        return_inverse=True,
-    )
-    gt_keys, gt_idx = np.unique(
-        pack_keys(gt.classes.values, gt.instances.values)[gt_valid],
-        return_inverse=True,
-    )
+    # Each index array is dropped once used, to keep the frame's peak down.
+    pred_keys, pred_idx = _factorize(pred, pred_valid)
+    gt_keys, gt_idx = _factorize(gt, gt_valid)
     n_gt = gt_keys.size
-    codes, counts = np.unique(
-        pred_idx[both[pred_valid]] * n_gt + gt_idx[both[gt_valid]], return_counts=True
-    )
     pred_areas = np.bincount(pred_idx, minlength=pred_keys.size)
     gt_areas = np.bincount(gt_idx, minlength=n_gt)
+    code = pred_idx[both[pred_valid]]
+    del pred_idx
+    code *= n_gt
+    code += gt_idx[both[gt_valid]]
+    del gt_idx
+    codes, counts = np.unique(code, return_counts=True)
 
     pred_pairs = _key_pairs(pred_keys)
     gt_pairs = _key_pairs(gt_keys)
@@ -223,6 +221,18 @@ def _frame_table(
         for code, count in zip(codes.tolist(), counts.tolist())
     }
     return _FrameTable(pred_area, gt_area, inter)
+
+
+def _factorize(pmap: PanopticMap, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique (class, instance) keys of the valid pixels, and each pixel's key index.
+
+    Only the valid pixels are packed. One binary search per pixel against the
+    few unique keys is cheaper than the stable argsort over every pixel that
+    ``np.unique(return_inverse=True)`` runs.
+    """
+    keys = pack_keys(pmap.classes.values[valid], pmap.instances.values[valid])
+    uniq = np.unique(keys)
+    return uniq, np.searchsorted(uniq, keys)
 
 
 def _key_pairs(keys: np.ndarray) -> list[tuple[int, int]]:

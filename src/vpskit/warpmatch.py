@@ -38,7 +38,7 @@ class IoUMatrix:
                 f"matrix shape {arr.shape} does not match id lists "
                 f"({len(self.current_ids)} x {len(self.previous_ids)})"
             )
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
             raise ValueError("IoU entries must lie in [0, 1]")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -95,15 +95,29 @@ def warp_backward(
             f"flow is {flow_prev_to_curr.width}x{flow_prev_to_curr.height}, "
             f"grids are {w}x{h}"
         )
-    ys, xs = np.mgrid[0:h, 0:w]
-    sx = np.floor(xs + flow_prev_to_curr.vectors[..., 0] + 0.5).astype(np.int64)
-    sy = np.floor(ys + flow_prev_to_curr.vectors[..., 1] + 0.5).astype(np.int64)
-    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-    cx = np.clip(sx, 0, w - 1)
-    cy = np.clip(sy, 0, h - 1)
-    warped_inst = np.where(inside, inst_t.values[cy, cx], np.uint32(0))
-    warped_class = np.where(inside, class_t.values[cy, cx], np.uint32(void_class_id))
-    return LabelGrid(warped_inst), LabelGrid(warped_class)
+    # Source positions stay float64 (exact for integer sums below 2**53), so
+    # floor(p + flow + 0.5) rounds exactly as with integer pixel grids.
+    vectors = flow_prev_to_curr.vectors
+    sx = vectors[..., 0] + np.arange(w, dtype=np.float64)
+    sx += 0.5
+    np.floor(sx, out=sx)
+    sy = vectors[..., 1] + np.arange(h, dtype=np.float64)[:, None]
+    sy += 0.5
+    np.floor(sy, out=sy)
+    outside = (sx < 0) | (sx >= w) | (sy < 0) | (sy >= h)
+    np.clip(sx, 0, w - 1, out=sx)
+    np.clip(sy, 0, h - 1, out=sy)
+    sy *= w
+    sy += sx
+    del sx
+    flat = sy.astype(np.intp)
+    del sy
+    warped_inst = inst_t.values.ravel()[flat].reshape(h, w)
+    warped_inst[outside] = 0
+    warped_inst = LabelGrid(warped_inst)
+    warped_class = class_t.values.ravel()[flat].reshape(h, w)
+    warped_class[outside] = void_class_id
+    return warped_inst, LabelGrid(warped_class)
 
 
 def invert_flow(flow: FlowField) -> FlowField:
@@ -257,6 +271,9 @@ def relabel(
         raise IncompleteAssignment(f"ids {uncovered} not covered by the assignment")
 
     mapping = {old: assignment.matches[old] for old in present if old in assignment.matches}
+    beyond = [target for target in mapping.values() if not 0 <= target <= _MAX_LABEL]
+    if beyond:
+        raise Overflow(f"match target {beyond[0]} is outside the 32-bit label range")
     fresh = [old for old in present if old in assignment.fresh]  # ascending, as np.unique sorts
     next_id = state.next_fresh_id + len(fresh)
     mapping.update(zip(fresh, range(state.next_fresh_id, next_id)))

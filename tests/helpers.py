@@ -3,7 +3,8 @@
 The frozenset-of-pixels segment matcher lives here, not in the package: it
 is the independent reference the table-based metric engine is checked
 against. So do the per-instance erosion and the sorted-tuple greedy
-matcher that the package's table lookups replaced.
+matcher that the package's table lookups replaced, and the full-grid
+backward warp that the package's lean one must match bit for bit.
 """
 
 import numpy as np
@@ -196,3 +197,18 @@ def oracle_match_greedy(matrix, threshold: float) -> list[tuple[int, int]]:
         if cur not in matches and prev not in matches.values():
             matches[cur] = prev
     return list(matches.items())
+
+
+def oracle_warp_backward(inst_t, class_t, flow_prev_to_curr, void_class_id: int = 0):
+    """Backward warp over full int64 pixel grids: round(p + flow(p)), outside -> 0 / void."""
+    h, w = inst_t.values.shape
+    ys, xs = np.mgrid[0:h, 0:w]
+    with np.errstate(invalid="ignore"):  # beyond int64 casts to a value outside the grid
+        sx = np.floor(xs + flow_prev_to_curr.vectors[..., 0] + 0.5).astype(np.int64)
+        sy = np.floor(ys + flow_prev_to_curr.vectors[..., 1] + 0.5).astype(np.int64)
+    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+    cx = np.clip(sx, 0, w - 1)
+    cy = np.clip(sy, 0, h - 1)
+    warped_inst = np.where(inside, inst_t.values[cy, cx], np.uint32(0))
+    warped_class = np.where(inside, class_t.values[cy, cx], np.uint32(void_class_id))
+    return LabelGrid(warped_inst), LabelGrid(warped_class)

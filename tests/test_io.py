@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +62,42 @@ class TestLabelGridFormat:
         )
         grid = LabelGrid(values)
         assert vio.decode_label_grid(vio.encode_label_grid(grid)) == grid
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.lmap"
+        target.write_bytes(b"old")
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            vio._atomic_write_bytes(target, b"new")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.lmap"]
+        assert target.read_bytes() == b"old"
+
+    def test_two_writers_to_one_path_never_share_a_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.lmap"
+        real_replace = os.replace
+        temps = []
+
+        def interleaved_replace(src, dst):
+            # The first writer has written its temp file but not renamed it:
+            # a second writer runs to completion in between.
+            temps.append(str(src))
+            if len(temps) == 1:
+                vio._atomic_write_bytes(target, b"second")
+                assert Path(src).read_bytes() == b"first"
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved_replace)
+        vio._atomic_write_bytes(target, b"first")
+        assert len(temps) == 2 and temps[0] != temps[1]
+        assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+        assert target.read_bytes() == b"first"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.lmap"]
 
 
 class TestFlowFormat:

@@ -1,0 +1,73 @@
+"""Allocation budgets of the per-frame kernels, in uint32 frame grids (tracemalloc peaks).
+
+The frame is 640x320, the size of the benchmark's big-frames scene: stuff
+bands, twenty moving things, and a fractional flow. A budget counts every
+array a call allocates at once, its result included.
+"""
+
+import tracemalloc
+
+import pytest
+
+from vpskit.core import ClassEntry, ClassTaxonomy
+from vpskit.metrics import _frame_table
+from vpskit.synth import Actor, Band, SceneConfig, generate
+from vpskit.warpmatch import warp_backward
+
+TAX = ClassTaxonomy(
+    entries=(
+        ClassEntry(0, "void", "stuff"),
+        ClassEntry(1, "road", "stuff"),
+        ClassEntry(2, "sky", "stuff"),
+        ClassEntry(10, "person", "thing"),
+        ClassEntry(11, "car", "thing"),
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def scene():
+    actors = tuple(
+        Actor(
+            ("rectangle", "disk")[i % 2],
+            (10, 11)[i % 3 == 0],
+            20 + 2 * i,
+            (float(29 * i % 600), float(13 * i % 280)),
+            (1.5 - 0.25 * (i % 7), 0.75 * (i % 3) - 0.5),
+            i % 4,
+        )
+        for i in range(20)
+    )
+    config = SceneConfig(
+        width=640,
+        height=320,
+        frames=2,
+        taxonomy=TAX,
+        background=(Band(2, 80), Band(0, 16), Band(1)),
+        actors=actors,
+        seed=3,
+    )
+    return generate(config)
+
+
+def peak_grids(call) -> float:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (640 * 320 * 4)
+
+
+def test_warp_backward_peaks_at_most_8_grids(scene):
+    curr, flow = scene.panoptic[1], scene.flows[0]
+    grids = peak_grids(lambda: warp_backward(curr.instances, curr.classes, flow))
+    assert grids <= 8, f"warp_backward peaked at {grids:.2f} grids"
+
+
+def test_frame_table_peaks_at_most_12_grids(scene):
+    pred, gt = scene.panoptic
+    grids = peak_grids(lambda: _frame_table(pred, gt, TAX))
+    assert grids <= 12, f"_frame_table peaked at {grids:.2f} grids"

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import oracle_match_greedy
+from helpers import oracle_match_greedy, oracle_warp_backward
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 from vpskit.rng import Xoshiro256StarStar
@@ -24,6 +26,21 @@ TAX = ClassTaxonomy(
         ClassEntry(10, "person", "thing"),
         ClassEntry(11, "rider", "thing"),
     )
+)
+
+
+_TOP = (1 << 32) - 1
+# Half-integers sit on the rounding boundary, and one float32 step off them
+# float32 sums would round differently; the rest reach far outside the grid.
+_FLOW_COMPONENT = st.one_of(
+    st.integers(-20, 20).map(lambda k: k / 2),
+    st.builds(
+        lambda k, toward: float(np.nextafter(np.float32(k / 2), np.float32(toward))),
+        st.integers(-20, 20),
+        st.sampled_from([-np.inf, np.inf]),
+    ),
+    st.floats(-1e6, 1e6, width=32),
+    st.sampled_from([-3e38, -1e19, 1e19, 3e38]),
 )
 
 
@@ -60,6 +77,27 @@ class TestWarpBackward:
         assert w_inst == inst  # +0.4 rounds back to the same pixel
         w_inst, _ = warp_backward(inst, cls, FlowField.constant(4, 2, 0.5, 0.0))
         assert np.array_equal(w_inst.values[:, :3], inst.values[:, 1:])  # 0.5 rounds up
+
+    @given(
+        st.one_of(
+            st.sampled_from([(1, 1), (1, 9), (9, 1)]),
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        ),
+        st.sampled_from([0, 1, _TOP]),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_matches_full_grid_oracle(self, shape, void, data):
+        h, w = shape
+        n = h * w
+        labels = st.lists(st.integers(0, _TOP), min_size=n, max_size=n)
+        components = st.lists(_FLOW_COMPONENT, min_size=2 * n, max_size=2 * n)
+        inst = LabelGrid(np.array(data.draw(labels), dtype=np.uint32).reshape(h, w))
+        cls = LabelGrid(np.array(data.draw(labels), dtype=np.uint32).reshape(h, w))
+        flow = FlowField(np.array(data.draw(components), dtype=np.float32).reshape(h, w, 2))
+        got = warp_backward(inst, cls, flow, void)
+        want = oracle_warp_backward(inst, cls, flow, void)
+        assert got == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -224,6 +262,13 @@ class TestMatchIds:
             assert greedy.matches == optimal.matches
             assert greedy.fresh == optimal.fresh
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_iou_entries_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"IoU entries must lie in \[0, 1\]"):
+            IoUMatrix((1,), (2,), [[bad]])
+        with pytest.raises(ValueError, match=r"IoU entries must lie in \[0, 1\]"):
+            IoUMatrix((1, 3), (2,), [[0.5], [bad]])
+
     def test_threshold_validation(self):
         matrix = IoUMatrix((), (), np.zeros((0, 0)))
         with pytest.raises(ValueError):
@@ -280,6 +325,12 @@ class TestRelabel:
         assert state.next_fresh_id == 1 << 32
         with pytest.raises(Overflow):
             relabel(curr, assignment, state)
+
+    @pytest.mark.parametrize("target", [1 << 32, -1])
+    def test_match_target_outside_uint32_is_overflow(self, target):
+        curr = pmap([[10, 10]], [[1, 2]])
+        with pytest.raises(Overflow):
+            relabel(curr, IdAssignment({1: target}, frozenset({2})), TrackerState(next_fresh_id=3))
 
     def test_class_grid_untouched_and_support_preserved(self):
         curr = pmap([[10, 11], [1, 1]], [[1, 2], [0, 0]])
