@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import io as vio
-from .errors import ParseError, SequenceLengthMismatch, VpsError
+from .errors import ParseError, VpsError
 from .fillfuse import TrackClassBinding, run_fillfuse_sequence
 from .metrics import DEFAULT_WINDOW_SIZES, vpq
 from .render import render_sequence
@@ -100,14 +100,15 @@ def _cmd_fillfuse(args) -> int:
 
 
 def _cmd_warpmatch(args) -> int:
-    maps, taxonomy = vio.load_panoptic_sequence(args.panoptic)
+    manifest = vio.read_manifest(args.panoptic)
+    maps = vio.read_panoptic_frames(args.panoptic, manifest)
+    taxonomy = manifest.taxonomy
     if taxonomy is None:
         raise ParseError(f"{args.panoptic}: manifest must embed a taxonomy")
-    flows, direction = vio.load_flow_sequence(args.flows)
-    if len(flows) != max(len(maps) - 1, 0):
-        raise SequenceLengthMismatch(
-            f"{len(maps)} frames need {max(len(maps) - 1, 0)} flows, got {len(flows)}"
-        )
+    # The README walkthrough passes one manifest as both: parse it once.
+    if Path(args.flows).resolve() != Path(args.panoptic).resolve():
+        manifest = vio.read_manifest(args.flows)
+    flows, direction = vio.read_flow_fields(args.flows, manifest)
     if direction == vio.FLOW_CURR_TO_PREV:
         flows = [invert_flow(f) for f in flows]
     out_maps = run_warpmatch_sequence(

@@ -59,6 +59,12 @@ class ClassTaxonomy:
         if void.kind != STUFF:
             raise InvalidTaxonomy(f"void class {self.void_class_id} must be stuff")
         object.__setattr__(self, "_by_id", by_id)
+        # Built once: the taxonomy is frozen, so these never go stale.
+        ids = np.array(sorted(by_id), dtype=np.uint32)
+        things = ids[[by_id[c].kind == THING for c in ids.tolist()]]
+        for name, arr in (("_class_ids", ids), ("_thing_ids", things)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def has(self, class_id: int) -> bool:
         return class_id in self._by_id
@@ -69,23 +75,33 @@ class ClassTaxonomy:
             raise UnknownClass(f"class {class_id} not in taxonomy")
         return entry.kind
 
-    def name_of(self, class_id: int) -> str:
-        entry = self._by_id.get(class_id)
-        if entry is None:
-            raise UnknownClass(f"class {class_id} not in taxonomy")
-        return entry.name
-
     def is_thing(self, class_id: int) -> bool:
         return self.kind_of(class_id) == THING
 
     def is_stuff(self, class_id: int) -> bool:
         return self.kind_of(class_id) == STUFF
 
-    def class_ids(self) -> list[int]:
-        return sorted(self._by_id)
+    def class_ids(self) -> np.ndarray:
+        """All class ids, ascending, as a read-only uint32 array."""
+        return self._class_ids
 
-    def thing_class_ids(self) -> list[int]:
-        return sorted(e.class_id for e in self.entries if e.kind == THING)
+    def thing_class_ids(self) -> np.ndarray:
+        """The thing class ids, ascending, as a read-only uint32 array."""
+        return self._thing_ids
+
+    def thing_mask(self, classes: np.ndarray) -> np.ndarray:
+        """Per pixel of a class grid, whether its class is a thing class.
+
+        Raises UnknownClass naming the lowest class id missing from the
+        taxonomy and its first pixel in row-major order.
+        """
+        classes = np.asarray(classes)
+        known = np.isin(classes, self._class_ids)
+        if not known.all():
+            class_id = classes[~known].min()
+            y, x = np.unravel_index(np.argmax(classes == class_id), classes.shape)
+            raise UnknownClass(f"class {class_id} at pixel ({x}, {y}) not in taxonomy")
+        return np.isin(classes, self._thing_ids)
 
     def stuff_class_ids(self) -> list[int]:
         return sorted(e.class_id for e in self.entries if e.kind == STUFF)
@@ -269,17 +285,6 @@ def iou(a, b) -> float:
     return inter / (len(a) + len(b) - inter)
 
 
-def _check_known_classes(classes: LabelGrid, taxonomy: ClassTaxonomy) -> None:
-    present = np.unique(classes.values)
-    known = np.array(taxonomy.class_ids(), dtype=np.uint32)
-    unknown = present[~np.isin(present, known)]
-    if unknown.size:
-        ys, xs = np.nonzero(classes.values == unknown[0])
-        raise UnknownClass(
-            f"class {int(unknown[0])} at pixel ({int(xs[0])}, {int(ys[0])}) not in taxonomy"
-        )
-
-
 def pack_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """One uint64 key per element, ``high << 32 | low``, from two uint32 label arrays.
 
@@ -323,7 +328,7 @@ def extract_segments(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> list[Segment
     segment, so the result partitions the non-void area. Thing-class pixels
     with instance 0 form an "unassigned" segment for their class.
     """
-    _check_known_classes(pmap.classes, taxonomy)
+    taxonomy.thing_mask(pmap.classes.values)  # raises UnknownClass
     keys = pack_keys(pmap.classes.values, pmap.instances.values)
     valid = pmap.classes.values != np.uint32(taxonomy.void_class_id)
     segments = []
@@ -354,21 +359,16 @@ def validate_panoptic(
         return violations
 
     present = np.unique(classes.values)
-    for class_id in present.tolist():
-        if not taxonomy.has(class_id):
-            ys, xs = np.nonzero(classes.values == class_id)
-            violations.append(
-                f"pixel ({int(xs[0])}, {int(ys[0])}): unknown class {class_id}"
-            )
+    known = np.isin(present, taxonomy.class_ids())
+    for class_id in present[~known].tolist():
+        ys, xs = np.nonzero(classes.values == class_id)
+        violations.append(f"pixel ({int(xs[0])}, {int(ys[0])}): unknown class {class_id}")
 
-    stuff_ids = [c for c in present.tolist() if taxonomy.has(c) and taxonomy.is_stuff(c)]
-    if stuff_ids:
-        stuff_mask = np.isin(classes.values, np.array(stuff_ids, dtype=np.uint32))
-        bad = stuff_mask & (instances.values != 0)
-        ys, xs = np.nonzero(bad)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            violations.append(
-                f"pixel ({x}, {y}): stuff class {int(classes.values[y, x])} carries "
-                f"instance {int(instances.values[y, x])}"
-            )
+    stuff_ids = present[known & ~np.isin(present, taxonomy.thing_class_ids())]
+    ys, xs = np.nonzero(np.isin(classes.values, stuff_ids) & (instances.values != 0))
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        violations.append(
+            f"pixel ({x}, {y}): stuff class {int(classes.values[y, x])} carries "
+            f"instance {int(instances.values[y, x])}"
+        )
     return violations

@@ -64,7 +64,7 @@ class TrackClassBinding:
     @classmethod
     def identity(cls, taxonomy: ClassTaxonomy) -> "TrackClassBinding":
         """Each thing class binds to itself; the default for synthetic tracks."""
-        return cls({c: c for c in taxonomy.thing_class_ids()})
+        return cls({c: c for c in taxonomy.thing_class_ids().tolist()})
 
     def class_for(self, tracker_category: int) -> int | None:
         return self.pairs.get(tracker_category)
@@ -118,10 +118,7 @@ def fill_and_fuse(
     bound class and the ownership raster assigns it that track. Boxes whose
     tracker category has no binding are ignored.
     """
-    present = np.unique(semantic.values)
-    for class_id in present.tolist():
-        if not taxonomy.has(class_id):
-            raise UnknownClass(f"semantic map contains unknown class {class_id}")
+    taxonomy.thing_mask(semantic.values)  # raises UnknownClass
     binding.check(taxonomy)
 
     bound_class: dict[int, int] = {}

@@ -127,10 +127,8 @@ def decode_flow(data: bytes) -> FlowField:
     if len(data) > expected:
         raise Truncated(f"flow file has {len(data) - expected} trailing bytes")
     raw = np.frombuffer(data, dtype="<f4", count=2 * width * height, offset=12)
-    vectors = raw.reshape(height, width, 2).astype(np.float32)
-    if not np.isfinite(vectors).all():
-        raise NonFinite("flow file contains NaN or infinite components")
-    return FlowField(vectors)
+    # FlowField checks finiteness and makes the one copy of the payload.
+    return FlowField(raw.reshape(height, width, 2))
 
 
 def write_flow(flow: FlowField, path: str | Path) -> None:
@@ -416,8 +414,15 @@ def write_semantic_sequence(
 def load_panoptic_sequence(
     manifest_path: str | Path,
 ) -> tuple[list[PanopticMap], ClassTaxonomy | None]:
-    base = Path(manifest_path).parent
     manifest = read_manifest(manifest_path)
+    return read_panoptic_frames(manifest_path, manifest), manifest.taxonomy
+
+
+def read_panoptic_frames(
+    manifest_path: str | Path, manifest: SequenceManifest
+) -> list[PanopticMap]:
+    """The panoptic maps of an already parsed manifest read from manifest_path."""
+    base = Path(manifest_path).parent
     maps = []
     for i, frame in enumerate(manifest.frames):
         if frame.instances is None:
@@ -428,7 +433,7 @@ def load_panoptic_sequence(
         classes = read_label_grid(base / frame.classes)
         instances = read_label_grid(base / frame.instances)
         maps.append(PanopticMap(classes=classes, instances=instances))
-    return maps, manifest.taxonomy
+    return maps
 
 
 def load_semantic_sequence(
@@ -440,8 +445,14 @@ def load_semantic_sequence(
 
 
 def load_flow_sequence(manifest_path: str | Path) -> tuple[list[FlowField], str]:
+    return read_flow_fields(manifest_path, read_manifest(manifest_path))
+
+
+def read_flow_fields(
+    manifest_path: str | Path, manifest: SequenceManifest
+) -> tuple[list[FlowField], str]:
+    """The flow fields and their direction of an already parsed manifest."""
     base = Path(manifest_path).parent
-    manifest = read_manifest(manifest_path)
     if manifest.flows is None:
         raise ParseError(f"{manifest_path}: manifest carries no flow fields")
     flows = [read_flow(base / p) for p in manifest.flows.paths]

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, _check_known_classes, pack_keys, unpack_keys
+from .core import ClassTaxonomy, PanopticMap, pack_keys, unpack_keys
 from .core import extract_segments  # noqa: F401 - not called; perfbench/spans.py traces this name here
 from .errors import DimensionMismatch, SequenceLengthMismatch
 
@@ -175,8 +175,7 @@ class _FrameTable:
 def _valid_mask(
     pmap: PanopticMap, taxonomy: ClassTaxonomy, gt_void: np.ndarray
 ) -> np.ndarray:
-    thing_ids = np.array(taxonomy.thing_class_ids(), dtype=np.uint32)
-    unassigned = np.isin(pmap.classes.values, thing_ids) & (pmap.instances.values == 0)
+    unassigned = taxonomy.thing_mask(pmap.classes.values) & (pmap.instances.values == 0)
     non_void = pmap.classes.values != np.uint32(taxonomy.void_class_id)
     return non_void & ~gt_void & ~unassigned
 
@@ -188,9 +187,6 @@ def _frame_table(
         raise DimensionMismatch(
             f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
         )
-    _check_known_classes(pred.classes, taxonomy)
-    _check_known_classes(gt.classes, taxonomy)
-
     gt_void = gt.classes.values == np.uint32(taxonomy.void_class_id)
     pred_valid = _valid_mask(pred, taxonomy, gt_void)
     gt_valid = _valid_mask(gt, taxonomy, gt_void)

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassTaxonomy, PanopticMap, pack_keys, unpack_keys
-from .errors import UnknownClass
 from .io import _atomic_write_bytes
 from .rng import splitmix64
 
@@ -53,14 +52,13 @@ def instance_color(class_id: int, instance_id: int) -> tuple[int, int, int]:
 
 def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Render a panoptic map to an (h, w, 3) uint8 RGB buffer."""
+    taxonomy.thing_mask(pmap.classes.values)  # raises UnknownClass
     keys, index = np.unique(
         pack_keys(pmap.classes.values, pmap.instances.values), return_inverse=True
     )
     classes, instances = unpack_keys(keys)
     palette = np.empty((keys.size, 3), dtype=np.uint8)
     for n, (class_id, instance_id) in enumerate(zip(classes.tolist(), instances.tolist())):
-        if not taxonomy.has(class_id):
-            raise UnknownClass(f"class {class_id} not in taxonomy")
         if taxonomy.is_stuff(class_id):
             palette[n] = stuff_color(class_id)
         else:

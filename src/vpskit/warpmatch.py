@@ -149,13 +149,6 @@ def invert_flow(flow: FlowField) -> FlowField:
     return FlowField(out)
 
 
-def _thing_mask(
-    class_values: np.ndarray, inst_values: np.ndarray, taxonomy: ClassTaxonomy
-) -> np.ndarray:
-    thing_ids = np.array(taxonomy.thing_class_ids(), dtype=np.uint32)
-    return (inst_values != 0) & np.isin(class_values, thing_ids)
-
-
 def _dominant_class(
     inst_values: np.ndarray, class_values: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
@@ -184,8 +177,8 @@ def build_iou_matrix(
     if warped_inst.values.shape != warped_class.values.shape:
         raise DimensionMismatch("warped instance and class grids differ in size")
 
-    cur_mask = _thing_mask(warped_class.values, warped_inst.values, taxonomy)
-    prev_mask = _thing_mask(prev.classes.values, prev.instances.values, taxonomy)
+    cur_mask = taxonomy.thing_mask(warped_class.values) & (warped_inst.values != 0)
+    prev_mask = taxonomy.thing_mask(prev.classes.values) & (prev.instances.values != 0)
 
     cur_ids, cur_areas = np.unique(warped_inst.values[cur_mask], return_counts=True)
     prev_ids, prev_areas = np.unique(prev.instances.values[prev_mask], return_counts=True)
@@ -307,6 +300,9 @@ def run_warpmatch_sequence(
         )
     if not panoptic_seq:
         return []
+    # Matching only sees the pixels a warp samples, so check every frame first.
+    for pmap in panoptic_seq:
+        taxonomy.thing_mask(pmap.classes.values)
 
     first = panoptic_seq[0]
     max_id = int(first.instances.values.max())

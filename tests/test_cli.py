@@ -303,3 +303,57 @@ class TestErrors:
         argv = ["warpmatch", "--panoptic", str(manifest), "--flows", str(manifest)]
         code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
         self.assert_one_error_line(code, out, err, "Overflow")
+
+
+def test_warpmatch_parses_a_shared_manifest_once(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+    manifest = json.loads(out)["gt_manifest"]
+    calls = []
+    real = vio.read_manifest
+    monkeypatch.setattr(vio, "read_manifest", lambda path: calls.append(path) or real(path))
+    argv = ["warpmatch", "--panoptic", manifest, "--flows", manifest, "--out", str(tmp_path / "wm")]
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+class TestUnknownClassSweep:
+    """One sequence with classes outside the taxonomy fails alike in every command.
+
+    Frame 1 holds class 120 at (0, 0) and class 99 at (2, 1): the message names
+    the lowest unknown id at its first pixel. The flow shifts every sample, so
+    a check on warped grids alone would name a different pixel.
+    """
+
+    MESSAGE = "class 99 at pixel (2, 1) not in taxonomy"
+
+    @pytest.fixture
+    def sequence(self, tmp_path):
+        classes = np.ones((3, 4, 4), dtype=np.uint32)
+        instances = np.zeros((3, 4, 4), dtype=np.uint32)
+        classes[:, 2:, 2:], instances[:, 2:, 2:] = 10, 1
+        classes[1, 0, 0], classes[1, 1, 2], classes[1, 3, 1] = 120, 99, 99
+        classes[2, 0, 1] = 99
+        maps = [PanopticMap(LabelGrid(c), LabelGrid(i)) for c, i in zip(classes, instances)]
+        flows = [FlowField.constant(4, 4, 1.0, 0.0)] * 2
+        panoptic = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, flows)
+        semantic = vio.write_semantic_sequence(tmp_path / "sem", [m.classes for m in maps], TAX)
+        tracks = tmp_path / "tracks.jsonl"
+        tracks.write_text("")
+        return {"panoptic": str(panoptic), "semantic": str(semantic), "tracks": str(tracks)}
+
+    @pytest.mark.parametrize("command", ["warpmatch", "fillfuse", "eval", "render"])
+    def test_every_command_names_the_first_unknown_pixel(self, command, sequence, tmp_path, capsys):
+        seq, out_dir = sequence["panoptic"], str(tmp_path / "out")
+        argv = {
+            "warpmatch": ["warpmatch", "--panoptic", seq, "--flows", seq, "--out", out_dir],
+            "fillfuse": ["fillfuse", "--semantic", sequence["semantic"],
+                         "--tracks", sequence["tracks"], "--out", out_dir],
+            "eval": ["eval", "--pred", seq, "--gt", seq],
+            "render": ["render", "--in", seq, "--out", out_dir],
+        }[command]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "UnknownClass", "message": self.MESSAGE}

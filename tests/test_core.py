@@ -54,12 +54,71 @@ class TestTaxonomy:
     def test_kind_queries(self):
         assert TAX.is_thing(10)
         assert TAX.is_stuff(1)
-        assert TAX.thing_class_ids() == [10, 11]
+        assert TAX.thing_class_ids().tolist() == [10, 11]
         with pytest.raises(UnknownClass):
             TAX.kind_of(99)
 
     def test_dict_round_trip(self):
         assert ClassTaxonomy.from_dict(TAX.to_dict()) == TAX
+
+    def test_id_arrays_are_sorted_read_only_uint32(self):
+        tax = ClassTaxonomy(
+            entries=(ClassEntry(11, "rider", "thing"), ClassEntry(0, "void", "stuff"),
+                     ClassEntry(10, "person", "thing"), ClassEntry(1, "road", "stuff"))
+        )
+        for ids, want in ((tax.class_ids(), [0, 1, 10, 11]), (tax.thing_class_ids(), [10, 11])):
+            assert ids.dtype == np.uint32 and ids.tolist() == want
+            with pytest.raises(ValueError):
+                ids[0] = 5
+
+
+# Ids near 2**32 - 1 push np.isin off its lookup-table path; more than a few
+# dozen classes against a small grid take its sort path.
+_CLASS_IDS = st.one_of(st.integers(1, 40), st.integers((1 << 32) - 41, (1 << 32) - 1))
+
+
+@st.composite
+def _taxonomy_and_grid(draw, unknown):
+    kinds = draw(st.dictionaries(_CLASS_IDS, st.sampled_from(["stuff", "thing"]), max_size=40))
+    tax = ClassTaxonomy(
+        entries=(ClassEntry(0, "void", "stuff"),)
+        + tuple(ClassEntry(c, f"c{c}", k) for c, k in kinds.items())
+    )
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    values = st.sampled_from([0, *kinds])
+    if unknown:
+        values = st.one_of(values, _CLASS_IDS.filter(lambda c: c not in kinds))
+    cells = draw(st.lists(values, min_size=h * w, max_size=h * w))
+    return tax, np.array(cells, dtype=np.uint32).reshape(h, w)
+
+
+class TestThingMask:
+    @given(_taxonomy_and_grid(unknown=False))
+    @settings(max_examples=200)
+    def test_matches_per_pixel_is_thing(self, case):
+        tax, grid = case
+        want = [[tax.is_thing(c) for c in row] for row in grid.tolist()]
+        got = tax.thing_mask(grid)
+        assert got.dtype == bool and got.tolist() == want
+
+    @given(_taxonomy_and_grid(unknown=True))
+    @settings(max_examples=200)
+    def test_unknown_class_names_lowest_id_at_first_pixel(self, case):
+        tax, grid = case
+        unknown = [
+            (c, x, y)
+            for y, row in enumerate(grid.tolist())
+            for x, c in enumerate(row)
+            if not tax.has(c)
+        ]
+        if not unknown:
+            assert tax.thing_mask(grid).shape == grid.shape
+            return
+        class_id = min(c for c, _, _ in unknown)
+        x, y = next((x, y) for c, x, y in unknown if c == class_id)
+        with pytest.raises(UnknownClass) as exc:
+            tax.thing_mask(grid)
+        assert str(exc.value) == f"class {class_id} at pixel ({x}, {y}) not in taxonomy"
 
 
 class TestGrids:

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 
 from vpskit.core import ClassEntry, ClassTaxonomy
+from vpskit.io import decode_flow, encode_flow
 from vpskit.metrics import _frame_table
 from vpskit.synth import Actor, Band, SceneConfig, generate
 from vpskit.warpmatch import warp_backward
@@ -71,3 +72,9 @@ def test_frame_table_peaks_at_most_12_grids(scene):
     pred, gt = scene.panoptic
     grids = peak_grids(lambda: _frame_table(pred, gt, TAX))
     assert grids <= 12, f"_frame_table peaked at {grids:.2f} grids"
+
+
+def test_decode_flow_peaks_at_most_3_grids(scene):
+    data = encode_flow(scene.flows[0])  # the result alone is 2 grids
+    grids = peak_grids(lambda: decode_flow(data))
+    assert grids <= 3, f"decode_flow peaked at {grids:.2f} grids"

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from helpers import oracle_match_greedy, oracle_warp_backward
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from vpskit.errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
+from vpskit.errors import (
+    DimensionMismatch,
+    IncompleteAssignment,
+    Overflow,
+    SequenceLengthMismatch,
+    UnknownClass,
+)
 from vpskit.rng import Xoshiro256StarStar
 from vpskit.warpmatch import (
     IdAssignment,
@@ -365,6 +371,23 @@ class TestSequence:
         seq = static_scene(frames=1)
         out = run_warpmatch_sequence(seq, [], TAX)
         assert out[0] == seq[0]
+
+    @pytest.mark.parametrize("frame", [0, 1, 2])
+    def test_unknown_class_in_any_frame_is_rejected(self, frame):
+        seq = static_scene(frames=3)
+        classes = seq[frame].classes.values.copy()
+        classes[5, 7] = 99  # the +1 px flow samples it at (6, 5) of the warped grid
+        seq[frame] = PanopticMap(LabelGrid(classes), seq[frame].instances)
+        flows = [FlowField.constant(8, 6, 1.0, 0.0) for _ in range(2)]
+        with pytest.raises(UnknownClass, match=r"^class 99 at pixel \(7, 5\) not in taxonomy$"):
+            run_warpmatch_sequence(seq, flows, TAX)
+
+    def test_unknown_class_in_single_frame_is_rejected(self):
+        seq = static_scene(frames=1)
+        classes = seq[0].classes.values.copy()
+        classes[0, 0] = 99
+        with pytest.raises(UnknownClass):
+            run_warpmatch_sequence([PanopticMap(LabelGrid(classes), seq[0].instances)], [], TAX)
 
     def test_flow_count_mismatch(self):
         seq = static_scene(frames=3)
