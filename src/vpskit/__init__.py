@@ -16,7 +16,6 @@ from .core import (
     PanopticMap,
     Segment,
     extract_segments,
-    iou,
     validate_panoptic,
 )
 from .fillfuse import (
@@ -79,7 +78,6 @@ __all__ = [
     "fill_and_fuse",
     "generate",
     "invert_flow",
-    "iou",
     "match_ids",
     "pq",
     "rasterize_ownership",

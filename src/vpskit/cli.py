@@ -65,7 +65,7 @@ def _cmd_synth(args) -> int:
     if args.shuffle_ids or args.erode > 0:
         stage = bundle
         if args.erode > 0:
-            stage = replace(stage, panoptic=corrupt_masks(stage, args.erode, args.corrupt_seed))
+            stage = replace(stage, panoptic=corrupt_masks(stage, args.erode))
         maps = stage.panoptic
         if args.shuffle_ids:
             maps, _ = corrupt_shuffle_ids(stage, args.corrupt_seed)
@@ -90,13 +90,22 @@ def _cmd_fillfuse(args) -> int:
         raise ParseError("no taxonomy: pass --taxonomy or embed one in the manifest")
     tracks = vio.read_tracks(args.tracks)
     if args.binding:
-        pairs = {int(k): int(v) for k, v in _load_json(args.binding).items()}
-        binding = TrackClassBinding(pairs)
+        binding = TrackClassBinding(_binding_pairs(args.binding))
     else:
         binding = TrackClassBinding.identity(taxonomy)
     maps = run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
     manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
     return _emit({"frames": len(maps), "manifest": str(manifest)})
+
+
+def _binding_pairs(path: str) -> dict[int, int]:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: binding must be a JSON object, got {type(doc).__name__}")
+    try:
+        return {int(k): int(v) for k, v in doc.items()}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: binding entries must map integers to integers: {exc}") from exc
 
 
 def _cmd_warpmatch(args) -> int:

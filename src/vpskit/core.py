@@ -14,7 +14,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class ClassTaxonomy:
             raise UnknownClass(f"class {class_id} at pixel ({x}, {y}) not in taxonomy")
         return np.isin(classes, self._thing_ids)
 
-    def stuff_class_ids(self) -> list[int]:
-        return sorted(e.class_id for e in self.entries if e.kind == STUFF)
-
     def to_dict(self) -> dict:
         return {
             "void_class_id": self.void_class_id,
@@ -164,13 +161,6 @@ class LabelGrid:
     @classmethod
     def filled(cls, width: int, height: int, value: int = 0) -> "LabelGrid":
         return cls(np.full((height, width), value, dtype=np.uint32))
-
-    @classmethod
-    def from_flat(cls, width: int, height: int, flat) -> "LabelGrid":
-        arr = np.asarray(flat, dtype=np.int64)
-        if arr.size != width * height:
-            raise ValueError(f"expected {width * height} values, got {arr.size}")
-        return cls(arr.reshape(height, width))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelGrid):
@@ -275,16 +265,6 @@ class Segment:
         return len(self.pixels)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two pixel sets; 0.0 when both are empty."""
-    a = a if isinstance(a, (set, frozenset)) else frozenset(a)
-    b = b if isinstance(b, (set, frozenset)) else frozenset(b)
-    if not a and not b:
-        return 0.0
-    inter = len(a & b)
-    return inter / (len(a) + len(b) - inter)
-
-
 def pack_keys(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     """One uint64 key per element, ``high << 32 | low``, from two uint32 label arrays.
 
@@ -302,6 +282,58 @@ def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.asarray(keys, dtype=np.uint64)
     high = (keys >> np.uint64(32)).astype(np.uint32)
     return high, (keys & np.uint64(_MAX_LABEL)).astype(np.uint32)
+
+
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted unique values of a 1-D array, their counts, and each element's index among them.
+
+    With counts asked for, ``np.unique`` sorts a copy instead of running its
+    slower hash table; one binary search per element then replaces the
+    stable argsort of numpy's own inverse index.
+    """
+    uniq, counts = np.unique(values, return_counts=True)
+    return uniq, counts, np.searchsorted(uniq, values)
+
+
+class Overlap(NamedTuple):
+    """Each side's sorted labels and areas, and the shared pixels of each overlapping pair.
+
+    Pair n is ``(a_labels[a_index[n]], b_labels[b_index[n]])``; pairs ascend by (a, b).
+    """
+
+    a_labels: np.ndarray
+    a_areas: np.ndarray
+    b_labels: np.ndarray
+    b_areas: np.ndarray
+    a_index: np.ndarray
+    b_index: np.ndarray
+    shared: np.ndarray
+
+
+def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) -> Overlap:
+    """Label areas and pairwise overlaps of the valid pixels of two same-shape segmentations.
+
+    Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
+    labelled by pack_keys; a pixel is shared when valid on both sides. Pairs
+    are counted by the code ``a_idx * n_b + b_idx`` (COCO panopticapi's
+    pq_compute trick); keys and indices live only here, dropped once used.
+    """
+    a_labels, a_areas, a_idx = factorize(_labels_at(a, a_valid))
+    code = a_idx[b_valid[a_valid]]  # the shared pixels, in row-major order
+    del a_idx
+    b_labels, b_areas, b_idx = factorize(_labels_at(b, b_valid))
+    code *= b_labels.size
+    code += b_idx[a_valid[b_valid]]
+    del b_idx
+    codes, shared = np.unique(code, return_counts=True)
+    a_index, b_index = np.divmod(codes, b_labels.size)
+    return Overlap(a_labels, a_areas, b_labels, b_areas, a_index, b_index, shared)
+
+
+def _labels_at(grids: tuple, mask: np.ndarray) -> np.ndarray:
+    if len(grids) == 1:
+        return grids[0][mask]
+    return pack_keys(grids[0][mask], grids[1][mask])
 
 
 def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:

@@ -359,10 +359,8 @@ def write_panoptic_sequence(
     maps: Sequence[PanopticMap],
     taxonomy: ClassTaxonomy,
     flows: Sequence[FlowField] | None = None,
-    flow_direction: str = FLOW_PREV_TO_CURR,
-    manifest_name: str = "manifest.json",
 ) -> Path:
-    """Write a full panoptic sequence plus manifest; returns the manifest path."""
+    """Write a panoptic sequence plus manifest (flows tagged prev_to_curr); returns its path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []
@@ -380,11 +378,11 @@ def write_panoptic_sequence(
             name = f"flow_{_frame_stem(i, len(maps))}.flo"
             write_flow(flow, out_dir / name)
             names.append(name)
-        flow_ref = FlowSetRef(direction=flow_direction, paths=tuple(names))
+        flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=tuple(names))
     manifest = SequenceManifest(
         frame_count=len(maps), frames=tuple(frames), taxonomy=taxonomy, flows=flow_ref
     )
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -393,7 +391,6 @@ def write_semantic_sequence(
     out_dir: str | Path,
     grids: Sequence[LabelGrid],
     taxonomy: ClassTaxonomy | None = None,
-    manifest_name: str = "manifest.json",
 ) -> Path:
     """Write a classes-only sequence (no instance grids)."""
     out_dir = Path(out_dir)
@@ -406,7 +403,7 @@ def write_semantic_sequence(
     manifest = SequenceManifest(
         frame_count=len(grids), frames=tuple(frames), taxonomy=taxonomy
     )
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -442,10 +439,6 @@ def load_semantic_sequence(
     base = Path(manifest_path).parent
     manifest = read_manifest(manifest_path)
     return [read_label_grid(base / f.classes) for f in manifest.frames], manifest.taxonomy
-
-
-def load_flow_sequence(manifest_path: str | Path) -> tuple[list[FlowField], str]:
-    return read_flow_fields(manifest_path, read_manifest(manifest_path))
 
 
 def read_flow_fields(

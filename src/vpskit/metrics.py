@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, pack_keys, unpack_keys
+from .core import ClassTaxonomy, PanopticMap, overlap_table, unpack_keys
 from .core import extract_segments  # noqa: F401 - not called; perfbench/spans.py traces this name here
 from .errors import DimensionMismatch, SequenceLengthMismatch
 
@@ -46,15 +46,6 @@ class PqStats:
 
     def add_fn(self, class_id: int) -> None:
         self._cells[class_id][2] += 1
-
-    def merge(self, other: "PqStats") -> "PqStats":
-        for class_id, (tp, fp, fn, iou_sum) in other._cells.items():
-            cell = self._cells[class_id]
-            cell[0] += tp
-            cell[1] += fp
-            cell[2] += fn
-            cell[3] += iou_sum
-        return self
 
     def classes(self) -> list[int]:
         return sorted(self._cells)
@@ -124,9 +115,7 @@ def _round6(value: float) -> float:
 
 def pq_stats(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> PqStats:
     """Single-frame PQ stats: the k=1 window over one frame table."""
-    stats = PqStats()
-    _window_stats([_frame_table(pred, gt, taxonomy)], stats)
-    return stats
+    return _accumulate([_frame_table(pred, gt, taxonomy)], 1)
 
 
 def report_from_stats(
@@ -161,15 +150,12 @@ def pq(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> MetricRep
     return report_from_stats(pq_stats(pred, gt, taxonomy))
 
 
-class _FrameTable:
+class _FrameTable(NamedTuple):
     """Per-frame segment areas and pred/gt intersection counts (no pixel sets)."""
 
-    __slots__ = ("pred_area", "gt_area", "inter")
-
-    def __init__(self, pred_area, gt_area, inter):
-        self.pred_area = pred_area
-        self.gt_area = gt_area
-        self.inter = inter
+    pred_area: dict[tuple[int, int], int]
+    gt_area: dict[tuple[int, int], int]
+    inter: dict[tuple[tuple[int, int], tuple[int, int]], int]
 
 
 def _valid_mask(
@@ -188,47 +174,20 @@ def _frame_table(
             f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
         )
     gt_void = gt.classes.values == np.uint32(taxonomy.void_class_id)
-    pred_valid = _valid_mask(pred, taxonomy, gt_void)
-    gt_valid = _valid_mask(gt, taxonomy, gt_void)
-    both = pred_valid & gt_valid
-
-    # Factorize each side's keys once, then count the combined code
-    # pred_idx * n_gt + gt_idx (COCO panopticapi's pq_compute trick).
-    # Codes ascend with (pred key, gt key), so ``inter`` keeps sorted order.
-    # Each index array is dropped once used, to keep the frame's peak down.
-    pred_keys, pred_idx = _factorize(pred, pred_valid)
-    gt_keys, gt_idx = _factorize(gt, gt_valid)
-    n_gt = gt_keys.size
-    pred_areas = np.bincount(pred_idx, minlength=pred_keys.size)
-    gt_areas = np.bincount(gt_idx, minlength=n_gt)
-    code = pred_idx[both[pred_valid]]
-    del pred_idx
-    code *= n_gt
-    code += gt_idx[both[gt_valid]]
-    del gt_idx
-    codes, counts = np.unique(code, return_counts=True)
-
-    pred_pairs = _key_pairs(pred_keys)
-    gt_pairs = _key_pairs(gt_keys)
-    pred_area = dict(zip(pred_pairs, pred_areas.tolist()))
-    gt_area = dict(zip(gt_pairs, gt_areas.tolist()))
-    inter = {
-        (pred_pairs[code // n_gt], gt_pairs[code % n_gt]): count
-        for code, count in zip(codes.tolist(), counts.tolist())
-    }
-    return _FrameTable(pred_area, gt_area, inter)
-
-
-def _factorize(pmap: PanopticMap, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique (class, instance) keys of the valid pixels, and each pixel's key index.
-
-    Only the valid pixels are packed. One binary search per pixel against the
-    few unique keys is cheaper than the stable argsort over every pixel that
-    ``np.unique(return_inverse=True)`` runs.
-    """
-    keys = pack_keys(pmap.classes.values[valid], pmap.instances.values[valid])
-    uniq = np.unique(keys)
-    return uniq, np.searchsorted(uniq, keys)
+    table = overlap_table(
+        (pred.classes.values, pred.instances.values),
+        _valid_mask(pred, taxonomy, gt_void),
+        (gt.classes.values, gt.instances.values),
+        _valid_mask(gt, taxonomy, gt_void),
+    )
+    pred_pairs = _key_pairs(table.a_labels)
+    gt_pairs = _key_pairs(table.b_labels)
+    pairs = zip(table.a_index.tolist(), table.b_index.tolist(), table.shared.tolist())
+    return _FrameTable(
+        dict(zip(pred_pairs, table.a_areas.tolist())),
+        dict(zip(gt_pairs, table.b_areas.tolist())),
+        {(pred_pairs[p], gt_pairs[g]): count for p, g, count in pairs},
+    )
 
 
 def _key_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
@@ -271,6 +230,14 @@ def _window_stats(tables: Sequence[_FrameTable], stats: PqStats) -> None:
             stats.add_fn(g_key[0])
 
 
+def _accumulate(tables: Sequence[_FrameTable], k: int) -> PqStats:
+    """Tube stats of every k-frame window of the tables, accumulated over the start positions."""
+    stats = PqStats()
+    for start in range(len(tables) - k + 1):
+        _window_stats(tables[start : start + k], stats)
+    return stats
+
+
 def vpq(
     pred_seq: Sequence[PanopticMap],
     gt_seq: Sequence[PanopticMap],
@@ -295,23 +262,15 @@ def vpq(
     if not sizes or sizes[0] < 1:
         raise ValueError(f"window sizes must be >= 1, got {list(window_sizes)}")
 
-    tables = [
-        _frame_table(pred, gt, taxonomy) for pred, gt in zip(pred_seq, gt_seq)
-    ]
+    tables = [_frame_table(pred, gt, taxonomy) for pred, gt in zip(pred_seq, gt_seq)]
 
     # The PQ section is the k=1 accumulation: every frame is one window.
-    frame_stats = PqStats()
-    for table in tables:
-        _window_stats([table], frame_stats)
-
+    frame_stats = _accumulate(tables, 1)
     vpq_per_k: dict[int, float] = {}
     for k in sizes:
-        if k > len(tables):
-            continue
-        stats = PqStats()
-        for start in range(len(tables) - k + 1):
-            _window_stats(tables[start : start + k], stats)
-        vpq_per_k[k] = report_from_stats(stats).pq
+        if k <= len(tables):
+            stats = frame_stats if k == 1 else _accumulate(tables, k)
+            vpq_per_k[k] = report_from_stats(stats).pq
 
     mean = sum(vpq_per_k.values()) / len(vpq_per_k) if vpq_per_k else None
     return report_from_stats(frame_stats, vpq_per_k=vpq_per_k, vpq_mean=mean)

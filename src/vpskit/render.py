@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, pack_keys, unpack_keys
-from .io import _atomic_write_bytes
+from .core import ClassTaxonomy, PanopticMap, factorize, pack_keys, unpack_keys
+from .io import _atomic_write_bytes, _frame_stem
 from .rng import splitmix64
 
 # fixed stuff palette (r, g, b); index = class_id % len(STUFF_PALETTE)
@@ -53,9 +53,7 @@ def instance_color(class_id: int, instance_id: int) -> tuple[int, int, int]:
 def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Render a panoptic map to an (h, w, 3) uint8 RGB buffer."""
     taxonomy.thing_mask(pmap.classes.values)  # raises UnknownClass
-    keys, index = np.unique(
-        pack_keys(pmap.classes.values, pmap.instances.values), return_inverse=True
-    )
+    keys, _, index = factorize(pack_keys(pmap.classes.values, pmap.instances.values).ravel())
     classes, instances = unpack_keys(keys)
     palette = np.empty((keys.size, 3), dtype=np.uint8)
     for n, (class_id, instance_id) in enumerate(zip(classes.tolist(), instances.tolist())):
@@ -85,15 +83,13 @@ def render_sequence(
     maps: Sequence[PanopticMap],
     taxonomy: ClassTaxonomy,
     out_dir: str | Path,
-    prefix: str = "frame_",
 ) -> list[Path]:
     """Write one PPM per frame with zero-padded frame indices; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digits = max(4, len(str(max(len(maps) - 1, 0))))
     paths = []
     for i, pmap in enumerate(maps):
-        path = out_dir / f"{prefix}{i:0{digits}d}.ppm"
+        path = out_dir / f"frame_{_frame_stem(i, len(maps))}.ppm"
         write_ppm(colorize(pmap, taxonomy), path)
         paths.append(path)
     return paths

@@ -15,6 +15,7 @@ vpskit.rng), so corruptions replay bit-exactly for a given seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, remap
 from .errors import InvalidConfig
 from .fillfuse import TrackedBox
+from .io import _MAX_PIXELS
 from .rng import Xoshiro256StarStar
 
 RECTANGLE = "rectangle"
@@ -138,14 +140,19 @@ class GroundTruthBundle:
 def _validate_config(config: SceneConfig) -> None:
     if config.width < 1 or config.height < 1:
         raise InvalidConfig(f"image size {config.width}x{config.height} invalid")
+    if config.width * config.height > _MAX_PIXELS:
+        raise InvalidConfig(f"image size {config.width}x{config.height} exceeds {_MAX_PIXELS} px")
     if config.frames < 1:
         raise InvalidConfig(f"frame count {config.frames} must be >= 1")
     taxonomy = config.taxonomy
     for band in config.background:
         if not taxonomy.has(band.class_id) or not taxonomy.is_stuff(band.class_id):
             raise InvalidConfig(f"band class {band.class_id} must be a stuff class")
-        if band.height is not None and band.height < 1:
-            raise InvalidConfig(f"band height {band.height} must be >= 1")
+        height = band.height
+        if height is not None and (
+            isinstance(height, bool) or not isinstance(height, numbers.Integral) or height < 1
+        ):
+            raise InvalidConfig(f"band height {height!r} must be an integer >= 1")
     for actor in config.actors:
         if actor.shape not in (RECTANGLE, DISK):
             raise InvalidConfig(f"unknown actor shape {actor.shape!r}")
@@ -153,6 +160,10 @@ def _validate_config(config: SceneConfig) -> None:
             raise InvalidConfig(f"actor size {actor.size} must be >= 2")
         if not taxonomy.has(actor.class_id) or taxonomy.kind_of(actor.class_id) != THING:
             raise InvalidConfig(f"actor class {actor.class_id} must be a thing class")
+        # start + t * velocity is monotone in t, and a non-finite start or velocity
+        # makes the last position non-finite too (0 * inf is nan): one check covers all.
+        if not all(math.isfinite(v) for v in actor.position(config.frames - 1)):
+            raise InvalidConfig(f"actor {actor.start} + t * {actor.velocity} is not finite")
     fixed = sum(b.height for b in config.background if b.height is not None)
     if fixed > config.height:
         raise InvalidConfig("band heights exceed the image height")
@@ -335,18 +346,14 @@ def _square_window(grid: np.ndarray, radius: int, reduce) -> np.ndarray:
     return reduce(sliding_window_view(cols, 2 * radius + 1, axis=1), axis=-1)
 
 
-def corrupt_masks(
-    bundle: GroundTruthBundle, erode: int, seed: int = 0
-) -> list[PanopticMap]:
+def corrupt_masks(bundle: GroundTruthBundle, erode: int) -> list[PanopticMap]:
     """Erode every actor mask by a (2*erode+1) square; erode=0 is the identity.
 
     A pixel keeps its instance iff every pixel of the square centred on it
     carries the same id, i.e. iff the minimum and the maximum id over that
     square both equal its own; the grid is zero-padded, so the image border
     counts as outside every mask. Eroded pixels fall back to the background
-    band class with instance 0. The seed is accepted for
-    interface symmetry with the other corruptions but erosion is
-    deterministic and ignores it.
+    band class with instance 0. Erosion is deterministic, so it takes no seed.
     """
     if erode < 0:
         raise ValueError(f"erode {erode} must be >= 0")

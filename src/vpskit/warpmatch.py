@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _MAX_LABEL, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from .core import pack_keys, remap, unpack_keys
+from .core import overlap_table, pack_keys, remap, unpack_keys
 from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 
 DEFAULT_IOU_THRESHOLD = 0.3
@@ -95,9 +95,22 @@ def warp_backward(
             f"flow is {flow_prev_to_curr.width}x{flow_prev_to_curr.height}, "
             f"grids are {w}x{h}"
         )
-    # Source positions stay float64 (exact for integer sums below 2**53), so
-    # floor(p + flow + 0.5) rounds exactly as with integer pixel grids.
-    vectors = flow_prev_to_curr.vectors
+    flat, outside = _nearest_pixel(flow_prev_to_curr.vectors)
+    warped_inst = inst_t.values.ravel()[flat].reshape(h, w)
+    warped_inst[outside] = 0
+    warped_inst = LabelGrid(warped_inst)
+    warped_class = class_t.values.ravel()[flat].reshape(h, w)
+    warped_class[outside] = void_class_id
+    return warped_inst, LabelGrid(warped_class)
+
+
+def _nearest_pixel(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel p of a flow grid, the flat index of round(p + flow(p)), and where it is outside.
+
+    Rounding is floor(s + 0.5) per axis on float64 positions, exact for
+    integer sums below 2**53; outside positions are clipped into the grid.
+    """
+    h, w = vectors.shape[:2]
     sx = vectors[..., 0] + np.arange(w, dtype=np.float64)
     sx += 0.5
     np.floor(sx, out=sx)
@@ -110,43 +123,33 @@ def warp_backward(
     sy *= w
     sy += sx
     del sx
-    flat = sy.astype(np.intp)
-    del sy
-    warped_inst = inst_t.values.ravel()[flat].reshape(h, w)
-    warped_inst[outside] = 0
-    warped_inst = LabelGrid(warped_inst)
-    warped_class = class_t.values.ravel()[flat].reshape(h, w)
-    warped_class[outside] = void_class_id
-    return warped_inst, LabelGrid(warped_class)
+    return sy.astype(np.intp), outside
 
 
 def invert_flow(flow: FlowField) -> FlowField:
     """Approximate the reverse flow by forward splatting.
 
     Each source pixel p with nonzero flow votes -flow(p) at target
-    round(p + flow(p)); zero-flow pixels cast no vote, so moving content
-    overrides the static background it lands on. Colliding votes keep the
-    smaller displacement magnitude (earliest row-major source on ties) and
-    unvoted targets stay zero.
+    round(p + flow(p)), rounded as in warp_backward; zero-flow pixels cast
+    no vote, so moving content overrides the static background it lands
+    on. Colliding votes keep the smaller displacement magnitude (earliest
+    row-major source on ties) and unvoted targets stay zero.
     """
-    h, w = flow.vectors.shape[:2]
-    ys, xs = np.mgrid[0:h, 0:w]
-    dx = flow.vectors[..., 0]
-    dy = flow.vectors[..., 1]
-    tx = np.floor(xs + dx + 0.5).astype(np.int64).ravel()
-    ty = np.floor(ys + dy + 0.5).astype(np.int64).ravel()
-    moving = ((dx != 0) | (dy != 0)).ravel()
-    voting = moving & (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
-    mag = (dx * dx + dy * dy).ravel()
-    idx = np.arange(h * w)
-    # write votes in descending (magnitude, source index) order so the
-    # smallest-magnitude, earliest vote lands last and wins
-    order = np.lexsort((idx[voting], mag[voting]))[::-1]
-    src = idx[voting][order]
-    out = np.zeros((h, w, 2), dtype=np.float32)
-    out[ty[voting][order], tx[voting][order], 0] = -dx.ravel()[src]
-    out[ty[voting][order], tx[voting][order], 1] = -dy.ravel()[src]
-    return FlowField(out)
+    vectors = flow.vectors.reshape(-1, 2)
+    target, outside = _nearest_pixel(flow.vectors)
+    voting = (vectors[:, 0] != 0) | (vectors[:, 1] != 0)
+    voting &= ~outside.ravel()
+    del outside
+    target, src = target.ravel()[voting], np.flatnonzero(voting)
+    del voting
+    dx, dy = vectors[src, 0], vectors[src, 1]
+    # Write votes in descending (magnitude, source index) order, so the smallest,
+    # earliest vote lands last and wins: src ascends, so reverse a stable sort.
+    with np.errstate(over="ignore"):  # magnitudes past float32 tie at inf
+        order = np.argsort(dx * dx + dy * dy, kind="stable")[::-1]
+    out = np.zeros_like(vectors)
+    out[target[order]] = -vectors[src[order]]
+    return FlowField(out.reshape(flow.vectors.shape))
 
 
 def _dominant_class(
@@ -180,25 +183,17 @@ def build_iou_matrix(
     cur_mask = taxonomy.thing_mask(warped_class.values) & (warped_inst.values != 0)
     prev_mask = taxonomy.thing_mask(prev.classes.values) & (prev.instances.values != 0)
 
-    cur_ids, cur_areas = np.unique(warped_inst.values[cur_mask], return_counts=True)
-    prev_ids, prev_areas = np.unique(prev.instances.values[prev_mask], return_counts=True)
-
-    both = cur_mask & prev_mask
-    pair_keys, inter = np.unique(
-        pack_keys(warped_inst.values[both], prev.instances.values[both]), return_counts=True
-    )
-    cur_of_pair, prev_of_pair = unpack_keys(pair_keys)
-    row = np.searchsorted(cur_ids, cur_of_pair)
-    col = np.searchsorted(prev_ids, prev_of_pair)
-    values = np.zeros((cur_ids.size, prev_ids.size), dtype=np.float64)
-    values[row, col] = inter / (cur_areas[row] + prev_areas[col] - inter)
+    table = overlap_table((warped_inst.values,), cur_mask, (prev.instances.values,), prev_mask)
+    row, col, inter = table.a_index, table.b_index, table.shared
+    values = np.zeros((table.a_labels.size, table.b_labels.size), dtype=np.float64)
+    values[row, col] = inter / (table.a_areas[row] + table.b_areas[col] - inter)
 
     if class_strict and values.size:
         cur_cls = _dominant_class(warped_inst.values, warped_class.values, cur_mask)
         prev_cls = _dominant_class(prev.instances.values, prev.classes.values, prev_mask)
         values[cur_cls[:, None] != prev_cls[None, :]] = 0.0
 
-    return IoUMatrix(tuple(cur_ids.tolist()), tuple(prev_ids.tolist()), values)
+    return IoUMatrix(tuple(table.a_labels.tolist()), tuple(table.b_labels.tolist()), values)
 
 
 def _match_greedy(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
@@ -228,6 +223,16 @@ def _match_optimal(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
     return matches
 
 
+def _matcher(threshold: float, method: str):
+    """The matching function for ``method``, once ``threshold`` and ``method`` are checked."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    matchers = {"greedy": _match_greedy, "optimal": _match_optimal}
+    if method not in matchers:
+        raise ValueError(f"unknown matching method {method!r}")
+    return matchers[method]
+
+
 def match_ids(
     matrix: IoUMatrix, threshold: float, method: str = "greedy"
 ) -> IdAssignment:
@@ -237,14 +242,7 @@ def match_ids(
     (ties: lower previous id, then lower current id); "optimal" maximizes
     total IoU over entries >= threshold via the Hungarian method.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    if method == "greedy":
-        matches = _match_greedy(matrix, threshold)
-    elif method == "optimal":
-        matches = _match_optimal(matrix, threshold)
-    else:
-        raise ValueError(f"unknown matching method {method!r}")
+    matches = _matcher(threshold, method)(matrix, threshold)
     fresh = frozenset(matrix.current_ids) - set(matches)
     return IdAssignment(matches=matches, fresh=fresh)
 
@@ -298,6 +296,7 @@ def run_warpmatch_sequence(
             f"{len(panoptic_seq)} frames need {max(len(panoptic_seq) - 1, 0)} flow "
             f"fields, got {len(flows_prev_to_curr)}"
         )
+    _matcher(threshold, matcher)
     if not panoptic_seq:
         return []
     # Matching only sees the pixels a warp samples, so check every frame first.

@@ -1,10 +1,11 @@
 """Shared test oracles: random valid panoptic maps and brute-force matching.
 
-The frozenset-of-pixels segment matcher lives here, not in the package: it
-is the independent reference the table-based metric engine is checked
-against. So do the per-instance erosion and the sorted-tuple greedy
-matcher that the package's table lookups replaced, and the full-grid
-backward warp that the package's lean one must match bit for bit.
+The frozenset-of-pixels segment matcher and its pixel-set IoU live here,
+not in the package: they are the independent reference the table-based
+metric engine is checked against. So do the per-instance erosion and the
+sorted-tuple greedy matcher that the package's table lookups replaced, and
+the full-grid backward warp and flow inversion that the package's lean
+ones must match bit for bit.
 """
 
 import numpy as np
@@ -12,11 +13,11 @@ import numpy as np
 from vpskit.core import (
     ClassEntry,
     ClassTaxonomy,
+    FlowField,
     LabelGrid,
     PanopticMap,
     Segment,
     extract_segments,
-    iou,
 )
 from vpskit.metrics import PqStats
 from vpskit.rng import Xoshiro256StarStar
@@ -50,6 +51,16 @@ def random_panoptic_map(rng: Xoshiro256StarStar, width: int, height: int) -> Pan
             classes[y0 : y0 + h, x0 : x0 + w] = (10, 11)[rng.next_below(2)]
             instances[y0 : y0 + h, x0 : x0 + w] = k + 1
     return PanopticMap(LabelGrid(classes), LabelGrid(instances))
+
+
+def iou(a, b) -> float:
+    """Intersection over union of two pixel sets; 0.0 when both are empty."""
+    a = a if isinstance(a, (set, frozenset)) else frozenset(a)
+    b = b if isinstance(b, (set, frozenset)) else frozenset(b)
+    if not a and not b:
+        return 0.0
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
 def brute_force_ownership(boxes, width, height) -> np.ndarray:
@@ -110,11 +121,14 @@ def match_segments(pred, gt):
     return tps, fps, fns
 
 
-def oracle_pq_stats(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> PqStats:
+def oracle_pq_stats(
+    pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy, stats: PqStats | None = None
+) -> PqStats:
     """Single-frame PQ stats via pixel-set segments and match_segments.
 
     Pixels void in the ground truth are removed from both maps; thing pixels
-    with instance 0 are ignore regions on both sides.
+    with instance 0 are ignore regions on both sides. The stats are added to
+    ``stats`` when given, so frames can be accumulated.
     """
     gt_void = gt.classes.values == taxonomy.void_class_id
     pred = PanopticMap(
@@ -130,7 +144,7 @@ def oracle_pq_stats(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy)
         ]
 
     tps, fps, fns = match_segments(scoreable(pred), scoreable(gt))
-    stats = PqStats()
+    stats = PqStats() if stats is None else stats
     for _, g, value in tps:
         stats.add_tp(g.class_id, value)
     for p in fps:
@@ -212,3 +226,26 @@ def oracle_warp_backward(inst_t, class_t, flow_prev_to_curr, void_class_id: int 
     warped_inst = np.where(inside, inst_t.values[cy, cx], np.uint32(0))
     warped_class = np.where(inside, class_t.values[cy, cx], np.uint32(void_class_id))
     return LabelGrid(warped_inst), LabelGrid(warped_class)
+
+
+def oracle_invert_flow(flow: FlowField) -> FlowField:
+    """Forward splat over full int64 pixel grids; colliding votes resolved by one lexsort."""
+    h, w = flow.vectors.shape[:2]
+    ys, xs = np.mgrid[0:h, 0:w]
+    dx = flow.vectors[..., 0]
+    dy = flow.vectors[..., 1]
+    with np.errstate(invalid="ignore"):  # beyond int64 casts to a value outside the grid
+        tx = np.floor(xs + dx + 0.5).astype(np.int64).ravel()
+        ty = np.floor(ys + dy + 0.5).astype(np.int64).ravel()
+    moving = ((dx != 0) | (dy != 0)).ravel()
+    voting = moving & (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
+    with np.errstate(over="ignore"):  # magnitudes past float32 tie at inf
+        mag = (dx * dx + dy * dy).ravel()
+    idx = np.arange(h * w)
+    # descending (magnitude, source index), so the smallest, earliest vote lands last
+    order = np.lexsort((idx[voting], mag[voting]))[::-1]
+    src = idx[voting][order]
+    out = np.zeros((h, w, 2), dtype=np.float32)
+    out[ty[voting][order], tx[voting][order], 0] = -dx.ravel()[src]
+    out[ty[voting][order], tx[voting][order], 1] = -dy.ravel()[src]
+    return FlowField(out)

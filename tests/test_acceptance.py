@@ -210,7 +210,7 @@ def test_criterion_4_fillfuse_fidelity(tmp_path, capsys):
         if sum(b.frame == t for b in kept) < sum(b.frame == t for b in full)
     }
     assert dropped_frames and len(dropped_frames) < len(gt)
-    stuff_ids = set(TAX.stuff_class_ids())
+    stuff_ids = {e.class_id for e in TAX.entries if e.kind == "stuff"}
     thing_ids = set(TAX.thing_class_ids())
     for t, (p, g) in enumerate(zip(pred, gt)):
         frame_report = pq(p, g, TAX)

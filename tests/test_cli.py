@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from vpskit import io as vio
 from vpskit.cli import main
 from vpskit.core import FlowField, LabelGrid, PanopticMap
 from vpskit.synth import Actor, Band, SceneConfig
+from vpskit.warpmatch import invert_flow, run_warpmatch_sequence
 
 TAX = small_taxonomy()
 
@@ -187,6 +189,29 @@ class TestPipelines:
         inv = vio.read_flow(tmp_path / "inv.flo")
         assert inv.vectors[0, 2, 0] == -1.0
 
+    def test_warpmatch_inverts_curr_to_prev_flows(self, tmp_path, capsys):
+        config = write_config(tmp_path, velocity=(3, 1))
+        _, out, _ = run(
+            capsys,
+            ["synth", "--config", str(config), "--out", str(tmp_path / "o"), "--shuffle-ids"],
+        )
+        corrupt = Path(json.loads(out)["corrupt_manifest"])
+        maps, taxonomy = vio.load_panoptic_sequence(corrupt)
+        flows, _ = vio.read_flow_fields(corrupt, vio.read_manifest(corrupt))
+        backward = [invert_flow(f) for f in flows]
+        seq = vio.write_panoptic_sequence(tmp_path / "back", maps, taxonomy, backward)
+        manifest = vio.read_manifest(seq)
+        tagged = replace(manifest.flows, direction=vio.FLOW_CURR_TO_PREV)
+        vio.write_manifest(replace(manifest, flows=tagged), seq)
+        argv = ["warpmatch", "--panoptic", str(seq), "--flows", str(seq)]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
+        assert code == 0, err
+        got, _ = vio.load_panoptic_sequence(json.loads(out)["manifest"])
+        want = run_warpmatch_sequence(maps, [invert_flow(f) for f in backward], taxonomy)
+        assert got == want
+        # the tag matters: the backward flows used as forward flows give other ids
+        assert want != run_warpmatch_sequence(maps, backward, taxonomy)
+
 
 # Runs in a fresh interpreter so that no other test's imports count.
 _NO_SCIPY_SCRIPT = """
@@ -292,6 +317,42 @@ class TestErrors:
         manifest.write_text(json.dumps(doc))
         code, out, err = run(capsys, ["render", "--in", str(manifest), "--out", str(tmp_path / "ppm")])
         self.assert_one_error_line(code, out, err, "ParseError")
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("background", "height", "5"),
+            ("actors", "start", [float("inf"), 0]),  # json writes Infinity
+            ("actors", "velocity", [float("inf"), 0]),
+            ("actors", "velocity", [1e308, 0]),  # finite, but 3e308 by the last frame
+        ],
+    )
+    def test_malformed_scene_config_is_error_json(self, section, field, value, tmp_path, capsys):
+        doc = scene_config_doc()
+        doc[section][0][field] = value
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_error_line(code, out, err, "InvalidConfig")
+
+    @pytest.mark.parametrize("binding", ["[10, 11]", '{"10": null}', '{"10": [11]}'])
+    def test_malformed_binding_is_error_json(self, binding, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        summary = json.loads(out)
+        path = tmp_path / "binding.json"
+        path.write_text(binding)
+        argv = ["fillfuse", "--semantic", summary["semantic_manifest"], "--tracks", summary["tracks"]]
+        code, out, err = run(capsys, argv + ["--binding", str(path), "--out", str(tmp_path / "ff")])
+        self.assert_one_error_line(code, out, err, "ParseError")
+
+    def test_threshold_outside_unit_interval_on_one_frame_is_error_json(self, tmp_path, capsys):
+        one = PanopticMap(LabelGrid(np.array([[10, 1]])), LabelGrid(np.array([[1, 0]])))
+        manifest = vio.write_panoptic_sequence(tmp_path / "seq", [one], TAX, [])
+        argv = ["warpmatch", "--panoptic", str(manifest), "--flows", str(manifest)]
+        code, out, err = run(capsys, argv + ["--threshold", "5", "--out", str(tmp_path / "wm")])
+        self.assert_one_error_line(code, out, err, "ValueError")
+        assert not (tmp_path / "wm").exists()
 
     def test_id_counter_overflow_is_error_json(self, tmp_path, capsys):
         top = (1 << 32) - 1

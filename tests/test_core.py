@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import iou
 from vpskit.core import (
     ClassEntry,
     ClassTaxonomy,
@@ -11,7 +14,8 @@ from vpskit.core import (
     PanopticMap,
     Segment,
     extract_segments,
-    iou,
+    factorize,
+    overlap_table,
     pack_keys,
     remap,
     unpack_keys,
@@ -137,11 +141,6 @@ class TestGrids:
             LabelGrid(np.array([[1 << 33]]))
         with pytest.raises(ValueError):
             LabelGrid(np.zeros((0, 3), dtype=np.int64))
-
-    def test_from_flat_row_major(self):
-        grid = LabelGrid.from_flat(3, 2, [1, 2, 3, 4, 5, 6])
-        assert grid.values[0, 2] == 3
-        assert grid.values[1, 0] == 4
 
     def test_panoptic_map_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -318,3 +317,58 @@ class TestKeysAndRemap:
         assert got.dtype == np.uint32 and got.shape == grid.shape
         assert np.array_equal(got, want)
         assert np.array_equal(grid, before)  # input untouched
+
+
+class TestOverlapTable:
+    @given(st.lists(st.integers(0, (1 << 64) - 1) | st.integers((1 << 64) - 4, (1 << 64) - 1)))
+    def test_factorize_matches_unique_inverse_and_counts(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        uniq, counts, index = factorize(keys)
+        want_uniq, want_index, want_counts = np.unique(
+            keys, return_inverse=True, return_counts=True
+        )
+        assert uniq.dtype == np.uint64
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(index, want_index)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_matches_pixel_loop(self, h, w, a_packed, b_packed, data):
+        def side(packed):
+            grids = tuple(
+                np.array(
+                    data.draw(st.lists(_LABELS, min_size=h * w, max_size=h * w)), dtype=np.uint32
+                ).reshape(h, w)
+                for _ in range(1 + packed)
+            )
+            valid = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+            return grids, np.array(valid).reshape(h, w)
+
+        def labels(keys, grids):
+            if len(grids) == 1:
+                return [(k,) for k in keys.tolist()]
+            return list(zip(*(part.tolist() for part in unpack_keys(keys))))
+
+        (a, a_valid), (b, b_valid) = side(a_packed), side(b_packed)
+        a_area, b_area, shared = Counter(), Counter(), Counter()
+        for y in range(h):
+            for x in range(w):
+                la = tuple(int(g[y, x]) for g in a)
+                lb = tuple(int(g[y, x]) for g in b)
+                a_area[la] += bool(a_valid[y, x])
+                b_area[lb] += bool(b_valid[y, x])
+                shared[la, lb] += bool(a_valid[y, x] and b_valid[y, x])
+
+        table = overlap_table(a, a_valid, b, b_valid)
+        a_labels, b_labels = labels(table.a_labels, a), labels(table.b_labels, b)
+        assert a_labels == sorted(k for k, n in a_area.items() if n)
+        assert b_labels == sorted(k for k, n in b_area.items() if n)
+        assert dict(zip(a_labels, table.a_areas.tolist())) == +a_area
+        assert dict(zip(b_labels, table.b_areas.tolist())) == +b_area
+        pairs = [
+            (a_labels[i], b_labels[j])
+            for i, j in zip(table.a_index.tolist(), table.b_index.tolist())
+        ]
+        assert pairs == sorted(k for k, n in shared.items() if n)
+        assert dict(zip(pairs, table.shared.tolist())) == +shared

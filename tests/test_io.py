@@ -261,7 +261,9 @@ class TestManifests:
         loaded, loaded_tax = vio.load_panoptic_sequence(manifest_path)
         assert loaded == maps
         assert loaded_tax == taxonomy
-        loaded_flows, direction = vio.load_flow_sequence(manifest_path)
+        loaded_flows, direction = vio.read_flow_fields(
+            manifest_path, vio.read_manifest(manifest_path)
+        )
         assert direction == vio.FLOW_PREV_TO_CURR
         assert loaded_flows == flows
 

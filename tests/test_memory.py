@@ -12,8 +12,9 @@ import pytest
 from vpskit.core import ClassEntry, ClassTaxonomy
 from vpskit.io import decode_flow, encode_flow
 from vpskit.metrics import _frame_table
+from vpskit.render import colorize
 from vpskit.synth import Actor, Band, SceneConfig, generate
-from vpskit.warpmatch import warp_backward
+from vpskit.warpmatch import invert_flow, warp_backward
 
 TAX = ClassTaxonomy(
     entries=(
@@ -78,3 +79,15 @@ def test_decode_flow_peaks_at_most_3_grids(scene):
     data = encode_flow(scene.flows[0])  # the result alone is 2 grids
     grids = peak_grids(lambda: decode_flow(data))
     assert grids <= 3, f"decode_flow peaked at {grids:.2f} grids"
+
+
+def test_colorize_peaks_at_most_6_grids(scene):
+    pmap = scene.panoptic[0]  # the RGB result alone is 0.75 grids
+    grids = peak_grids(lambda: colorize(pmap, TAX))
+    assert grids <= 6, f"colorize peaked at {grids:.2f} grids"
+
+
+def test_invert_flow_peaks_at_most_8_grids(scene):
+    flow = scene.flows[0]  # the result alone is 2 grids
+    grids = peak_grids(lambda: invert_flow(flow))
+    assert grids <= 8, f"invert_flow peaked at {grids:.2f} grids"

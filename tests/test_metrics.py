@@ -173,10 +173,25 @@ class TestVpq:
         report = vpq(pred, gt, TAX, window_sizes=(1,))
         acc = PqStats()
         for p, g in zip(pred, gt):
-            acc.merge(oracle_pq_stats(p, g, TAX))
+            oracle_pq_stats(p, g, TAX, acc)
         assert report.vpq_per_k[1] == pytest.approx(report_from_stats(acc).pq, abs=1e-12)
         # the report's own pq section is that same accumulation
         assert report.vpq_per_k[1] == pytest.approx(report.pq, abs=1e-12)
+
+    # 4 frames: the k=1 windows (4, for the PQ section, requested or not), then 3 for k=2, 2 for k=3
+    @pytest.mark.parametrize("sizes, windows", [((1, 2), 4 + 3), ((2, 3), 4 + 3 + 2), ((1,), 4)])
+    def test_each_window_is_scored_once(self, sizes, windows, monkeypatch):
+        import vpskit.metrics as metrics
+
+        calls = []
+        real = metrics._window_stats
+        monkeypatch.setattr(
+            metrics, "_window_stats", lambda tables, stats: calls.append(tables) or real(tables, stats)
+        )
+        rng = Xoshiro256StarStar(0x77)
+        seq = [random_panoptic_map(rng, 6, 5) for _ in range(4)]
+        vpq(seq, seq, TAX, window_sizes=sizes)
+        assert len(calls) == windows
 
     def test_global_bijection_leaves_vpq_unchanged(self):
         rng = Xoshiro256StarStar(0x51)

@@ -15,6 +15,7 @@ from vpskit.synth import (
     corrupt_boxes,
     corrupt_masks,
     corrupt_shuffle_ids,
+    _validate_config,
     generate,
 )
 from vpskit.warpmatch import warp_backward
@@ -50,6 +51,33 @@ class TestValidation:
             generate(scene(background=[Band(10)]))  # thing band
         with pytest.raises(InvalidConfig):
             generate(scene(actors=[Actor("triangle", 10, 3, (0, 0), (0, 0))]))
+
+    def test_rejects_more_pixels_than_the_readers_accept(self):
+        # Only the validation runs: generating this scene would allocate about 40 GB.
+        with pytest.raises(InvalidConfig, match="exceeds"):
+            _validate_config(scene(width=100_000, height=100_000))
+        with pytest.raises(InvalidConfig, match="exceeds"):
+            _validate_config(scene(width=(1 << 14) + 1, height=1 << 14))
+        _validate_config(scene(width=1 << 14, height=1 << 14))  # exactly the cap
+
+    @pytest.mark.parametrize("height", ["5", 5.0, True])
+    def test_rejects_non_integer_band_height(self, height):
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            _validate_config(scene(background=[Band(1, height), Band(2)]))
+
+    @pytest.mark.parametrize(
+        "start, velocity, frames",
+        [
+            ((float("inf"), 0), (0, 0), 1),
+            ((0, 0), (float("inf"), 0), 1),  # never moves, but 0 * inf is nan
+            ((0, 0), (0, float("nan")), 3),
+            ((1e308, 0), (1e308, 0), 3),  # finite inputs, 3e308 by the last frame
+        ],
+    )
+    def test_rejects_positions_outside_the_float_range(self, start, velocity, frames):
+        config = scene(frames=frames, actors=[rect(start=start, velocity=velocity)])
+        with pytest.raises(InvalidConfig, match="finite"):
+            _validate_config(config)
 
     def test_config_json_round_trip(self):
         config = scene(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_match_greedy, oracle_warp_backward
+from helpers import oracle_invert_flow, oracle_match_greedy, oracle_warp_backward
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import (
     DimensionMismatch,
@@ -145,6 +145,29 @@ class TestInvertFlow:
         fwd = FlowField.constant(8, 8, 3.0, 2.0)
         inv = invert_flow(fwd)
         assert inv.vectors[4, 5].tolist() == [-3.0, -2.0]
+
+    @given(
+        st.one_of(
+            st.sampled_from([(1, 1), (1, 9), (9, 1)]),
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_matches_full_grid_oracle(self, shape, data):
+        h, w = shape
+        components = st.lists(_FLOW_COMPONENT, min_size=2 * h * w, max_size=2 * h * w)
+        flow = FlowField(np.array(data.draw(components), dtype=np.float32).reshape(h, w, 2))
+        got = invert_flow(flow)
+        # bytes, so -0.0 and 0.0 (equal as floats) must match too
+        assert got.vectors.tobytes() == oracle_invert_flow(flow).vectors.tobytes()
+
+    def test_matches_full_grid_oracle_on_many_tied_collisions(self):
+        # Integer flows have few distinct magnitudes, so colliding votes tie often;
+        # on this many votes an unstable sort would reorder the tied sources.
+        flow = np.random.default_rng(7).integers(-2, 3, size=(40, 50, 2)).astype(np.float32)
+        got = invert_flow(FlowField(flow))
+        assert got.vectors.tobytes() == oracle_invert_flow(FlowField(flow)).vectors.tobytes()
 
 
 class TestBuildIoUMatrix:
@@ -388,6 +411,15 @@ class TestSequence:
         classes[0, 0] = 99
         with pytest.raises(UnknownClass):
             run_warpmatch_sequence([PanopticMap(LabelGrid(classes), seq[0].instances)], [], TAX)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"threshold": 5.0}, {"threshold": float("nan")}, {"matcher": "best"}]
+    )
+    def test_matching_options_checked_before_any_frame(self, kwargs):
+        with pytest.raises(ValueError):
+            run_warpmatch_sequence(static_scene(frames=1), [], TAX, **kwargs)
+        with pytest.raises(ValueError):
+            run_warpmatch_sequence([], [], TAX, **kwargs)
 
     def test_flow_count_mismatch(self):
         seq = static_scene(frames=3)
