@@ -11,16 +11,40 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import io as vio
 from .errors import ParseError, VpsError
-from .fillfuse import TrackClassBinding, run_fillfuse_sequence
-from .metrics import DEFAULT_WINDOW_SIZES, vpq
-from .render import render_sequence
-from .synth import SceneConfig, corrupt_boxes, corrupt_masks, corrupt_shuffle_ids, generate
-from .warpmatch import DEFAULT_IOU_THRESHOLD, invert_flow, run_warpmatch_sequence
+
+# Pipeline entry points, by the module that defines them. They resolve on
+# first use (PEP 562), so each command imports only its own pipeline. The
+# commands call them as attributes of this module (through _cli), so a
+# wrapper set on one of these attributes, as perfbench's span tracer does,
+# is what runs.
+_PIPELINES = {
+    "generate": "synth",
+    "corrupt_shuffle_ids": "synth",
+    "corrupt_masks": "synth",
+    "corrupt_boxes": "synth",
+    "run_warpmatch_sequence": "warpmatch",
+    "invert_flow": "warpmatch",
+    "run_fillfuse_sequence": "fillfuse",
+    "vpq": "metrics",
+    "render_sequence": "render",
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _PIPELINES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]  # this module, also when run as __main__
 
 
 def _emit(summary: dict) -> int:
@@ -38,8 +62,13 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
+    from dataclasses import replace
+
+    from . import io as vio
+    from .synth import SceneConfig
+
     config = SceneConfig.from_dict(_load_json(args.config))
-    bundle = generate(config)
+    bundle = _cli.generate(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -65,17 +94,17 @@ def _cmd_synth(args) -> int:
     if args.shuffle_ids or args.erode > 0:
         stage = bundle
         if args.erode > 0:
-            stage = replace(stage, panoptic=corrupt_masks(stage, args.erode))
+            stage = replace(stage, panoptic=_cli.corrupt_masks(stage, args.erode))
         maps = stage.panoptic
         if args.shuffle_ids:
-            maps, _ = corrupt_shuffle_ids(stage, args.corrupt_seed)
+            maps, _ = _cli.corrupt_shuffle_ids(stage, args.corrupt_seed)
         corrupt_manifest = vio.write_panoptic_sequence(
             out / "corrupt", maps, bundle.taxonomy, flows=bundle.flows
         )
         summary["corrupt_manifest"] = str(corrupt_manifest)
 
     if args.box_jitter > 0 or args.box_drop > 0:
-        frames = corrupt_boxes(bundle, args.box_jitter, args.box_drop, args.corrupt_seed)
+        frames = _cli.corrupt_boxes(bundle, args.box_jitter, args.box_drop, args.corrupt_seed)
         corrupt_tracks = out / "tracks_corrupt.jsonl"
         vio.write_tracks([b for frame in frames for b in frame], corrupt_tracks)
         summary["corrupt_tracks"] = str(corrupt_tracks)
@@ -84,6 +113,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fillfuse(args) -> int:
+    from . import io as vio
+    from .fillfuse import TrackClassBinding
+
     semantic, manifest_tax = vio.load_semantic_sequence(args.semantic)
     taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy else manifest_tax
     if taxonomy is None:
@@ -93,7 +125,7 @@ def _cmd_fillfuse(args) -> int:
         binding = TrackClassBinding(_binding_pairs(args.binding))
     else:
         binding = TrackClassBinding.identity(taxonomy)
-    maps = run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
+    maps = _cli.run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
     manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
     return _emit({"frames": len(maps), "manifest": str(manifest)})
 
@@ -102,13 +134,19 @@ def _binding_pairs(path: str) -> dict[int, int]:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: binding must be a JSON object, got {type(doc).__name__}")
+    # JSON object keys are always strings; the values must be integers already.
+    for v in doc.values():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParseError(f"{path}: binding entries must map integers to integers: {v!r}")
     try:
-        return {int(k): int(v) for k, v in doc.items()}
-    except (TypeError, ValueError) as exc:
+        return {int(k): v for k, v in doc.items()}
+    except ValueError as exc:
         raise ParseError(f"{path}: binding entries must map integers to integers: {exc}") from exc
 
 
 def _cmd_warpmatch(args) -> int:
+    from . import io as vio
+
     manifest = vio.read_manifest(args.panoptic)
     maps = vio.read_panoptic_frames(args.panoptic, manifest)
     taxonomy = manifest.taxonomy
@@ -119,8 +157,8 @@ def _cmd_warpmatch(args) -> int:
         manifest = vio.read_manifest(args.flows)
     flows, direction = vio.read_flow_fields(args.flows, manifest)
     if direction == vio.FLOW_CURR_TO_PREV:
-        flows = [invert_flow(f) for f in flows]
-    out_maps = run_warpmatch_sequence(
+        flows = [_cli.invert_flow(f) for f in flows]
+    out_maps = _cli.run_warpmatch_sequence(
         maps,
         flows,
         taxonomy,
@@ -140,6 +178,8 @@ def _cmd_warpmatch(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import io as vio
+
     pred, pred_tax = vio.load_panoptic_sequence(args.pred)
     gt, gt_tax = vio.load_panoptic_sequence(args.gt)
     if pred_tax is not None and gt_tax is not None and pred_tax != gt_tax:
@@ -148,7 +188,7 @@ def _cmd_eval(args) -> int:
     if taxonomy is None:
         raise ParseError("neither manifest embeds a taxonomy")
     windows = [int(k) for k in args.windows.split(",") if k.strip()]
-    report = vpq(pred, gt, taxonomy, window_sizes=windows)
+    report = _cli.vpq(pred, gt, taxonomy, window_sizes=windows)
     doc = report.to_json_dict()
     if args.report:
         vio._atomic_write_text(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -156,16 +196,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import io as vio
+
     maps, taxonomy = vio.load_panoptic_sequence(args.input)
     if taxonomy is None:
         raise ParseError(f"{args.input}: manifest must embed a taxonomy")
-    paths = render_sequence(maps, taxonomy, args.out)
+    paths = _cli.render_sequence(maps, taxonomy, args.out)
     return _emit({"frames": len(paths), "out": str(Path(args.out))})
 
 
 def _cmd_invert_flow(args) -> int:
+    from . import io as vio
+
     flow = vio.read_flow(args.input)
-    vio.write_flow(invert_flow(flow), args.out)
+    vio.write_flow(_cli.invert_flow(flow), args.out)
     return _emit({"in": args.input, "out": args.out})
 
 
@@ -179,6 +223,8 @@ def _bool_flag(value: str) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .defaults import DEFAULT_IOU_THRESHOLD, DEFAULT_WINDOW_SIZES
+
     parser = argparse.ArgumentParser(
         prog="vpskit",
         description="Convert perception outputs to video panoptic segmentation and evaluate them.",

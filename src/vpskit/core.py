@@ -25,6 +25,11 @@ THING = "thing"
 
 _MAX_LABEL = (1 << 32) - 1
 
+# ClassTaxonomy kind codes; a taxonomy whose ids all lie below _KIND_TABLE_SIZE
+# looks pixels up in a table indexed by class id, others search the sorted ids.
+_KIND_UNKNOWN, _KIND_STUFF, _KIND_THING = 0, 1, 2
+_KIND_TABLE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -61,10 +66,18 @@ class ClassTaxonomy:
         object.__setattr__(self, "_by_id", by_id)
         # Built once: the taxonomy is frozen, so these never go stale.
         ids = np.array(sorted(by_id), dtype=np.uint32)
-        things = ids[[by_id[c].kind == THING for c in ids.tolist()]]
-        for name, arr in (("_class_ids", ids), ("_thing_ids", things)):
+        is_thing = np.array([by_id[c].kind == THING for c in ids.tolist()])
+        kinds = np.where(is_thing, _KIND_THING, _KIND_STUFF).astype(np.uint8)
+        table = None
+        if ids[-1] < _KIND_TABLE_SIZE:
+            # one entry past the largest id stays unknown, for clipped lookups
+            table = np.full(int(ids[-1]) + 2, _KIND_UNKNOWN, dtype=np.uint8)
+            table[ids] = kinds
+        arrays = (("_class_ids", ids), ("_thing_ids", ids[is_thing]), ("_kinds", kinds))
+        for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_kind_table", table)
 
     def has(self, class_id: int) -> bool:
         return class_id in self._by_id
@@ -96,12 +109,21 @@ class ClassTaxonomy:
         taxonomy and its first pixel in row-major order.
         """
         classes = np.asarray(classes)
-        known = np.isin(classes, self._class_ids)
-        if not known.all():
-            class_id = classes[~known].min()
+        kinds = self._kinds_of(classes)
+        if not kinds.all():
+            class_id = classes[kinds == _KIND_UNKNOWN].min()
             y, x = np.unravel_index(np.argmax(classes == class_id), classes.shape)
             raise UnknownClass(f"class {class_id} at pixel ({x}, {y}) not in taxonomy")
-        return np.isin(classes, self._thing_ids)
+        return kinds == _KIND_THING
+
+    def _kinds_of(self, classes: np.ndarray) -> np.ndarray:
+        """Per element, its uint8 kind code (_KIND_UNKNOWN where the id is not in the taxonomy)."""
+        if self._kind_table is not None and classes.dtype.kind == "u":
+            # ids past the table clip onto its last entry, which is unknown
+            return np.take(self._kind_table, classes, mode="clip")
+        ids = self._class_ids
+        slot = np.minimum(np.searchsorted(ids, classes), ids.size - 1)
+        return np.where(ids[slot] == classes, self._kinds[slot], np.uint8(_KIND_UNKNOWN))
 
     def to_dict(self) -> dict:
         return {
@@ -245,6 +267,39 @@ class FlowField:
 
     def __hash__(self):
         return hash((self.vectors.shape, self.vectors.tobytes()))
+
+
+@dataclass(frozen=True)
+class TrackedBox:
+    """One tracker detection: half-open box [x0,x1) x [y0,y1) in pixel units."""
+
+    frame: int
+    track_id: int
+    class_id: int
+    x0: float
+    y0: float
+    x1: float
+    y1: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "y0", float(self.y0))
+        object.__setattr__(self, "x1", float(self.x1))
+        object.__setattr__(self, "y1", float(self.y1))
+        if self.frame < 0:
+            raise ValueError(f"frame {self.frame} is negative")
+        if self.track_id < 1:
+            raise ValueError(f"track id {self.track_id} must be >= 1 (0 means no instance)")
+        if self.track_id > _MAX_LABEL:
+            raise ValueError(f"track id {self.track_id} exceeds the 32-bit label range")
+        if not (self.x1 > self.x0 and self.y1 > self.y0):
+            raise ValueError(
+                f"degenerate box [{self.x0},{self.x1})x[{self.y0},{self.y1})"
+            )
+
+    @property
+    def area(self) -> float:
+        return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
 @dataclass(frozen=True)

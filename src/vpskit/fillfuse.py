@@ -15,41 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import _MAX_LABEL, ClassTaxonomy, LabelGrid, PanopticMap, remap
+from .core import ClassTaxonomy, LabelGrid, PanopticMap, TrackedBox, remap
 from .errors import DimensionMismatch, UnknownClass
-
-
-@dataclass(frozen=True)
-class TrackedBox:
-    """One tracker detection: half-open box [x0,x1) x [y0,y1) in pixel units."""
-
-    frame: int
-    track_id: int
-    class_id: int
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "y0", float(self.y0))
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "y1", float(self.y1))
-        if self.frame < 0:
-            raise ValueError(f"frame {self.frame} is negative")
-        if self.track_id < 1:
-            raise ValueError(f"track id {self.track_id} must be >= 1 (0 means no instance)")
-        if self.track_id > _MAX_LABEL:
-            raise ValueError(f"track id {self.track_id} exceeds the 32-bit label range")
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError(
-                f"degenerate box [{self.x0},{self.x1})x[{self.y0},{self.y1})"
-            )
-
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
 
 
 @dataclass(frozen=True)

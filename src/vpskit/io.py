@@ -26,9 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap
+from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
 from .errors import BadMagic, FormatError, NonFinite, Overflow, ParseError, Truncated
-from .fillfuse import TrackedBox
 
 LMAP_MAGIC = b"LMAP"
 FLO_SENTINEL = 202021.25

@@ -23,9 +23,8 @@ import numpy as np
 
 from .core import ClassTaxonomy, PanopticMap, overlap_table, unpack_keys
 from .core import extract_segments  # noqa: F401 - not called; perfbench/spans.py traces this name here
+from .defaults import DEFAULT_WINDOW_SIZES
 from .errors import DimensionMismatch, SequenceLengthMismatch
-
-DEFAULT_WINDOW_SIZES = (1, 2, 3, 4)
 
 MATCH_IOU_THRESHOLD = 0.5  # strict: a pair matches only when IoU > this
 

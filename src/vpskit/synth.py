@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, remap
+from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox, remap
 from .errors import InvalidConfig
-from .fillfuse import TrackedBox
 from .io import _MAX_PIXELS
 from .rng import Xoshiro256StarStar
 
@@ -54,6 +53,18 @@ class Actor:
         )
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integer(doc: dict, key: str, default: int | None = None) -> int:
+    """``doc[key]`` (or ``default`` when absent), which must be an integer: no float, string or bool."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not _is_integer(value):
+        raise InvalidConfig(f"{key} {value!r} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     width: int
@@ -73,28 +84,28 @@ class SceneConfig:
         try:
             taxonomy = ClassTaxonomy.from_dict(data["taxonomy"])
             background = tuple(
-                Band(int(b["class_id"]), b.get("height"))
+                Band(_integer(b, "class_id"), b.get("height"))
                 for b in data.get("background", [])
             )
             actors = tuple(
                 Actor(
                     shape=str(a["shape"]),
-                    class_id=int(a["class_id"]),
-                    size=int(a["size"]),
+                    class_id=_integer(a, "class_id"),
+                    size=_integer(a, "size"),
                     start=(float(a["start"][0]), float(a["start"][1])),
                     velocity=(float(a["velocity"][0]), float(a["velocity"][1])),
-                    depth=int(a.get("depth", 0)),
+                    depth=_integer(a, "depth", 0),
                 )
                 for a in data.get("actors", [])
             )
             return cls(
-                width=int(data["width"]),
-                height=int(data["height"]),
-                frames=int(data["frames"]),
+                width=_integer(data, "width"),
+                height=_integer(data, "height"),
+                frames=_integer(data, "frames"),
                 taxonomy=taxonomy,
                 background=background,
                 actors=actors,
-                seed=int(data.get("seed", 0)),
+                seed=_integer(data, "seed", 0),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InvalidConfig(f"malformed scene config: {exc}") from exc
@@ -149,9 +160,7 @@ def _validate_config(config: SceneConfig) -> None:
         if not taxonomy.has(band.class_id) or not taxonomy.is_stuff(band.class_id):
             raise InvalidConfig(f"band class {band.class_id} must be a stuff class")
         height = band.height
-        if height is not None and (
-            isinstance(height, bool) or not isinstance(height, numbers.Integral) or height < 1
-        ):
+        if height is not None and (not _is_integer(height) or height < 1):
             raise InvalidConfig(f"band height {height!r} must be an integer >= 1")
     for actor in config.actors:
         if actor.shape not in (RECTANGLE, DISK):

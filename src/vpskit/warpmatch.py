@@ -18,9 +18,8 @@ import numpy as np
 
 from .core import _MAX_LABEL, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from .core import overlap_table, pack_keys, remap, unpack_keys
+from .defaults import DEFAULT_IOU_THRESHOLD
 from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
-
-DEFAULT_IOU_THRESHOLD = 0.3
 
 
 @dataclass(frozen=True)
@@ -247,6 +246,16 @@ def match_ids(
     return IdAssignment(matches=matches, fresh=fresh)
 
 
+def _present_ids(instances: np.ndarray) -> list[int]:
+    """The nonzero ids of an instance grid, ascending.
+
+    With counts asked for, ``np.unique`` sorts a copy instead of running its
+    slower hash table (as in ``core.factorize``).
+    """
+    ids = np.unique(instances, return_counts=True)[0].tolist()
+    return ids[1:] if ids and ids[0] == 0 else ids
+
+
 def relabel(
     curr: PanopticMap, assignment: IdAssignment, state: TrackerState
 ) -> tuple[PanopticMap, TrackerState]:
@@ -256,7 +265,7 @@ def relabel(
     the original id. The class grid and the nonzero pixel support are
     preserved; the returned counter strictly exceeds every emitted id.
     """
-    present = [int(i) for i in np.unique(curr.instances.values) if i != 0]
+    present = _present_ids(curr.instances.values)
     uncovered = [i for i in present if i not in assignment.matches and i not in assignment.fresh]
     if uncovered:
         raise IncompleteAssignment(f"ids {uncovered} not covered by the assignment")
@@ -317,7 +326,7 @@ def run_warpmatch_sequence(
         )
         assignment = match_ids(matrix, threshold, matcher)
         # instances whose warped support vanished never enter the matrix
-        present = frozenset(np.unique(curr.instances.values).tolist()) - {0}
+        present = frozenset(_present_ids(curr.instances.values))
         missing = present - assignment.covers()
         if missing:
             assignment = IdAssignment(

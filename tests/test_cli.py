@@ -335,7 +335,35 @@ class TestErrors:
         code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
         self.assert_one_error_line(code, out, err, "InvalidConfig")
 
-    @pytest.mark.parametrize("binding", ["[10, 11]", '{"10": null}', '{"10": [11]}'])
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("width",), 16.9),
+            (("height",), "12"),
+            (("frames",), True),
+            (("seed",), 7.0),
+            (("background", 0, "class_id"), "1"),
+            (("actors", 0, "class_id"), 10.0),
+            (("actors", 0, "size"), 2.9),
+            (("actors", 1, "depth"), False),
+        ],
+    )
+    def test_non_integer_scene_field_is_error_json(self, where, value, tmp_path, capsys):
+        doc = scene_config_doc()
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_error_line(code, out, err, "InvalidConfig")
+        assert json.loads(err)["message"] == f"{where[-1]} {value!r} must be an integer"
+
+    @pytest.mark.parametrize(
+        "binding",
+        ["[10, 11]", '{"10": null}', '{"10": [11]}', '{"10": 11.7}', '{"10": "10"}', '{"10": true}'],
+    )
     def test_malformed_binding_is_error_json(self, binding, tmp_path, capsys):
         config = write_config(tmp_path, frames=2)
         _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])

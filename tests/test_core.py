@@ -125,6 +125,31 @@ class TestThingMask:
         assert str(exc.value) == f"class {class_id} at pixel ({x}, {y}) not in taxonomy"
 
 
+    @given(_taxonomy_and_grid(unknown=True))
+    @settings(max_examples=200)
+    def test_matches_np_isin_on_either_lookup_path(self, case):
+        tax, grid = case
+        top = (1 << 32) - 1  # too large an id for a kind table: the sorted-ids search
+        wide = tax if tax.has(top) else ClassTaxonomy(tax.entries + (ClassEntry(top, "top", "stuff"),))
+        for taxonomy in (tax, wide):
+            known = np.isin(grid, taxonomy.class_ids())
+            for values in (grid, grid.astype(np.int64)):
+                if known.all():
+                    want = np.isin(grid, taxonomy.thing_class_ids())
+                    assert np.array_equal(taxonomy.thing_mask(values), want)
+                    continue
+                class_id = grid[~known].min()
+                y, x = np.unravel_index(np.argmax(grid == class_id), grid.shape)
+                with pytest.raises(UnknownClass) as exc:
+                    taxonomy.thing_mask(values)
+                assert str(exc.value) == f"class {class_id} at pixel ({x}, {y}) not in taxonomy"
+
+
+    def test_negative_ids_are_unknown(self):
+        with pytest.raises(UnknownClass, match=r"^class -1 at pixel \(1, 0\) not in taxonomy$"):
+            TAX.thing_mask(np.array([[0, -1]]))
+
+
 class TestGrids:
     def test_label_grid_shape_and_immutability(self):
         grid = LabelGrid(np.arange(6).reshape(2, 3))
