@@ -134,14 +134,19 @@ def _binding_pairs(path: str) -> dict[int, int]:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: binding must be a JSON object, got {type(doc).__name__}")
-    # JSON object keys are always strings; the values must be integers already.
-    for v in doc.values():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParseError(f"{path}: binding entries must map integers to integers: {v!r}")
-    try:
-        return {int(k): v for k, v in doc.items()}
-    except ValueError as exc:
-        raise ParseError(f"{path}: binding entries must map integers to integers: {exc}") from exc
+    from .core import is_integer
+
+    pairs = {}
+    for key, value in doc.items():
+        # JSON object keys are always strings: each must be an integer written canonically.
+        try:
+            category = int(key)
+        except ValueError:
+            category = None
+        if category is None or str(category) != key or not is_integer(value):
+            raise ParseError(f"{path}: binding {key!r}: {value!r} is not integer: integer")
+        pairs[category] = value
+    return pairs
 
 
 def _cmd_warpmatch(args) -> int:

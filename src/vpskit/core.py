@@ -13,6 +13,8 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -38,6 +40,10 @@ class ClassEntry:
     kind: str
 
     def __post_init__(self):
+        if not is_integer(self.class_id):
+            raise InvalidTaxonomy(f"class id {self.class_id!r} must be an integer")
+        if not isinstance(self.name, str):
+            raise InvalidTaxonomy(f"class {self.class_id}: name {self.name!r} is not a string")
         if not 0 <= self.class_id <= _MAX_LABEL:
             raise InvalidTaxonomy(f"class id {self.class_id} outside the 32-bit label range")
         if self.kind not in (STUFF, THING):
@@ -57,6 +63,8 @@ class ClassTaxonomy:
         ids = [e.class_id for e in entries]
         if len(set(ids)) != len(ids):
             raise InvalidTaxonomy("duplicate class ids")
+        if not is_integer(self.void_class_id):
+            raise InvalidTaxonomy(f"void class {self.void_class_id!r} must be an integer")
         by_id = {e.class_id: e for e in entries}
         void = by_id.get(self.void_class_id)
         if void is None:
@@ -121,9 +129,7 @@ class ClassTaxonomy:
         if self._kind_table is not None and classes.dtype.kind == "u":
             # ids past the table clip onto its last entry, which is unknown
             return np.take(self._kind_table, classes, mode="clip")
-        ids = self._class_ids
-        slot = np.minimum(np.searchsorted(ids, classes), ids.size - 1)
-        return np.where(ids[slot] == classes, self._kinds[slot], np.uint8(_KIND_UNKNOWN))
+        return _lookup(self._class_ids, self._kinds, classes, np.uint8(_KIND_UNKNOWN))
 
     def to_dict(self) -> dict:
         return {
@@ -136,14 +142,27 @@ class ClassTaxonomy:
     @classmethod
     def from_dict(cls, data: dict) -> "ClassTaxonomy":
         try:
-            entries = tuple(
-                ClassEntry(int(c["id"]), str(c["name"]), str(c["kind"]))
-                for c in data["classes"]
-            )
-            void = int(data.get("void_class_id", 0))
+            entries = tuple(ClassEntry(c["id"], c["name"], c["kind"]) for c in data["classes"])
+            void = data.get("void_class_id", 0)
         except (KeyError, TypeError) as exc:
             raise InvalidTaxonomy(f"malformed taxonomy document: {exc}") from exc
         return cls(entries=entries, void_class_id=void)
+
+
+def is_integer(value) -> bool:
+    """Whether a parsed JSON value is an integer: not a bool, a float or a numeric string."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a parsed JSON value is an integer or a float: not a bool or a numeric string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def pixel_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
+    """The pixels start..stop-1 of [0, limit) with centre i + 0.5 in [lo, hi); start <= stop."""
+    start = max(0, math.ceil(lo - 0.5))
+    return start, max(start, min(limit, math.ceil(hi - 0.5)))
 
 
 def _as_label_array(values) -> np.ndarray:
@@ -223,7 +242,7 @@ class PanopticMap:
 
 @dataclass(frozen=True)
 class FlowField:
-    """Per-pixel (dx, dy) displacement grid in fractional pixel units."""
+    """Per-pixel (dx, dy) displacement grid in fractional pixel units, all finite."""
 
     vectors: np.ndarray
 
@@ -403,9 +422,19 @@ def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:
     old = np.fromiter(mapping.keys(), dtype=values.dtype, count=len(mapping))
     new = np.fromiter(mapping.values(), dtype=values.dtype, count=len(mapping))
     order = np.argsort(old)
-    old, new = old[order], new[order]
-    slot = np.minimum(np.searchsorted(old, values), old.size - 1)
-    return np.where(old[slot] == values, new[slot], values)
+    return _lookup(old[order], new[order], values, values)
+
+
+def _lookup(keys: np.ndarray, found: np.ndarray, values: np.ndarray, default) -> np.ndarray:
+    """Per element of values, found at its slot in the sorted, non-empty keys, else default."""
+    slot = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return np.where(keys[slot] == values, found[slot], default)
+
+
+def present_ids(grid: np.ndarray) -> list[int]:
+    """The nonzero ids of a label grid, ascending; np.unique sorts, as in factorize."""
+    ids = np.unique(grid, return_counts=True)[0].tolist()
+    return ids[1:] if ids and ids[0] == 0 else ids
 
 
 def extract_segments(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> list[Segment]:
@@ -445,14 +474,15 @@ def validate_panoptic(
         )
         return violations
 
-    present = np.unique(classes.values)
-    known = np.isin(present, taxonomy.class_ids())
-    for class_id in present[~known].tolist():
-        ys, xs = np.nonzero(classes.values == class_id)
-        violations.append(f"pixel ({int(xs[0])}, {int(ys[0])}): unknown class {class_id}")
+    kinds = taxonomy._kinds_of(classes.values)
+    unknown = np.flatnonzero(kinds == _KIND_UNKNOWN)
+    # np.unique's index is each unknown id's first pixel among the unknown, row-major
+    class_ids, first = np.unique(classes.values.ravel()[unknown], return_index=True)
+    ys, xs = np.divmod(unknown[first], classes.width)
+    for class_id, x, y in zip(class_ids.tolist(), xs.tolist(), ys.tolist()):
+        violations.append(f"pixel ({x}, {y}): unknown class {class_id}")
 
-    stuff_ids = present[known & ~np.isin(present, taxonomy.thing_class_ids())]
-    ys, xs = np.nonzero(np.isin(classes.values, stuff_ids) & (instances.values != 0))
+    ys, xs = np.nonzero((kinds == _KIND_STUFF) & (instances.values != 0))
     for x, y in zip(xs.tolist(), ys.tolist()):
         violations.append(
             f"pixel ({x}, {y}): stuff class {int(classes.values[y, x])} carries "

@@ -9,13 +9,12 @@ because they come straight from the tracker.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, LabelGrid, PanopticMap, TrackedBox, remap
+from .core import ClassTaxonomy, LabelGrid, PanopticMap, TrackedBox, pixel_span, remap
 from .errors import DimensionMismatch, UnknownClass
 
 
@@ -44,13 +43,6 @@ class TrackClassBinding:
                 raise UnknownClass(f"binding {category} -> {class_id}: class is not a thing class")
 
 
-def _pixel_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
-    # pixel-center containment: pixel i is inside iff lo <= i + 0.5 < hi
-    start = max(0, math.ceil(lo - 0.5))
-    stop = min(limit, math.ceil(hi - 0.5))
-    return start, stop
-
-
 def rasterize_ownership(
     boxes: Sequence[TrackedBox], width: int, height: int
 ) -> LabelGrid:
@@ -65,10 +57,9 @@ def rasterize_ownership(
     owner = np.zeros((height, width), dtype=np.uint32)
     # paint largest first so the smallest area / lowest track id ends on top
     for box in sorted(boxes, key=lambda b: (b.area, b.track_id), reverse=True):
-        x_lo, x_hi = _pixel_span(box.x0, box.x1, width)
-        y_lo, y_hi = _pixel_span(box.y0, box.y1, height)
-        if x_lo < x_hi and y_lo < y_hi:
-            owner[y_lo:y_hi, x_lo:x_hi] = box.track_id
+        x_lo, x_hi = pixel_span(box.x0, box.x1, width)
+        y_lo, y_hi = pixel_span(box.y0, box.y1, height)
+        owner[y_lo:y_hi, x_lo:x_hi] = box.track_id
     return LabelGrid(owner)
 
 

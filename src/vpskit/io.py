@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
-from .errors import BadMagic, FormatError, NonFinite, Overflow, ParseError, Truncated
+from .core import is_integer, is_number
+from .errors import BadMagic, FormatError, Overflow, ParseError, Truncated
 
 LMAP_MAGIC = b"LMAP"
 FLO_SENTINEL = 202021.25
@@ -101,8 +102,6 @@ def read_label_grid(path: str | Path) -> LabelGrid:
 # ---------------------------------------------------------------- flow fields
 
 def encode_flow(flow: FlowField) -> bytes:
-    if not np.isfinite(flow.vectors).all():
-        raise NonFinite("flow field contains NaN or infinite components")
     header = struct.pack("<fii", FLO_SENTINEL, flow.width, flow.height)
     return header + flow.vectors.astype("<f4").tobytes()
 
@@ -154,14 +153,14 @@ def _track_to_obj(box: TrackedBox) -> dict:
 
 def _require_int(obj: dict, key: str, line: int) -> int:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ParseError(f"line {line}: {key} must be an integer, got {value!r}")
     return value
 
 
 def _require_number(obj: dict, key: str, line: int) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ParseError(f"line {line}: {key} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ParseError(f"line {line}: {key} must be finite, got {value!r}")
@@ -295,10 +294,9 @@ def read_manifest(path: str | Path) -> SequenceManifest:
         if instances is not None:
             instances = _referenced_file(path, instances)
         frames.append(FrameRef(classes=_referenced_file(path, classes), instances=instances))
-    if doc.get("frame_count") != len(frames):
-        raise ParseError(
-            f"{path}: frame_count {doc.get('frame_count')} != {len(frames)} frame entries"
-        )
+    count = doc.get("frame_count")
+    if not is_integer(count) or count != len(frames):
+        raise ParseError(f"{path}: frame_count {count!r} != {len(frames)} frame entries")
 
     taxonomy = None
     tax_doc = doc.get("taxonomy")
@@ -360,30 +358,7 @@ def write_panoptic_sequence(
     flows: Sequence[FlowField] | None = None,
 ) -> Path:
     """Write a panoptic sequence plus manifest (flows tagged prev_to_curr); returns its path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    frames = []
-    for i, pmap in enumerate(maps):
-        stem = _frame_stem(i, len(maps))
-        class_name = f"classes_{stem}.lmap"
-        inst_name = f"instances_{stem}.lmap"
-        write_label_grid(pmap.classes, out_dir / class_name)
-        write_label_grid(pmap.instances, out_dir / inst_name)
-        frames.append(FrameRef(classes=class_name, instances=inst_name))
-    flow_ref = None
-    if flows is not None:
-        names = []
-        for i, flow in enumerate(flows):
-            name = f"flow_{_frame_stem(i, len(maps))}.flo"
-            write_flow(flow, out_dir / name)
-            names.append(name)
-        flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=tuple(names))
-    manifest = SequenceManifest(
-        frame_count=len(maps), frames=tuple(frames), taxonomy=taxonomy, flows=flow_ref
-    )
-    manifest_path = out_dir / "manifest.json"
-    write_manifest(manifest, manifest_path)
-    return manifest_path
+    return _write_sequence(out_dir, [(m.classes, m.instances) for m in maps], taxonomy, flows)
 
 
 def write_semantic_sequence(
@@ -392,18 +367,30 @@ def write_semantic_sequence(
     taxonomy: ClassTaxonomy | None = None,
 ) -> Path:
     """Write a classes-only sequence (no instance grids)."""
+    return _write_sequence(out_dir, [(g,) for g in grids], taxonomy, None)
+
+
+def _write_sequence(
+    out_dir: str | Path, frames: list[tuple], taxonomy: ClassTaxonomy | None, flows: Sequence | None
+) -> Path:
+    """Write each frame's (classes,) or (classes, instances) grids, the flows, then the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = []
-    for i, grid in enumerate(grids):
-        name = f"classes_{_frame_stem(i, len(grids))}.lmap"
-        write_label_grid(grid, out_dir / name)
-        frames.append(FrameRef(classes=name))
-    manifest = SequenceManifest(
-        frame_count=len(grids), frames=tuple(frames), taxonomy=taxonomy
-    )
+    refs = []
+    for i, grids in enumerate(frames):
+        stem = _frame_stem(i, len(frames))
+        names = [f"{layer}_{stem}.lmap" for layer in ("classes", "instances")[: len(grids)]]
+        for grid, name in zip(grids, names):
+            write_label_grid(grid, out_dir / name)
+        refs.append(FrameRef(*names))
+    flow_ref = None
+    if flows is not None:
+        flow_names = tuple(f"flow_{_frame_stem(i, len(frames))}.flo" for i in range(len(flows)))
+        for flow, name in zip(flows, flow_names):
+            write_flow(flow, out_dir / name)
+        flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=flow_names)
     manifest_path = out_dir / "manifest.json"
-    write_manifest(manifest, manifest_path)
+    write_manifest(SequenceManifest(len(refs), tuple(refs), taxonomy, flow_ref), manifest_path)
     return manifest_path
 
 

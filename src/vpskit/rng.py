@@ -39,14 +39,8 @@ class Xoshiro256StarStar:
     """xoshiro256** seeded via SplitMix64 expansion of a single 64-bit seed."""
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            state = (state + _GOLDEN) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            s.append((z ^ (z >> 31)) & _MASK64)
+        # word i is the (i+1)-th output of the SplitMix64 stream started at seed
+        s = [splitmix64((seed + i * _GOLDEN) & _MASK64) for i in range(4)]
         if not any(s):  # all-zero state is the one forbidden xoshiro state
             s[0] = 1
         self._s = s

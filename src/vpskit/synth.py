@@ -15,12 +15,12 @@ vpskit.rng), so corruptions replay bit-exactly for a given seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox, remap
+from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
+from .core import is_integer, is_number, pixel_span, present_ids, remap
 from .errors import InvalidConfig
 from .io import _MAX_PIXELS
 from .rng import Xoshiro256StarStar
@@ -53,16 +53,20 @@ class Actor:
         )
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _integer(doc: dict, key: str, default: int | None = None) -> int:
     """``doc[key]`` (or ``default`` when absent), which must be an integer: no float, string or bool."""
     value = doc[key] if default is None else doc.get(key, default)
-    if not _is_integer(value):
+    if not is_integer(value):
         raise InvalidConfig(f"{key} {value!r} must be an integer")
     return int(value)
+
+
+def _point(doc: dict, key: str) -> tuple[float, float]:
+    """``doc[key]``, which must be a pair of numbers: no string or bool."""
+    x, y = doc[key]
+    if not (is_number(x) and is_number(y)):
+        raise InvalidConfig(f"{key} {doc[key]!r} must hold two numbers")
+    return float(x), float(y)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ class SceneConfig:
                     shape=str(a["shape"]),
                     class_id=_integer(a, "class_id"),
                     size=_integer(a, "size"),
-                    start=(float(a["start"][0]), float(a["start"][1])),
-                    velocity=(float(a["velocity"][0]), float(a["velocity"][1])),
+                    start=_point(a, "start"),
+                    velocity=_point(a, "velocity"),
                     depth=_integer(a, "depth", 0),
                 )
                 for a in data.get("actors", [])
@@ -160,7 +164,7 @@ def _validate_config(config: SceneConfig) -> None:
         if not taxonomy.has(band.class_id) or not taxonomy.is_stuff(band.class_id):
             raise InvalidConfig(f"band class {band.class_id} must be a stuff class")
         height = band.height
-        if height is not None and (not _is_integer(height) or height < 1):
+        if height is not None and (not is_integer(height) or height < 1):
             raise InvalidConfig(f"band height {height!r} must be an integer >= 1")
     for actor in config.actors:
         if actor.shape not in (RECTANGLE, DISK):
@@ -208,10 +212,8 @@ def _actor_mask(
     """The actor's pixel box clipped to the grid, as (rows, cols) slices, and its mask there."""
     x, y = actor.position(frame)
     size = actor.size
-    x_lo = max(0, math.ceil(x - 0.5))
-    x_hi = max(x_lo, min(width, math.ceil(x + size - 0.5)))
-    y_lo = max(0, math.ceil(y - 0.5))
-    y_hi = max(y_lo, min(height, math.ceil(y + size - 0.5)))
+    x_lo, x_hi = pixel_span(x, x + size, width)
+    y_lo, y_hi = pixel_span(y, y + size, height)
     window = (slice(y_lo, y_hi), slice(x_lo, x_hi))
     if actor.shape == RECTANGLE:
         return window, np.ones((y_hi - y_lo, x_hi - x_lo), dtype=bool)
@@ -296,7 +298,7 @@ def corrupt_shuffle_ids(
     out: list[PanopticMap] = []
     mappings: list[dict[int, int]] = []
     for pmap in bundle.panoptic:
-        ids = [int(i) for i in np.unique(pmap.instances.values) if i != 0]
+        ids = present_ids(pmap.instances.values)
         permuted = list(ids)
         rng.shuffle(permuted)
         mapping = dict(zip(ids, permuted))

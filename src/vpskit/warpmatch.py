@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _MAX_LABEL, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from .core import overlap_table, pack_keys, remap, unpack_keys
+from .core import overlap_table, pack_keys, present_ids, remap, unpack_keys
 from .defaults import DEFAULT_IOU_THRESHOLD
 from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 
@@ -246,16 +246,6 @@ def match_ids(
     return IdAssignment(matches=matches, fresh=fresh)
 
 
-def _present_ids(instances: np.ndarray) -> list[int]:
-    """The nonzero ids of an instance grid, ascending.
-
-    With counts asked for, ``np.unique`` sorts a copy instead of running its
-    slower hash table (as in ``core.factorize``).
-    """
-    ids = np.unique(instances, return_counts=True)[0].tolist()
-    return ids[1:] if ids and ids[0] == 0 else ids
-
-
 def relabel(
     curr: PanopticMap, assignment: IdAssignment, state: TrackerState
 ) -> tuple[PanopticMap, TrackerState]:
@@ -265,7 +255,7 @@ def relabel(
     the original id. The class grid and the nonzero pixel support are
     preserved; the returned counter strictly exceeds every emitted id.
     """
-    present = _present_ids(curr.instances.values)
+    present = present_ids(curr.instances.values)
     uncovered = [i for i in present if i not in assignment.matches and i not in assignment.fresh]
     if uncovered:
         raise IncompleteAssignment(f"ids {uncovered} not covered by the assignment")
@@ -274,7 +264,7 @@ def relabel(
     beyond = [target for target in mapping.values() if not 0 <= target <= _MAX_LABEL]
     if beyond:
         raise Overflow(f"match target {beyond[0]} is outside the 32-bit label range")
-    fresh = [old for old in present if old in assignment.fresh]  # ascending, as np.unique sorts
+    fresh = [old for old in present if old in assignment.fresh]  # ascending, as present_ids sorts
     next_id = state.next_fresh_id + len(fresh)
     mapping.update(zip(fresh, range(state.next_fresh_id, next_id)))
     if next_id - 1 > _MAX_LABEL:
@@ -326,7 +316,7 @@ def run_warpmatch_sequence(
         )
         assignment = match_ids(matrix, threshold, matcher)
         # instances whose warped support vanished never enter the matrix
-        present = frozenset(_present_ids(curr.instances.values))
+        present = frozenset(present_ids(curr.instances.values))
         missing = present - assignment.covers()
         if missing:
             assignment = IdAssignment(

@@ -249,3 +249,22 @@ def oracle_invert_flow(flow: FlowField) -> FlowField:
     out[ty[voting][order], tx[voting][order], 0] = -dx.ravel()[src]
     out[ty[voting][order], tx[voting][order], 1] = -dy.ravel()[src]
     return FlowField(out)
+
+
+def oracle_violations(classes: np.ndarray, instances: np.ndarray, taxonomy: ClassTaxonomy):
+    """validate_panoptic's violation list, by a pixel loop.
+
+    Each unknown class once, ascending, at its first row-major pixel; then
+    every stuff pixel that carries an instance, row-major.
+    """
+    first_pixel: dict[int, tuple[int, int]] = {}
+    stuff = []
+    for y, row in enumerate(classes.tolist()):
+        for x, class_id in enumerate(row):
+            if not taxonomy.has(class_id):
+                first_pixel.setdefault(class_id, (x, y))
+            elif taxonomy.is_stuff(class_id) and instances[y, x] != 0:
+                instance = instances[y, x]
+                stuff.append(f"pixel ({x}, {y}): stuff class {class_id} carries instance {instance}")
+    unknown = [f"pixel ({x}, {y}): unknown class {c}" for c, (x, y) in sorted(first_pixel.items())]
+    return unknown + stuff

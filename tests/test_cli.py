@@ -325,6 +325,11 @@ class TestErrors:
             ("actors", "start", [float("inf"), 0]),  # json writes Infinity
             ("actors", "velocity", [float("inf"), 0]),
             ("actors", "velocity", [1e308, 0]),  # finite, but 3e308 by the last frame
+            ("actors", "start", ["3", 2]),
+            ("actors", "start", [1, True]),
+            ("actors", "velocity", [None, 0]),
+            ("actors", "start", [1, 2, 3]),
+            ("actors", "velocity", [1]),
         ],
     )
     def test_malformed_scene_config_is_error_json(self, section, field, value, tmp_path, capsys):
@@ -362,7 +367,10 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "binding",
-        ["[10, 11]", '{"10": null}', '{"10": [11]}', '{"10": 11.7}', '{"10": "10"}', '{"10": true}'],
+        [
+            "[10, 11]", '{"10": null}', '{"10": [11]}', '{"10": 11.7}', '{"10": "10"}', '{"10": true}',
+            '{"1_0": 10}', '{" 11 ": 11}', '{"+10": 10}', '{"010": 10}', '{"-0": 10}', '{"ten": 10}',
+        ],
     )
     def test_malformed_binding_is_error_json(self, binding, tmp_path, capsys):
         config = write_config(tmp_path, frames=2)
@@ -372,6 +380,43 @@ class TestErrors:
         path.write_text(binding)
         argv = ["fillfuse", "--semantic", summary["semantic_manifest"], "--tracks", summary["tracks"]]
         code, out, err = run(capsys, argv + ["--binding", str(path), "--out", str(tmp_path / "ff")])
+        self.assert_one_error_line(code, out, err, "ParseError")
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("classes", 0, "id"), 0.9),
+            (("classes", 0, "id"), False),
+            (("classes", 3, "id"), "10"),
+            (("void_class_id",), False),
+            (("void_class_id",), 0.0),
+            (("classes", 1, "name"), 5),
+            (("classes", 3, "kind"), ["thing"]),
+        ],
+    )
+    def test_non_integer_taxonomy_field_is_error_json(self, where, value, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        summary = json.loads(out)
+        doc = json.loads(Path(summary["taxonomy"]).read_text())
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        taxonomy = tmp_path / "taxonomy.json"
+        taxonomy.write_text(json.dumps(doc))
+        argv = ["fillfuse", "--semantic", summary["semantic_manifest"], "--tracks", summary["tracks"]]
+        code, out, err = run(capsys, argv + ["--taxonomy", str(taxonomy), "--out", str(tmp_path / "ff")])
+        self.assert_one_error_line(code, out, err, "InvalidTaxonomy")
+
+    @pytest.mark.parametrize("count", [True, 1.0, "1"])
+    def test_non_integer_frame_count_is_error_json(self, count, tmp_path, capsys):
+        one = PanopticMap(LabelGrid(np.array([[10, 1]])), LabelGrid(np.array([[1, 0]])))
+        manifest = vio.write_panoptic_sequence(tmp_path / "seq", [one], TAX)
+        doc = json.loads(manifest.read_text())
+        doc["frame_count"] = count
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["render", "--in", str(manifest), "--out", str(tmp_path / "ppm")])
         self.assert_one_error_line(code, out, err, "ParseError")
 
     def test_threshold_outside_unit_interval_on_one_frame_is_error_json(self, tmp_path, capsys):

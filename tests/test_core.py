@@ -2,10 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import iou
+from helpers import iou, oracle_violations
 from vpskit.core import (
     ClassEntry,
     ClassTaxonomy,
@@ -17,6 +17,8 @@ from vpskit.core import (
     factorize,
     overlap_table,
     pack_keys,
+    pixel_span,
+    present_ids,
     remap,
     unpack_keys,
     validate_panoptic,
@@ -308,8 +310,55 @@ class TestValidatePanoptic:
         )
         assert len(violations) == expected
 
+    @given(_taxonomy_and_grid(unknown=True), st.data())
+    @settings(max_examples=200)
+    def test_violations_match_a_pixel_loop_on_either_lookup_path(self, case, data):
+        tax, classes = case
+        instances = data.draw(
+            st.lists(st.sampled_from([0, 1, _TOP]), min_size=classes.size, max_size=classes.size)
+        )
+        instances = np.array(instances, dtype=np.uint32).reshape(classes.shape)
+        # an id too large for a kind table sends the lookup to the sorted-ids search
+        wide = tax if tax.has(_TOP) else ClassTaxonomy(tax.entries + (ClassEntry(_TOP, "top", "stuff"),))
+        for taxonomy in (tax, wide):
+            got = validate_panoptic(LabelGrid(classes), LabelGrid(instances), taxonomy)
+            assert got == oracle_violations(classes, instances, taxonomy)
+
 
 _TOP = (1 << 32) - 1
+
+
+@st.composite
+def _instance_grids(draw):
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ids = st.one_of(st.just(0), st.integers(1, 50), st.integers(_TOP - 20, _TOP))
+    cells = draw(st.lists(ids, min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=np.uint32).reshape(h, w)
+
+
+@given(_instance_grids())
+@example(np.zeros((1, 1), dtype=np.uint32))
+@example(np.full((1, 1), _TOP, dtype=np.uint32))
+@example(np.zeros((3, 4), dtype=np.uint32))
+@settings(max_examples=200)
+def test_present_ids_are_the_sorted_nonzero_set(grid):
+    assert present_ids(grid) == sorted(set(grid.ravel().tolist()) - {0})
+
+
+_COORDS = st.one_of(
+    st.floats(-20, 80, allow_nan=False), st.integers(-40, 160).map(lambda n: n / 2)
+)
+
+
+@given(_COORDS, _COORDS, st.integers(1, 64))
+@settings(max_examples=300)
+def test_pixel_span_is_centre_containment(lo, hi, limit):
+    start, stop = pixel_span(lo, hi, limit)
+    inside = [i for i in range(limit) if lo <= i + 0.5 < hi]
+    assert 0 <= start <= stop
+    assert list(range(start, stop)) == inside
+
+
 _LABELS = st.sampled_from([0, 1, 2, 7, _TOP - 1, _TOP])
 
 
