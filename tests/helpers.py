@@ -130,6 +130,28 @@ def oracle_pq_stats(
     with instance 0 are ignore regions on both sides. The stats are added to
     ``stats`` when given, so frames can be accumulated.
     """
+    return _add_matches(*_scoreable_segments(pred, gt, taxonomy), PqStats() if stats is None else stats)
+
+
+def oracle_vpq_stats(pred_seq, gt_seq, taxonomy: ClassTaxonomy, k: int) -> PqStats:
+    """VPQ^k stats via pixel-set tubes, accumulated over every k-frame window start.
+
+    A tube is the union of the (t, x, y) pixels of one scoreable (class,
+    instance) segment over the window's frames, with oracle_pq_stats's
+    ignore rules applied per frame; tubes are matched by match_segments.
+    """
+    frames = [_scoreable_segments(p, g, taxonomy) for p, g in zip(pred_seq, gt_seq)]
+    stats = PqStats()
+    for start in range(len(frames) - k + 1):
+        window = list(enumerate(frames[start : start + k]))
+        pred = _tubes((t, segs) for t, (segs, _) in window)
+        gt = _tubes((t, segs) for t, (_, segs) in window)
+        _add_matches(pred, gt, stats)
+    return stats
+
+
+def _scoreable_segments(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy):
+    """One frame's (pred, gt) segments: gt-void pixels and unassigned things removed."""
     gt_void = gt.classes.values == taxonomy.void_class_id
     pred = PanopticMap(
         LabelGrid(np.where(gt_void, taxonomy.void_class_id, pred.classes.values)),
@@ -143,8 +165,20 @@ def oracle_pq_stats(
             if not (s.instance_id == 0 and taxonomy.is_thing(s.class_id))
         ]
 
-    tps, fps, fns = match_segments(scoreable(pred), scoreable(gt))
-    stats = PqStats() if stats is None else stats
+    return scoreable(pred), scoreable(gt)
+
+
+def _tubes(frames) -> list[Segment]:
+    """Join (t, segments) pairs into one segment per (class, instance) over (t, x, y) pixels."""
+    pixels: dict[tuple[int, int], set] = {}
+    for t, segments in frames:
+        for s in segments:
+            pixels.setdefault((s.class_id, s.instance_id), set()).update((t, x, y) for x, y in s.pixels)
+    return [Segment(c, i, frozenset(p)) for (c, i), p in sorted(pixels.items())]
+
+
+def _add_matches(pred, gt, stats: PqStats) -> PqStats:
+    tps, fps, fns = match_segments(pred, gt)
     for _, g, value in tps:
         stats.add_tp(g.class_id, value)
     for p in fps:

@@ -9,6 +9,7 @@ from helpers import (
     match_keys,
     match_segments,
     oracle_pq_stats,
+    oracle_vpq_stats,
     random_panoptic_map,
     small_taxonomy,
     with_ignore_regions,
@@ -19,6 +20,8 @@ from vpskit.metrics import (
     ClassMetrics,
     MetricReport,
     PqStats,
+    _frame_table,
+    _window_stats,
     pq,
     pq_stats,
     report_from_stats,
@@ -259,6 +262,25 @@ class TestEngineAgainstOracle:
             assert_same_stats(pq_stats(p, g, TAX), oracle_pq_stats(p, g, TAX))
         report = vpq(pred, gt, TAX, window_sizes=(1,))
         assert report.vpq_per_k[1] == report.pq
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_tube_windows_equal_pixel_set_tube_oracle(self, seed, frames):
+        rng = Xoshiro256StarStar(seed)
+        w, h = rng.next_int(2, 8), rng.next_int(2, 8)
+        pred, gt = [], []
+        for _ in range(frames):
+            pred.append(with_ignore_regions(random_panoptic_map(rng, w, h), rng, void=True))
+            gt.append(with_ignore_regions(random_panoptic_map(rng, w, h), rng, void=True))
+        tables = [_frame_table(p, g, TAX) for p, g in zip(pred, gt)]
+        report = vpq(pred, gt, TAX, window_sizes=range(1, frames + 1))
+        for k in range(1, frames + 1):
+            stats = PqStats()
+            for start in range(frames - k + 1):
+                _window_stats(tables[start : start + k], stats)
+            want = oracle_vpq_stats(pred, gt, TAX, k)
+            assert_same_stats(stats, want)
+            assert report.vpq_per_k[k] == pytest.approx(report_from_stats(want).pq, abs=1e-12)
 
 
 class TestMeanPqOver:

@@ -470,6 +470,24 @@ class TestSequence:
         newcomer = int(out[1].instances.values[3, 3])
         assert newcomer == 4  # fresh id allocated after frame-0 max (3)
 
+    def test_instances_outside_the_matrix_get_fresh_ids_with_unmatched_rows(self):
+        # frame 1: 7 matches frame 0's 4; 5 is an unmatched matrix row; 2 sits only on
+        # stuff pixels and 3 is never sampled by the warp, so neither enters the matrix
+        classes0 = np.array([[1, 1, 1, 1, 10, 10, 1, 1]] * 2)
+        inst0 = np.array([[0, 0, 0, 0, 4, 4, 0, 0]] * 2)
+        classes1 = np.array([[10, 1, 11, 1, 10, 10, 1, 1]] * 2)
+        inst1 = np.array([[3, 0, 5, 0, 7, 7, 0, 2]] * 2)
+        vec = np.zeros((2, 8, 2), dtype=np.float32)
+        vec[:, 0, 0] = 1.0  # column 0 samples column 1: nothing samples column 0
+        flow = FlowField(vec)
+        prev, curr = pmap(classes0, inst0), pmap(classes1, inst1)
+        warped = warp_backward(curr.instances, curr.classes, flow, TAX.void_class_id)
+        assert build_iou_matrix(*warped, prev, TAX).current_ids == (5, 7)
+
+        out = run_warpmatch_sequence([prev, curr], [flow], TAX)
+        # fresh ids from 5 (frame 0's max is 4), ascending in the original id: 2, 3, 5
+        assert out[1].instances.values.tolist() == [[6, 0, 7, 0, 4, 4, 0, 5]] * 2
+
     def test_vanishing_instance_id_not_resurrected(self):
         # actor present in frames 0 and 2 but absent in 1: gets a fresh id at 2
         classes = np.full((4, 4), 1, dtype=np.int64)
