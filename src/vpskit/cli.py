@@ -69,9 +69,20 @@ def _cmd_synth(args) -> int:
 
     config = SceneConfig.from_dict(_load_json(args.config))
     bundle = _cli.generate(config)
+    # every corruption runs (and checks its flag) before the first file is written
+    maps = boxes = None
+    if args.shuffle_ids or args.erode != 0:
+        stage = bundle
+        if args.erode != 0:
+            stage = replace(stage, panoptic=_cli.corrupt_masks(stage, args.erode))
+        maps = stage.panoptic
+        if args.shuffle_ids:
+            maps, _ = _cli.corrupt_shuffle_ids(stage, args.corrupt_seed)
+    if args.box_jitter != 0 or args.box_drop != 0:
+        boxes = _cli.corrupt_boxes(bundle, args.box_jitter, args.box_drop, args.corrupt_seed)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
     vio.write_taxonomy(bundle.taxonomy, out / "taxonomy.json")
     gt_manifest = vio.write_panoptic_sequence(
         out / "gt", bundle.panoptic, bundle.taxonomy, flows=bundle.flows
@@ -90,23 +101,14 @@ def _cmd_synth(args) -> int:
         "semantic_manifest": str(semantic_manifest),
         "tracks": str(tracks_path),
     }
-
-    if args.shuffle_ids or args.erode > 0:
-        stage = bundle
-        if args.erode > 0:
-            stage = replace(stage, panoptic=_cli.corrupt_masks(stage, args.erode))
-        maps = stage.panoptic
-        if args.shuffle_ids:
-            maps, _ = _cli.corrupt_shuffle_ids(stage, args.corrupt_seed)
+    if maps is not None:
         corrupt_manifest = vio.write_panoptic_sequence(
             out / "corrupt", maps, bundle.taxonomy, flows=bundle.flows
         )
         summary["corrupt_manifest"] = str(corrupt_manifest)
-
-    if args.box_jitter > 0 or args.box_drop > 0:
-        frames = _cli.corrupt_boxes(bundle, args.box_jitter, args.box_drop, args.corrupt_seed)
+    if boxes is not None:
         corrupt_tracks = out / "tracks_corrupt.jsonl"
-        vio.write_tracks([b for frame in frames for b in frame], corrupt_tracks)
+        vio.write_tracks([b for frame in boxes for b in frame], corrupt_tracks)
         summary["corrupt_tracks"] = str(corrupt_tracks)
 
     return _emit(summary)

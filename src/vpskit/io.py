@@ -139,18 +139,6 @@ def read_flow(path: str | Path) -> FlowField:
 
 # --------------------------------------------------------------------- tracks
 
-def _track_to_obj(box: TrackedBox) -> dict:
-    return {
-        "frame": box.frame,
-        "track_id": box.track_id,
-        "class_id": box.class_id,
-        "x0": box.x0,
-        "y0": box.y0,
-        "x1": box.x1,
-        "y1": box.y1,
-    }
-
-
 def _require_int(obj: dict, key: str, line: int) -> int:
     value = obj[key]
     if not is_integer(value):
@@ -204,7 +192,8 @@ def read_tracks(path: str | Path) -> list[TrackedBox]:
 
 def write_tracks(boxes: Sequence[TrackedBox], path: str | Path) -> None:
     ordered = sorted(boxes, key=lambda b: (b.frame, b.track_id))
-    lines = [json.dumps(_track_to_obj(b), separators=(", ", ": ")) for b in ordered]
+    # a TrackedBox's instance dict holds exactly its fields, in declaration order
+    lines = [json.dumps(vars(b), separators=(", ", ": ")) for b in ordered]
     _atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 

@@ -15,9 +15,9 @@ maps are excluded from class averages.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,14 +149,6 @@ def pq(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> MetricRep
     return report_from_stats(pq_stats(pred, gt, taxonomy))
 
 
-class _FrameTable(NamedTuple):
-    """Per-frame segment areas and pred/gt intersection counts (no pixel sets)."""
-
-    pred_area: dict[tuple[int, int], int]
-    gt_area: dict[tuple[int, int], int]
-    inter: dict[tuple[tuple[int, int], tuple[int, int]], int]
-
-
 def _valid_mask(
     pmap: PanopticMap, taxonomy: ClassTaxonomy, gt_void: np.ndarray
 ) -> np.ndarray:
@@ -167,7 +159,8 @@ def _valid_mask(
 
 def _frame_table(
     pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy
-) -> _FrameTable:
+) -> tuple[Counter, Counter, Counter]:
+    """One frame's pred areas, gt areas and pred x gt intersections, by (class, instance) key."""
     if pred.classes.values.shape != gt.classes.values.shape:
         raise DimensionMismatch(
             f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
@@ -182,10 +175,10 @@ def _frame_table(
     pred_pairs = _key_pairs(table.a_labels)
     gt_pairs = _key_pairs(table.b_labels)
     pairs = zip(table.a_index.tolist(), table.b_index.tolist(), table.shared.tolist())
-    return _FrameTable(
-        dict(zip(pred_pairs, table.a_areas.tolist())),
-        dict(zip(gt_pairs, table.b_areas.tolist())),
-        {(pred_pairs[p], gt_pairs[g]): count for p, g, count in pairs},
+    return (
+        Counter(dict(zip(pred_pairs, table.a_areas.tolist()))),
+        Counter(dict(zip(gt_pairs, table.b_areas.tolist()))),
+        Counter({(pred_pairs[p], gt_pairs[g]): count for p, g, count in pairs}),
     )
 
 
@@ -194,17 +187,13 @@ def _key_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(classes.tolist(), instances.tolist()))
 
 
-def _window_stats(tables: Sequence[_FrameTable], stats: PqStats) -> None:
-    pred_total: dict[tuple[int, int], int] = defaultdict(int)
-    gt_total: dict[tuple[int, int], int] = defaultdict(int)
-    inter_total: dict[tuple, int] = defaultdict(int)
-    for table in tables:
-        for key, area in table.pred_area.items():
-            pred_total[key] += area
-        for key, area in table.gt_area.items():
-            gt_total[key] += area
-        for pair, count in table.inter.items():
-            inter_total[pair] += count
+def _window_stats(tables: Sequence[tuple[Counter, Counter, Counter]], stats: PqStats) -> None:
+    # summed in frame order, so keys keep first-seen order and IoUs add up in it
+    pred_total, gt_total, inter_total = Counter(), Counter(), Counter()
+    for pred_area, gt_area, inter in tables:
+        pred_total.update(pred_area)
+        gt_total.update(gt_area)
+        inter_total.update(inter)
 
     matched_pred: set = set()
     matched_gt: set = set()
@@ -229,7 +218,7 @@ def _window_stats(tables: Sequence[_FrameTable], stats: PqStats) -> None:
             stats.add_fn(g_key[0])
 
 
-def _accumulate(tables: Sequence[_FrameTable], k: int) -> PqStats:
+def _accumulate(tables: Sequence[tuple[Counter, Counter, Counter]], k: int) -> PqStats:
     """Tube stats of every k-frame window of the tables, accumulated over the start positions."""
     stats = PqStats()
     for start in range(len(tables) - k + 1):

@@ -15,7 +15,7 @@ vpskit.rng), so corruptions replay bit-exactly for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -191,12 +191,10 @@ def _background_grid(config: SceneConfig) -> np.ndarray:
         return grid
     free = config.height - sum(b.height for b in bands if b.height is not None)
     flexible = sum(1 for b in bands if b.height is None)
-    share, extra = divmod(free, flexible) if flexible else (0, 0)
+    share = free // flexible if flexible else 0
     y = 0
     for i, band in enumerate(bands):
         h = band.height if band.height is not None else share
-        if flexible and i == len(bands) - 1 and band.height is None:
-            h += extra
         if i == len(bands) - 1:
             h = max(h, config.height - y)  # last band absorbs any remainder
         grid[y : y + h, :] = band.class_id
@@ -335,17 +333,7 @@ def corrupt_boxes(
             x1 = box.x1 + offsets[2]
             y1 = box.y1 + offsets[3]
             if x1 > x0 and y1 > y0:
-                kept.append(
-                    TrackedBox(
-                        frame=box.frame,
-                        track_id=box.track_id,
-                        class_id=box.class_id,
-                        x0=x0,
-                        y0=y0,
-                        x1=x1,
-                        y1=y1,
-                    )
-                )
+                kept.append(replace(box, x0=x0, y0=y0, x1=x1, y1=y1))
         out.append(kept)
     return out
 

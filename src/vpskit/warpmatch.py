@@ -11,7 +11,7 @@ across gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -62,16 +62,12 @@ class IdAssignment:
         if len(set(targets)) != len(targets):
             raise ValueError("matches must be one-to-one")
 
-    def covers(self) -> frozenset[int]:
-        return frozenset(self.matches) | self.fresh
-
 
 @dataclass(frozen=True)
 class TrackerState:
-    """Carries the id counter and the previous output frame across time."""
+    """The next id a fresh mask receives."""
 
     next_fresh_id: int
-    prev_map: PanopticMap | None = None
 
 
 def warp_backward(
@@ -271,7 +267,7 @@ def relabel(
         raise Overflow(f"fresh id {next_id - 1} exceeds the 32-bit label range")
     out = remap(curr.instances.values, mapping)
     emitted = max(mapping.values(), default=0)
-    new_state = replace(state, next_fresh_id=max(next_id, emitted + 1))
+    new_state = TrackerState(next_fresh_id=max(next_id, emitted + 1))
     return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), new_state
 
 
@@ -287,8 +283,8 @@ def run_warpmatch_sequence(
 
     Frame 0 passes through unchanged. Each later frame is warped backward,
     matched against the previous *output* frame (so consistency is
-    transitive) and relabeled. Instances that warp entirely out of view
-    cannot match and therefore receive fresh ids.
+    transitive) and relabeled. Instances that warp entirely out of view,
+    or sit only on stuff pixels, cannot match and therefore receive fresh ids.
     """
     if len(flows_prev_to_curr) != max(len(panoptic_seq) - 1, 0):
         raise SequenceLengthMismatch(
@@ -302,27 +298,16 @@ def run_warpmatch_sequence(
     for pmap in panoptic_seq:
         taxonomy.thing_mask(pmap.classes.values)
 
-    first = panoptic_seq[0]
-    max_id = int(first.instances.values.max())
-    state = TrackerState(next_fresh_id=max_id + 1, prev_map=first)
-    out = [first]
-    for t in range(1, len(panoptic_seq)):
-        curr = panoptic_seq[t]
+    out = [panoptic_seq[0]]
+    state = TrackerState(next_fresh_id=int(out[0].instances.values.max()) + 1)
+    for curr, flow in zip(panoptic_seq[1:], flows_prev_to_curr):
         warped_inst, warped_class = warp_backward(
-            curr.instances, curr.classes, flows_prev_to_curr[t - 1], taxonomy.void_class_id
+            curr.instances, curr.classes, flow, taxonomy.void_class_id
         )
-        matrix = build_iou_matrix(
-            warped_inst, warped_class, state.prev_map, taxonomy, class_strict
-        )
-        assignment = match_ids(matrix, threshold, matcher)
-        # instances whose warped support vanished never enter the matrix
-        present = frozenset(present_ids(curr.instances.values))
-        missing = present - assignment.covers()
-        if missing:
-            assignment = IdAssignment(
-                matches=assignment.matches, fresh=assignment.fresh | missing
-            )
-        relabeled, state = relabel(curr, assignment, state)
-        state = replace(state, prev_map=relabeled)
+        matrix = build_iou_matrix(warped_inst, warped_class, out[-1], taxonomy, class_strict)
+        matches = match_ids(matrix, threshold, matcher).matches
+        # unmatched rows, and instances never in the matrix: warped out of view or stuff-only
+        fresh = set(present_ids(curr.instances.values)) - matches.keys()
+        relabeled, state = relabel(curr, IdAssignment(matches, fresh), state)
         out.append(relabeled)
     return out

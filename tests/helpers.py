@@ -130,7 +130,8 @@ def oracle_pq_stats(
     with instance 0 are ignore regions on both sides. The stats are added to
     ``stats`` when given, so frames can be accumulated.
     """
-    return _add_matches(*_scoreable_segments(pred, gt, taxonomy), PqStats() if stats is None else stats)
+    stats = PqStats() if stats is None else stats
+    return _add_matches(*_scoreable_segments(pred, gt, taxonomy), stats)
 
 
 def oracle_vpq_stats(pred_seq, gt_seq, taxonomy: ClassTaxonomy, k: int) -> PqStats:
@@ -173,7 +174,8 @@ def _tubes(frames) -> list[Segment]:
     pixels: dict[tuple[int, int], set] = {}
     for t, segments in frames:
         for s in segments:
-            pixels.setdefault((s.class_id, s.instance_id), set()).update((t, x, y) for x, y in s.pixels)
+            tube = pixels.setdefault((s.class_id, s.instance_id), set())
+            tube.update((t, x, y) for x, y in s.pixels)
     return [Segment(c, i, frozenset(p)) for (c, i), p in sorted(pixels.items())]
 
 

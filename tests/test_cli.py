@@ -427,6 +427,26 @@ class TestErrors:
         self.assert_one_error_line(code, out, err, "ValueError")
         assert not (tmp_path / "wm").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--erode", "-1"],
+            ["--shuffle-ids", "--erode", "-1"],
+            ["--box-jitter", "-2"],
+            ["--box-drop", "-0.5"],
+            ["--box-drop", "1.5"],
+            ["--box-drop", "nan"],
+            ["--box-jitter", "1", "--box-drop", "nan"],
+            ["--shuffle-ids", "--erode", "1", "--box-jitter", "1", "--box-drop=-inf"],
+        ],
+    )
+    def test_invalid_corruption_flag_writes_nothing(self, flags, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        argv = ["synth", "--config", str(config), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, argv + flags)
+        self.assert_one_error_line(code, out, err, "ValueError")
+        assert not (tmp_path / "o").exists()
+
     def test_id_counter_overflow_is_error_json(self, tmp_path, capsys):
         top = (1 << 32) - 1
         maps = [
