@@ -31,7 +31,6 @@ _MODULE_OF = {
     "Segment": "core",
     "TrackClassBinding": "fillfuse",
     "TrackedBox": "core",
-    "TrackerState": "warpmatch",
     "build_iou_matrix": "warpmatch",
     "corrupt_boxes": "synth",
     "corrupt_masks": "synth",

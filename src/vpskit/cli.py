@@ -62,8 +62,6 @@ def _load_json(path: str) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    from dataclasses import replace
-
     from . import io as vio
     from .synth import SceneConfig
 
@@ -72,26 +70,25 @@ def _cmd_synth(args) -> int:
     # every corruption runs (and checks its flag) before the first file is written
     maps = boxes = None
     if args.shuffle_ids or args.erode != 0:
-        stage = bundle
+        maps = bundle.panoptic
         if args.erode != 0:
-            stage = replace(stage, panoptic=_cli.corrupt_masks(stage, args.erode))
-        maps = stage.panoptic
+            maps = _cli.corrupt_masks(maps, bundle.background_classes, args.erode)
         if args.shuffle_ids:
-            maps, _ = _cli.corrupt_shuffle_ids(stage, args.corrupt_seed)
+            maps, _ = _cli.corrupt_shuffle_ids(maps, args.corrupt_seed)
     if args.box_jitter != 0 or args.box_drop != 0:
-        boxes = _cli.corrupt_boxes(bundle, args.box_jitter, args.box_drop, args.corrupt_seed)
+        boxes = _cli.corrupt_boxes(bundle.boxes, args.box_jitter, args.box_drop, args.corrupt_seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    vio.write_taxonomy(bundle.taxonomy, out / "taxonomy.json")
+    vio.write_taxonomy(config.taxonomy, out / "taxonomy.json")
     gt_manifest = vio.write_panoptic_sequence(
-        out / "gt", bundle.panoptic, bundle.taxonomy, flows=bundle.flows
+        out / "gt", bundle.panoptic, config.taxonomy, flows=bundle.flows
     )
     semantic_manifest = vio.write_semantic_sequence(
-        out / "semantic", bundle.semantic, bundle.taxonomy
+        out / "semantic", [m.classes for m in bundle.panoptic], config.taxonomy
     )
     tracks_path = out / "tracks.jsonl"
-    vio.write_tracks([b for frame in bundle.boxes for b in frame], tracks_path)
+    vio.write_tracks(bundle.boxes, tracks_path)
 
     summary = {
         "frames": config.frames,
@@ -103,12 +100,12 @@ def _cmd_synth(args) -> int:
     }
     if maps is not None:
         corrupt_manifest = vio.write_panoptic_sequence(
-            out / "corrupt", maps, bundle.taxonomy, flows=bundle.flows
+            out / "corrupt", maps, config.taxonomy, flows=bundle.flows
         )
         summary["corrupt_manifest"] = str(corrupt_manifest)
     if boxes is not None:
         corrupt_tracks = out / "tracks_corrupt.jsonl"
-        vio.write_tracks([b for frame in boxes for b in frame], corrupt_tracks)
+        vio.write_tracks(boxes, corrupt_tracks)
         summary["corrupt_tracks"] = str(corrupt_tracks)
 
     return _emit(summary)

@@ -159,6 +159,18 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def finite_float(value) -> float | None:
+    """A parsed JSON number as a finite float, or None: for a non-number, NaN, an
+    infinity or an integer beyond the float range."""
+    if not is_number(value):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def pixel_span(lo: float, hi: float, limit: int) -> tuple[int, int]:
     """The pixels start..stop-1 of [0, limit) with centre i + 0.5 in [lo, hi); start <= stop."""
     start = max(0, math.ceil(lo - 0.5))

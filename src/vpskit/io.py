@@ -17,7 +17,6 @@ rename.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
-from .core import is_integer, is_number
+from .core import finite_float, is_integer, is_number
 from .errors import BadMagic, FormatError, Overflow, ParseError, Truncated
 
 LMAP_MAGIC = b"LMAP"
@@ -150,9 +149,10 @@ def _require_number(obj: dict, key: str, line: int) -> float:
     value = obj[key]
     if not is_number(value):
         raise ParseError(f"line {line}: {key} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    number = finite_float(value)
+    if number is None:
         raise ParseError(f"line {line}: {key} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def parse_track_line(text: str, line: int) -> TrackedBox:
@@ -227,17 +227,15 @@ class FlowSetRef:
 
 @dataclass(frozen=True)
 class SequenceManifest:
-    frame_count: int
     frames: tuple[FrameRef, ...]
     taxonomy: ClassTaxonomy | None = None
     flows: FlowSetRef | None = None
-    version: str = MANIFEST_VERSION
 
 
 def manifest_to_dict(manifest: SequenceManifest) -> dict:
     doc: dict = {
-        "version": manifest.version,
-        "frame_count": manifest.frame_count,
+        "version": MANIFEST_VERSION,
+        "frame_count": len(manifest.frames),
         "frames": [
             {"classes": f.classes, **({"instances": f.instances} if f.instances else {})}
             for f in manifest.frames
@@ -316,9 +314,7 @@ def read_manifest(path: str | Path) -> SequenceManifest:
             direction=direction, paths=tuple(_referenced_file(path, p) for p in paths)
         )
 
-    return SequenceManifest(
-        frame_count=len(frames), frames=tuple(frames), taxonomy=taxonomy, flows=flows
-    )
+    return SequenceManifest(frames=tuple(frames), taxonomy=taxonomy, flows=flows)
 
 
 def _referenced_file(manifest_path: Path, ref) -> str:
@@ -379,7 +375,7 @@ def _write_sequence(
             write_flow(flow, out_dir / name)
         flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=flow_names)
     manifest_path = out_dir / "manifest.json"
-    write_manifest(SequenceManifest(len(refs), tuple(refs), taxonomy, flow_ref), manifest_path)
+    write_manifest(SequenceManifest(tuple(refs), taxonomy, flow_ref), manifest_path)
     return manifest_path
 
 

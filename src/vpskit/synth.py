@@ -2,11 +2,12 @@
 
 Scenes are horizontal stuff bands with rectangle/disk actors translating
 at constant velocity; occlusion follows depth (higher on top). The
-generator emits per-frame panoptic maps, tight tracked boxes, semantic
-maps and exact forward flow fields, which together act as the oracle for
-both conversion pipelines. Corruption helpers simulate imperfect upstream
-networks: per-frame id shuffles (time-inconsistent panoptic nets), box
-jitter/drops (imperfect trackers) and mask erosion (coarse segmentation).
+generator emits per-frame panoptic maps (whose class grids are the
+semantic maps), tight tracked boxes and exact forward flow fields, which
+together act as the oracle for both conversion pipelines. Corruption
+helpers simulate imperfect upstream networks, each over a sequence:
+per-frame id shuffles (time-inconsistent panoptic nets), box jitter/drops
+(imperfect trackers) and mask erosion (coarse segmentation).
 
 All randomness comes from the package's fixed xoshiro256** generator (see
 vpskit.rng), so corruptions replay bit-exactly for a given seed.
@@ -15,12 +16,13 @@ vpskit.rng), so corruptions replay bit-exactly for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
-from .core import is_integer, is_number, pixel_span, present_ids, remap
+from .core import finite_float, is_integer, pixel_span, present_ids, remap
 from .errors import InvalidConfig
 from .io import _MAX_PIXELS
 from .rng import Xoshiro256StarStar
@@ -62,11 +64,12 @@ def _integer(doc: dict, key: str, default: int | None = None) -> int:
 
 
 def _point(doc: dict, key: str) -> tuple[float, float]:
-    """``doc[key]``, which must be a pair of numbers: no string or bool."""
+    """``doc[key]``, which must be a pair of numbers with finite float values: no string or bool."""
     x, y = doc[key]
-    if not (is_number(x) and is_number(y)):
-        raise InvalidConfig(f"{key} {doc[key]!r} must hold two numbers")
-    return float(x), float(y)
+    point = finite_float(x), finite_float(y)
+    if None in point:
+        raise InvalidConfig(f"{key} {doc[key]!r} must hold two finite numbers")
+    return point
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,10 @@ class GroundTruthBundle:
     """Everything the oracle knows about one generated scene."""
 
     config: SceneConfig
-    taxonomy: ClassTaxonomy
     panoptic: list[PanopticMap]
-    boxes: list[list[TrackedBox]]
-    semantic: list[LabelGrid]
-    flows: list[FlowField] = field(default_factory=list)  # flows[i]: frame i -> i+1
-    background_classes: LabelGrid | None = None
+    boxes: list[TrackedBox]  # in frame order, then actor order
+    flows: list[FlowField]  # flows[i]: frame i -> i+1
+    background_classes: LabelGrid
 
 
 def _validate_config(config: SceneConfig) -> None:
@@ -159,6 +160,8 @@ def _validate_config(config: SceneConfig) -> None:
         raise InvalidConfig(f"image size {config.width}x{config.height} exceeds {_MAX_PIXELS} px")
     if config.frames < 1:
         raise InvalidConfig(f"frame count {config.frames} must be >= 1")
+    if finite_float(config.frames) is None:
+        raise InvalidConfig(f"frame count {config.frames} is beyond the float range")
     taxonomy = config.taxonomy
     for band in config.background:
         if not taxonomy.has(band.class_id) or not taxonomy.is_stuff(band.class_id):
@@ -173,10 +176,16 @@ def _validate_config(config: SceneConfig) -> None:
             raise InvalidConfig(f"actor size {actor.size} must be >= 2")
         if not taxonomy.has(actor.class_id) or taxonomy.kind_of(actor.class_id) != THING:
             raise InvalidConfig(f"actor class {actor.class_id} must be a thing class")
-        # start + t * velocity is monotone in t, and a non-finite start or velocity
-        # makes the last position non-finite too (0 * inf is nan): one check covers all.
-        if not all(math.isfinite(v) for v in actor.position(config.frames - 1)):
-            raise InvalidConfig(f"actor {actor.start} + t * {actor.velocity} is not finite")
+        # start + t * velocity + size is monotone in t, and a non-finite start or velocity
+        # makes the last position non-finite too (0 * inf is nan): two frames cover all.
+        size = finite_float(actor.size)
+        ends = actor.position(0) + actor.position(config.frames - 1)
+        if size is None or not all(math.isfinite(v + size) for v in ends):
+            raise InvalidConfig(
+                f"actor {actor.start} + t * {actor.velocity} + size {actor.size} is not finite"
+            )
+        if actor.shape == DISK and not math.isfinite((size / 2.0) * (size / 2.0)):
+            raise InvalidConfig(f"disk size {actor.size} has no finite squared radius")
     fixed = sum(b.height for b in config.background if b.height is not None)
     if fixed > config.height:
         raise InvalidConfig("band heights exceed the image height")
@@ -230,15 +239,13 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
     actor). Actors may leave the frame; their boxes vanish with them.
     """
     _validate_config(config)
-    taxonomy = config.taxonomy
     background = _background_grid(config)
     # per instance id; id 0 (no actor) keeps the background class and has zero flow
     actor_class = np.array([0] + [a.class_id for a in config.actors], dtype=np.uint32)
     velocity = np.array([(0.0, 0.0)] + [a.velocity for a in config.actors], dtype=np.float32)
 
     panoptic: list[PanopticMap] = []
-    semantic: list[LabelGrid] = []
-    boxes: list[list[TrackedBox]] = []
+    boxes: list[TrackedBox] = []
     flows: list[FlowField] = []
 
     order = sorted(range(len(config.actors)), key=lambda i: (config.actors[i].depth, i))
@@ -249,12 +256,11 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
             window, mask = footprints[i]
             instances[window][mask] = i + 1
 
-        frame_boxes: list[TrackedBox] = []
         for i, ((rows, cols), mask) in enumerate(footprints):
             ys, xs = np.nonzero(mask & (instances[rows, cols] == i + 1))
             if not ys.size:
                 continue
-            frame_boxes.append(
+            boxes.append(
                 TrackedBox(
                     frame=t,
                     track_id=i + 1,
@@ -267,24 +273,20 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
             )
         class_grid = LabelGrid(np.where(instances == 0, background, actor_class[instances]))
         panoptic.append(PanopticMap(classes=class_grid, instances=LabelGrid(instances)))
-        semantic.append(class_grid)
-        boxes.append(frame_boxes)
         if t + 1 < config.frames:
             flows.append(FlowField(velocity[instances]))
 
     return GroundTruthBundle(
         config=config,
-        taxonomy=taxonomy,
         panoptic=panoptic,
         boxes=boxes,
-        semantic=semantic,
         flows=flows,
         background_classes=LabelGrid(background),
     )
 
 
 def corrupt_shuffle_ids(
-    bundle: GroundTruthBundle, seed: int
+    panoptic: Sequence[PanopticMap], seed: int
 ) -> tuple[list[PanopticMap], list[dict[int, int]]]:
     """Permute each frame's instance ids (frame 0 included).
 
@@ -295,7 +297,7 @@ def corrupt_shuffle_ids(
     rng = Xoshiro256StarStar(seed)
     out: list[PanopticMap] = []
     mappings: list[dict[int, int]] = []
-    for pmap in bundle.panoptic:
+    for pmap in panoptic:
         ids = present_ids(pmap.instances.values)
         permuted = list(ids)
         rng.shuffle(permuted)
@@ -307,34 +309,33 @@ def corrupt_shuffle_ids(
 
 
 def corrupt_boxes(
-    bundle: GroundTruthBundle, jitter: int, drop_rate: float, seed: int
-) -> list[list[TrackedBox]]:
+    boxes: Sequence[TrackedBox], jitter: int, drop_rate: float, seed: int
+) -> list[TrackedBox]:
     """Jitter box edges by uniform integers in [-jitter, +jitter] and drop boxes.
 
-    Per box, five draws in fixed order: x0, y0, x1, y1 offsets, then the
-    drop variate (dropped iff it is < drop_rate). Boxes that degenerate
-    after jitter are discarded like misses.
+    Per box, in list order, five draws in fixed order: x0, y0, x1, y1
+    offsets, then the drop variate (dropped iff it is < drop_rate). Boxes
+    that degenerate after jitter are discarded like misses.
     """
     if jitter < 0:
         raise ValueError(f"jitter {jitter} must be >= 0")
+    if finite_float(jitter) is None:
+        raise ValueError(f"jitter {jitter} is beyond the float range")
     if not 0.0 <= drop_rate <= 1.0:
         raise ValueError(f"drop rate {drop_rate} outside [0, 1]")
     rng = Xoshiro256StarStar(seed)
-    out: list[list[TrackedBox]] = []
-    for frame_boxes in bundle.boxes:
-        kept: list[TrackedBox] = []
-        for box in frame_boxes:
-            offsets = [rng.next_int(-jitter, jitter) for _ in range(4)]
-            dropped = rng.next_float() < drop_rate
-            if dropped:
-                continue
-            x0 = box.x0 + offsets[0]
-            y0 = box.y0 + offsets[1]
-            x1 = box.x1 + offsets[2]
-            y1 = box.y1 + offsets[3]
-            if x1 > x0 and y1 > y0:
-                kept.append(replace(box, x0=x0, y0=y0, x1=x1, y1=y1))
-        out.append(kept)
+    out: list[TrackedBox] = []
+    for box in boxes:
+        offsets = [rng.next_int(-jitter, jitter) for _ in range(4)]
+        dropped = rng.next_float() < drop_rate
+        if dropped:
+            continue
+        x0 = box.x0 + offsets[0]
+        y0 = box.y0 + offsets[1]
+        x1 = box.x1 + offsets[2]
+        y1 = box.y1 + offsets[3]
+        if x1 > x0 and y1 > y0:
+            out.append(replace(box, x0=x0, y0=y0, x1=x1, y1=y1))
     return out
 
 
@@ -345,30 +346,31 @@ def _square_window(grid: np.ndarray, radius: int, reduce) -> np.ndarray:
     return reduce(sliding_window_view(cols, 2 * radius + 1, axis=1), axis=-1)
 
 
-def corrupt_masks(bundle: GroundTruthBundle, erode: int) -> list[PanopticMap]:
+def corrupt_masks(
+    panoptic: Sequence[PanopticMap], background: LabelGrid, erode: int
+) -> list[PanopticMap]:
     """Erode every actor mask by a (2*erode+1) square; erode=0 is the identity.
 
     A pixel keeps its instance iff every pixel of the square centred on it
     carries the same id, i.e. iff the minimum and the maximum id over that
     square both equal its own; the grid is zero-padded, so the image border
-    counts as outside every mask. Eroded pixels fall back to the background
-    band class with instance 0. Erosion is deterministic, so it takes no seed.
+    counts as outside every mask. Eroded pixels fall back to their class in
+    ``background`` (the scene's band classes) with instance 0. Erosion is
+    deterministic, so it takes no seed.
     """
     if erode < 0:
         raise ValueError(f"erode {erode} must be >= 0")
-    if erode == 0:
-        return list(bundle.panoptic)
-    if bundle.background_classes is None:
-        raise ValueError("bundle lacks background classes; regenerate it")
-    background = bundle.background_classes.values
     out: list[PanopticMap] = []
-    for pmap in bundle.panoptic:
+    for pmap in panoptic:
         instances = pmap.instances.values
-        low = _square_window(instances, erode, np.min)
-        high = _square_window(instances, erode, np.max)
+        # From the frame's shorter side on, every square reaches the zero border,
+        # so every instance pixel erodes: a larger radius only pads more.
+        radius = min(erode, *instances.shape)
+        low = _square_window(instances, radius, np.min)
+        high = _square_window(instances, radius, np.max)
         kept = (low == instances) & (high == instances)
         removed = (instances != 0) & ~kept
-        classes = np.where(removed, background, pmap.classes.values)
+        classes = np.where(removed, background.values, pmap.classes.values)
         instances = np.where(removed, np.uint32(0), instances)
         out.append(PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances)))
     return out

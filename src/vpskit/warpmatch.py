@@ -63,13 +63,6 @@ class IdAssignment:
             raise ValueError("matches must be one-to-one")
 
 
-@dataclass(frozen=True)
-class TrackerState:
-    """The next id a fresh mask receives."""
-
-    next_fresh_id: int
-
-
 def warp_backward(
     inst_t: LabelGrid,
     class_t: LabelGrid,
@@ -243,13 +236,13 @@ def match_ids(
 
 
 def relabel(
-    curr: PanopticMap, assignment: IdAssignment, state: TrackerState
-) -> tuple[PanopticMap, TrackerState]:
+    curr: PanopticMap, assignment: IdAssignment, next_fresh_id: int
+) -> tuple[PanopticMap, int]:
     """Rewrite instance ids per the assignment; fresh masks get new ids.
 
-    Fresh ids are allocated from state.next_fresh_id in ascending order of
-    the original id. The class grid and the nonzero pixel support are
-    preserved; the returned counter strictly exceeds every emitted id.
+    Fresh ids are allocated from next_fresh_id in ascending order of the
+    original id. The class grid and the nonzero pixel support are
+    preserved; the returned next fresh id strictly exceeds every emitted id.
     """
     present = present_ids(curr.instances.values)
     uncovered = [i for i in present if i not in assignment.matches and i not in assignment.fresh]
@@ -261,14 +254,13 @@ def relabel(
     if beyond:
         raise Overflow(f"match target {beyond[0]} is outside the 32-bit label range")
     fresh = [old for old in present if old in assignment.fresh]  # ascending, as present_ids sorts
-    next_id = state.next_fresh_id + len(fresh)
-    mapping.update(zip(fresh, range(state.next_fresh_id, next_id)))
+    next_id = next_fresh_id + len(fresh)
+    mapping.update(zip(fresh, range(next_fresh_id, next_id)))
     if next_id - 1 > _MAX_LABEL:
         raise Overflow(f"fresh id {next_id - 1} exceeds the 32-bit label range")
     out = remap(curr.instances.values, mapping)
     emitted = max(mapping.values(), default=0)
-    new_state = TrackerState(next_fresh_id=max(next_id, emitted + 1))
-    return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), new_state
+    return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), max(next_id, emitted + 1)
 
 
 def run_warpmatch_sequence(
@@ -299,7 +291,7 @@ def run_warpmatch_sequence(
         taxonomy.thing_mask(pmap.classes.values)
 
     out = [panoptic_seq[0]]
-    state = TrackerState(next_fresh_id=int(out[0].instances.values.max()) + 1)
+    next_fresh_id = int(out[0].instances.values.max()) + 1
     for curr, flow in zip(panoptic_seq[1:], flows_prev_to_curr):
         warped_inst, warped_class = warp_backward(
             curr.instances, curr.classes, flow, taxonomy.void_class_id
@@ -308,6 +300,6 @@ def run_warpmatch_sequence(
         matches = match_ids(matrix, threshold, matcher).matches
         # unmatched rows, and instances never in the matrix: warped out of view or stuff-only
         fresh = set(present_ids(curr.instances.values)) - matches.keys()
-        relabeled, state = relabel(curr, IdAssignment(matches, fresh), state)
+        relabeled, next_fresh_id = relabel(curr, IdAssignment(matches, fresh), next_fresh_id)
         out.append(relabeled)
     return out

@@ -330,6 +330,9 @@ class TestErrors:
             ("actors", "velocity", [None, 0]),
             ("actors", "start", [1, 2, 3]),
             ("actors", "velocity", [1]),
+            ("actors", "start", [10**400, 2]),  # a JSON integer with no float value
+            ("actors", "velocity", [0, 10**400]),
+            ("actors", "size", 10**400),
         ],
     )
     def test_malformed_scene_config_is_error_json(self, section, field, value, tmp_path, capsys):
@@ -438,6 +441,7 @@ class TestErrors:
             ["--box-drop", "nan"],
             ["--box-jitter", "1", "--box-drop", "nan"],
             ["--shuffle-ids", "--erode", "1", "--box-jitter", "1", "--box-drop=-inf"],
+            ["--box-jitter", str(10**400)],
         ],
     )
     def test_invalid_corruption_flag_writes_nothing(self, flags, tmp_path, capsys):
@@ -446,6 +450,53 @@ class TestErrors:
         code, out, err = run(capsys, argv + flags)
         self.assert_one_error_line(code, out, err, "ValueError")
         assert not (tmp_path / "o").exists()
+
+    def test_track_corner_beyond_float_range_is_error_json(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        summary = json.loads(out)
+        tracks = tmp_path / "big.jsonl"
+        tracks.write_text(
+            '{"frame": 0, "track_id": 1, "class_id": 10, '
+            f'"x0": {10**400}, "y0": 0, "x1": 2, "y1": 2}}\n'
+        )
+        argv = ["fillfuse", "--semantic", summary["semantic_manifest"], "--tracks", str(tracks)]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "ff")])
+        self.assert_one_error_line(code, out, err, "ParseError")
+        assert not (tmp_path / "ff").exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"start": [1e308, 2], "size": 10**308},  # each a float, but not the far edge
+            {"shape": "disk", "size": 10**200},  # a float, but not its squared radius
+        ],
+    )
+    def test_actor_extent_beyond_float_range_is_error_json(self, fields, tmp_path, capsys):
+        doc = scene_config_doc()
+        doc["actors"][0].update(fields)
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_error_line(code, out, err, "InvalidConfig")
+        assert not (tmp_path / "o").exists()
+
+    def test_frame_count_beyond_float_range_is_error_json(self, tmp_path, capsys):
+        doc = scene_config_doc()
+        doc["frames"] = 10**400
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_error_line(code, out, err, "InvalidConfig")
+        assert not (tmp_path / "o").exists()
+
+    def test_erode_beyond_float_range_erodes_every_instance(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        argv = ["synth", "--config", str(config), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, argv + ["--erode", str(10**400)])
+        assert code == 0 and not err
+        corrupted, _ = vio.load_panoptic_sequence(json.loads(out)["corrupt_manifest"])
+        assert not any(m.instances.values.any() for m in corrupted)
 
     def test_id_counter_overflow_is_error_json(self, tmp_path, capsys):
         top = (1 << 32) - 1

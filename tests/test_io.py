@@ -386,3 +386,23 @@ class TestManifests:
         manifest_path = vio.write_semantic_sequence(tmp_path / "sem", grids, taxonomy)
         with pytest.raises(ParseError, match="semantic-only"):
             vio.load_panoptic_sequence(manifest_path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_read_manifest_reads_back_every_written_manifest(self, tmp_path_factory, data):
+        names = st.text("ab_09", min_size=1, max_size=6).map(lambda stem: stem + ".lmap")
+        frames = data.draw(st.lists(st.builds(vio.FrameRef, names, st.none() | names), max_size=4))
+        directions = st.sampled_from([vio.FLOW_PREV_TO_CURR, vio.FLOW_CURR_TO_PREV])
+        count = max(len(frames) - 1, 0)
+        paths = st.lists(names, min_size=count, max_size=count).map(tuple)
+        manifest = vio.SequenceManifest(
+            frames=tuple(frames),
+            taxonomy=data.draw(st.sampled_from([None, make_taxonomy()])),
+            flows=data.draw(st.none() | st.builds(vio.FlowSetRef, directions, paths)),
+        )
+        out = tmp_path_factory.mktemp("manifest")
+        refs = [name for f in frames for name in (f.classes, f.instances) if name]
+        for name in refs + list(manifest.flows.paths if manifest.flows else ()):
+            (out / name).touch()
+        vio.write_manifest(manifest, out / "manifest.json")
+        assert vio.read_manifest(out / "manifest.json") == manifest

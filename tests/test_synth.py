@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from vpskit.metrics import pq, vpq
 from vpskit.synth import (
     Actor,
     Band,
-    GroundTruthBundle,
     SceneConfig,
     corrupt_boxes,
     corrupt_masks,
@@ -100,7 +101,7 @@ class TestGenerate:
 
     def test_moving_rectangle_geometry(self):
         bundle = generate(scene(frames=2, actors=[rect(velocity=(1, 0))]))
-        box = bundle.boxes[1][0]
+        (box,) = [b for b in bundle.boxes if b.frame == 1]
         assert (box.x0, box.x1, box.y0, box.y1) == (2.0, 4.0, 1.0, 3.0)
         flow = bundle.flows[0].vectors
         moving = np.nonzero(flow[..., 0])
@@ -131,19 +132,16 @@ class TestGenerate:
             actors=[rect(size=4, velocity=(1, 1)), Actor("disk", 11, 5, (6, 2), (-1, 0), 1)],
         )
         bundle = generate(config)
-        for t, frame_boxes in enumerate(bundle.boxes):
-            inst = bundle.panoptic[t].instances.values
-            for box in frame_boxes:
-                mask = inst == box.track_id
-                ys, xs = np.nonzero(mask)
-                assert xs.min() == box.x0 and xs.max() + 1 == box.x1
-                assert ys.min() == box.y0 and ys.max() + 1 == box.y1
+        for box in bundle.boxes:
+            mask = bundle.panoptic[box.frame].instances.values == box.track_id
+            ys, xs = np.nonzero(mask)
+            assert xs.min() == box.x0 and xs.max() + 1 == box.x1
+            assert ys.min() == box.y0 and ys.max() + 1 == box.y1
 
     def test_actor_exits_frame(self):
         bundle = generate(scene(frames=5, actors=[rect(start=(4, 1), velocity=(1, 0))]))
         # actor fully out after x start >= 6: frame 2 covers x in {6,7} -> gone
-        assert bundle.boxes[0] and bundle.boxes[1]
-        assert bundle.boxes[2] == []
+        assert [b.frame for b in bundle.boxes] == [0, 1]
         assert not bundle.panoptic[2].instances.values.any()
 
     def test_disk_shape_is_round(self):
@@ -212,14 +210,14 @@ class TestCorruptShuffle:
 
     def test_support_and_classes_untouched(self):
         bundle = self.make_bundle()
-        shuffled, _ = corrupt_shuffle_ids(bundle, seed=5)
+        shuffled, _ = corrupt_shuffle_ids(bundle.panoptic, seed=5)
         for orig, shuf in zip(bundle.panoptic, shuffled):
             assert shuf.classes == orig.classes
             assert np.array_equal(shuf.instances.values != 0, orig.instances.values != 0)
 
     def test_per_frame_pq_stays_one_while_vpq_degrades(self):
         bundle = self.make_bundle()
-        shuffled, mappings = corrupt_shuffle_ids(bundle, seed=5)
+        shuffled, mappings = corrupt_shuffle_ids(bundle.panoptic, seed=5)
         assert any(m != {1: 1, 2: 2} for m in mappings)  # seed 5 actually shuffles
         for pred, gt in zip(shuffled, bundle.panoptic):
             assert pq(pred, gt, TAX).pq == 1.0
@@ -228,7 +226,7 @@ class TestCorruptShuffle:
 
     def test_recorded_permutations_invert(self):
         bundle = self.make_bundle()
-        shuffled, mappings = corrupt_shuffle_ids(bundle, seed=11)
+        shuffled, mappings = corrupt_shuffle_ids(bundle.panoptic, seed=11)
         for orig, shuf, mapping in zip(bundle.panoptic, shuffled, mappings):
             inverse = {new: old for old, new in mapping.items()}
             restored = shuf.instances.values.copy()
@@ -238,8 +236,8 @@ class TestCorruptShuffle:
 
     def test_replays_bit_exactly(self):
         bundle = self.make_bundle()
-        a, _ = corrupt_shuffle_ids(bundle, seed=3)
-        b, _ = corrupt_shuffle_ids(bundle, seed=3)
+        a, _ = corrupt_shuffle_ids(bundle.panoptic, seed=3)
+        b, _ = corrupt_shuffle_ids(bundle.panoptic, seed=3)
         for x, y in zip(a, b):
             assert x.instances.values.tobytes() == y.instances.values.tobytes()
 
@@ -252,59 +250,69 @@ class TestCorruptBoxes:
 
     def test_identity_when_no_jitter_no_drop(self):
         bundle = self.make_bundle()
-        assert corrupt_boxes(bundle, jitter=0, drop_rate=0.0, seed=1) == bundle.boxes
+        assert corrupt_boxes(bundle.boxes, jitter=0, drop_rate=0.0, seed=1) == bundle.boxes
 
     def test_drop_rate_one_empties_everything(self):
         bundle = self.make_bundle()
-        assert corrupt_boxes(bundle, jitter=0, drop_rate=1.0, seed=1) == [[], [], [], []]
+        assert corrupt_boxes(bundle.boxes, jitter=0, drop_rate=1.0, seed=1) == []
 
     def test_jitter_offsets_replay(self):
         bundle = self.make_bundle()
-        a = corrupt_boxes(bundle, jitter=1, drop_rate=0.0, seed=42)
-        b = corrupt_boxes(bundle, jitter=1, drop_rate=0.0, seed=42)
+        a = corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42)
+        b = corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42)
         assert a == b
-        flat = [box for frame in a for box in frame]
-        orig = [box for frame in bundle.boxes for box in frame]
-        assert any(x != y for x, y in zip(flat, orig))  # seed 42 moves something
+        assert any(x != y for x, y in zip(a, bundle.boxes))  # seed 42 moves something
 
     def test_jitter_bounded(self):
         bundle = self.make_bundle()
-        jittered = corrupt_boxes(bundle, jitter=2, drop_rate=0.0, seed=7)
-        for frame_orig, frame_jit in zip(bundle.boxes, jittered):
-            by_track = {b.track_id: b for b in frame_orig}
-            for box in frame_jit:
-                orig = by_track[box.track_id]
-                for attr in ("x0", "y0", "x1", "y1"):
-                    assert abs(getattr(box, attr) - getattr(orig, attr)) <= 2
+        jittered = corrupt_boxes(bundle.boxes, jitter=2, drop_rate=0.0, seed=7)
+        by_key = {(b.frame, b.track_id): b for b in bundle.boxes}
+        for box in jittered:
+            orig = by_key[box.frame, box.track_id]
+            for attr in ("x0", "y0", "x1", "y1"):
+                assert abs(getattr(box, attr) - getattr(orig, attr)) <= 2
 
     def test_parameter_validation(self):
         bundle = self.make_bundle()
         with pytest.raises(ValueError):
-            corrupt_boxes(bundle, jitter=-1, drop_rate=0.0, seed=0)
+            corrupt_boxes(bundle.boxes, jitter=-1, drop_rate=0.0, seed=0)
         with pytest.raises(ValueError):
-            corrupt_boxes(bundle, jitter=0, drop_rate=1.5, seed=0)
+            corrupt_boxes(bundle.boxes, jitter=0, drop_rate=1.5, seed=0)
 
 
 class TestCorruptMasks:
     def test_zero_erosion_is_identity(self):
         bundle = generate(scene(actors=[rect()]))
-        assert corrupt_masks(bundle, erode=0) == bundle.panoptic
+        assert corrupt_masks(bundle.panoptic, bundle.background_classes, erode=0) == bundle.panoptic
 
     def test_small_actor_vanishes(self):
         bundle = generate(scene(actors=[rect(size=2)]))
-        eroded = corrupt_masks(bundle, erode=1)
+        eroded = corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1)
         assert not eroded[0].instances.values.any()
         assert (eroded[0].classes.values == 1).all()  # back to the band class
 
     def test_large_actor_loses_boundary_ring(self):
         bundle = generate(scene(width=12, height=12, actors=[rect(size=6, start=(3, 3))]))
-        eroded = corrupt_masks(bundle, erode=1)
+        eroded = corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1)
         before = int((bundle.panoptic[0].instances.values == 1).sum())
         after = int((eroded[0].instances.values == 1).sum())
         assert before == 36
         assert after == 16  # 6x6 minus its 1px ring = 4x4
         kept = eroded[0].instances.values == 1
         assert kept[4:8, 4:8].all()
+
+    def test_radius_far_beyond_the_frame_costs_no_more_than_the_frame(self):
+        bundle = generate(scene(actors=[rect(size=4)]))
+        background = bundle.background_classes
+        tracemalloc.start()
+        try:
+            far = corrupt_masks(bundle.panoptic, background, erode=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"erode 2000 on a 6x6 frame peaked at {peak} bytes"
+        assert far == corrupt_masks(bundle.panoptic, background, erode=6)
+        assert not any(m.instances.values.any() for m in far)
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 9), st.data())
     @settings(max_examples=150, deadline=None)  # the oracle imports scipy on first use
@@ -317,12 +325,5 @@ class TestCorruptMasks:
         background = np.where(np.arange(h * w).reshape(h, w) < h * w // 2, 1, 2)
         classes = np.where(instances != 0, 10, background)
         frame = PanopticMap(LabelGrid(classes), LabelGrid(instances))
-        bundle = GroundTruthBundle(
-            config=scene(width=w, height=h, frames=1),
-            taxonomy=TAX,
-            panoptic=[frame],
-            boxes=[[]],
-            semantic=[frame.classes],
-            background_classes=LabelGrid(background),
-        )
-        assert corrupt_masks(bundle, erode) == oracle_corrupt_masks([frame], background, erode)
+        eroded = corrupt_masks([frame], LabelGrid(background), erode)
+        assert eroded == oracle_corrupt_masks([frame], background, erode)

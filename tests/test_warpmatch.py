@@ -16,7 +16,6 @@ from vpskit.rng import Xoshiro256StarStar
 from vpskit.warpmatch import (
     IdAssignment,
     IoUMatrix,
-    TrackerState,
     build_iou_matrix,
     invert_flow,
     match_ids,
@@ -309,62 +308,61 @@ class TestMatchIds:
 class TestRelabel:
     def test_identity_assignment_is_noop(self):
         curr = pmap([[10, 10], [1, 1]], [[3, 3], [0, 0]])
-        state = TrackerState(next_fresh_id=4)
-        out, new_state = relabel(curr, IdAssignment({3: 3}, frozenset()), state)
+        out, next_fresh_id = relabel(curr, IdAssignment({3: 3}, frozenset()), 4)
         assert out.instances == curr.instances
-        assert new_state.next_fresh_id == 4
+        assert next_fresh_id == 4
 
     def test_match_and_fresh_mix(self):
         curr = pmap([[10, 10]], [[1, 2]])
-        out, state = relabel(
+        out, next_fresh_id = relabel(
             curr,
             IdAssignment({1: 7}, frozenset({2})),
-            TrackerState(next_fresh_id=10),
+            10,
         )
         assert out.instances.values.tolist() == [[7, 10]]
-        assert state.next_fresh_id == 11
+        assert next_fresh_id == 11
 
     def test_all_fresh_ascending_original_order(self):
         curr = pmap([[10, 10, 10]], [[9, 2, 5]])
-        out, state = relabel(
+        out, next_fresh_id = relabel(
             curr,
             IdAssignment({}, frozenset({2, 5, 9})),
-            TrackerState(next_fresh_id=100),
+            100,
         )
         assert out.instances.values.tolist() == [[102, 100, 101]]
-        assert state.next_fresh_id == 103
+        assert next_fresh_id == 103
 
     def test_counter_advances_past_matched_ids(self):
         curr = pmap([[10]], [[1]])
-        _, state = relabel(
-            curr, IdAssignment({1: 50}, frozenset()), TrackerState(next_fresh_id=10)
+        _, next_fresh_id = relabel(
+            curr, IdAssignment({1: 50}, frozenset()), 10
         )
-        assert state.next_fresh_id == 51
+        assert next_fresh_id == 51
 
     def test_incomplete_assignment(self):
         curr = pmap([[10, 10]], [[1, 2]])
         with pytest.raises(IncompleteAssignment):
-            relabel(curr, IdAssignment({1: 1}, frozenset()), TrackerState(next_fresh_id=3))
+            relabel(curr, IdAssignment({1: 1}, frozenset()), 3)
 
     def test_fresh_id_beyond_uint32_is_overflow(self):
         curr = pmap([[10, 10]], [[1, 2]])
         assignment = IdAssignment({1: 1}, frozenset({2}))
-        out, state = relabel(curr, assignment, TrackerState(next_fresh_id=(1 << 32) - 1))
+        out, next_fresh_id = relabel(curr, assignment, (1 << 32) - 1)
         assert out.instances.values.tolist() == [[1, (1 << 32) - 1]]
-        assert state.next_fresh_id == 1 << 32
+        assert next_fresh_id == 1 << 32
         with pytest.raises(Overflow):
-            relabel(curr, assignment, state)
+            relabel(curr, assignment, next_fresh_id)
 
     @pytest.mark.parametrize("target", [1 << 32, -1])
     def test_match_target_outside_uint32_is_overflow(self, target):
         curr = pmap([[10, 10]], [[1, 2]])
         with pytest.raises(Overflow):
-            relabel(curr, IdAssignment({1: target}, frozenset({2})), TrackerState(next_fresh_id=3))
+            relabel(curr, IdAssignment({1: target}, frozenset({2})), 3)
 
     def test_class_grid_untouched_and_support_preserved(self):
         curr = pmap([[10, 11], [1, 1]], [[1, 2], [0, 0]])
         out, _ = relabel(
-            curr, IdAssignment({1: 2, 2: 1}, frozenset()), TrackerState(next_fresh_id=3)
+            curr, IdAssignment({1: 2, 2: 1}, frozenset()), 3
         )
         assert out.classes == curr.classes
         assert np.array_equal(out.instances.values != 0, curr.instances.values != 0)
