@@ -52,20 +52,11 @@ def _emit(summary: dict) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text("utf-8"))
-    except FileNotFoundError:
-        raise ParseError(f"{path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-
-
 def _cmd_synth(args) -> int:
     from . import io as vio
     from .synth import SceneConfig
 
-    config = SceneConfig.from_dict(_load_json(args.config))
+    config = SceneConfig.from_dict(vio.load_json(args.config))
     bundle = _cli.generate(config)
     # every corruption runs (and checks its flag) before the first file is written
     maps = boxes = None
@@ -130,13 +121,11 @@ def _cmd_fillfuse(args) -> int:
 
 
 def _binding_pairs(path: str) -> dict[int, int]:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: binding must be a JSON object, got {type(doc).__name__}")
+    from . import io as vio
     from .core import is_integer
 
     pairs = {}
-    for key, value in doc.items():
+    for key, value in vio.load_json(path).items():
         # JSON object keys are always strings: each must be an integer written canonically.
         try:
             category = int(key)
@@ -301,4 +290,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    if sys.modules[__name__].__dict__ is not globals():
+        # runpy.run_module (the route of `python -m cProfile -m vpskit.cli`) runs this
+        # code outside sys.modules, where _cli names the caller's module: use the real one.
+        from vpskit.cli import main
     sys.exit(main())

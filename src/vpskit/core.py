@@ -211,10 +211,6 @@ class LabelGrid:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def filled(cls, width: int, height: int, value: int = 0) -> "LabelGrid":
-        return cls(np.full((height, width), value, dtype=np.uint32))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelGrid):
             return NotImplemented
@@ -248,9 +244,6 @@ class PanopticMap:
     def height(self) -> int:
         return self.classes.height
 
-    def validate(self, taxonomy: ClassTaxonomy) -> list[str]:
-        return validate_panoptic(self.classes, self.instances, taxonomy)
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -277,17 +270,6 @@ class FlowField:
     @property
     def width(self) -> int:
         return self.vectors.shape[1]
-
-    @classmethod
-    def zero(cls, width: int, height: int) -> "FlowField":
-        return cls(np.zeros((height, width, 2), dtype=np.float32))
-
-    @classmethod
-    def constant(cls, width: int, height: int, dx: float, dy: float) -> "FlowField":
-        vec = np.empty((height, width, 2), dtype=np.float32)
-        vec[..., 0] = dx
-        vec[..., 1] = dy
-        return cls(vec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlowField):

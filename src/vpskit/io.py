@@ -10,8 +10,9 @@ JSON documents tying per-frame files, optional flow files (with an
 explicit direction tag) and the taxonomy together.
 
 Readers never crash on malformed input; they raise the structured errors
-from vpskit.errors. All writers go through a temp file and an atomic
-rename.
+from vpskit.errors. Every reader opens its file through ``_read_bytes``, and
+every JSON input is strict UTF-8 holding one JSON object, parsed by
+``_parse_object``. All writers go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import BadMagic, FormatError, Overflow, ParseError, Truncated
 
 LMAP_MAGIC = b"LMAP"
 FLO_SENTINEL = 202021.25
+_FLO_MAGIC = struct.pack("<f", FLO_SENTINEL)  # 202021.25 has one float32 bit pattern
 MANIFEST_VERSION = "vps-seq-1"
 FLOW_PREV_TO_CURR = "prev_to_curr"
 FLOW_CURR_TO_PREV = "curr_to_prev"
@@ -62,6 +64,58 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file: a missing file is a ParseError, other OSErrors propagate."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise ParseError(f"{path} does not exist") from None
+
+
+def _read_text(path: str | Path) -> str:
+    try:
+        return _read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+
+
+def _parse_object(text: str, where: str) -> dict:
+    """The JSON object in ``text``; anything else, too many digits included, is a ParseError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or too many digits
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_json(path: str | Path) -> dict:
+    """The JSON object in a UTF-8 file."""
+    return _parse_object(_read_text(path), str(path))
+
+
+def _decode_header(data: bytes, magic: bytes, dims: str, size: int, kind: str) -> tuple[int, int]:
+    """The (width, height) of a 12-byte header, checked with its payload of ``size``-byte pixels."""
+    if len(data) < 4:
+        raise Truncated(f"{kind} needs at least 4 bytes, got {len(data)}")
+    if data[:4] != magic:
+        raise BadMagic(f"{kind}: expected {magic!r}, got {data[:4]!r}")
+    if len(data) < 12:
+        raise Truncated(f"{kind} header needs 12 bytes, got {len(data)}")
+    width, height = struct.unpack(dims, data[4:12])
+    if width < 1 or height < 1:
+        raise FormatError(f"{kind} dimensions {width}x{height} invalid")
+    if width * height > _MAX_PIXELS:
+        raise Overflow(f"{kind} declares {width * height} pixels, cap is {_MAX_PIXELS}")
+    expected = 12 + size * width * height
+    if len(data) < expected:
+        raise Truncated(f"{kind} payload needs {expected} bytes, got {len(data)}")
+    if len(data) > expected:
+        raise Truncated(f"{kind} has {len(data) - expected} trailing bytes")
+    return width, height
+
+
 # ---------------------------------------------------------------- label grids
 
 def encode_label_grid(grid: LabelGrid) -> bytes:
@@ -70,22 +124,7 @@ def encode_label_grid(grid: LabelGrid) -> bytes:
 
 
 def decode_label_grid(data: bytes) -> LabelGrid:
-    if len(data) < 4:
-        raise Truncated(f"LMAP needs at least 4 bytes, got {len(data)}")
-    if data[:4] != LMAP_MAGIC:
-        raise BadMagic(f"expected {LMAP_MAGIC!r}, got {data[:4]!r}")
-    if len(data) < 12:
-        raise Truncated(f"LMAP header needs 12 bytes, got {len(data)}")
-    width, height = struct.unpack("<II", data[4:12])
-    if width < 1 or height < 1:
-        raise FormatError(f"LMAP dimensions {width}x{height} invalid")
-    if width * height > _MAX_PIXELS:
-        raise Overflow(f"LMAP declares {width * height} pixels, cap is {_MAX_PIXELS}")
-    expected = 12 + 4 * width * height
-    if len(data) < expected:
-        raise Truncated(f"LMAP payload needs {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise Truncated(f"LMAP has {len(data) - expected} trailing bytes")
+    width, height = _decode_header(data, LMAP_MAGIC, "<II", 4, "LMAP")
     values = np.frombuffer(data, dtype="<u4", count=width * height, offset=12)
     return LabelGrid(values.reshape(height, width))  # LabelGrid copies into native uint32
 
@@ -95,7 +134,7 @@ def write_label_grid(grid: LabelGrid, path: str | Path) -> None:
 
 
 def read_label_grid(path: str | Path) -> LabelGrid:
-    return decode_label_grid(Path(path).read_bytes())
+    return decode_label_grid(_read_bytes(path))
 
 
 # ---------------------------------------------------------------- flow fields
@@ -106,23 +145,7 @@ def encode_flow(flow: FlowField) -> bytes:
 
 
 def decode_flow(data: bytes) -> FlowField:
-    if len(data) < 4:
-        raise Truncated(f"flow file needs at least 4 bytes, got {len(data)}")
-    (sentinel,) = struct.unpack("<f", data[:4])
-    if sentinel != np.float32(FLO_SENTINEL):
-        raise BadMagic(f"expected flow sentinel {FLO_SENTINEL}, got {sentinel}")
-    if len(data) < 12:
-        raise Truncated(f"flow header needs 12 bytes, got {len(data)}")
-    width, height = struct.unpack("<ii", data[4:12])
-    if width < 1 or height < 1:
-        raise FormatError(f"flow dimensions {width}x{height} invalid")
-    if width * height > _MAX_PIXELS:
-        raise Overflow(f"flow declares {width * height} pixels, cap is {_MAX_PIXELS}")
-    expected = 12 + 8 * width * height
-    if len(data) < expected:
-        raise Truncated(f"flow payload needs {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise Truncated(f"flow file has {len(data) - expected} trailing bytes")
+    width, height = _decode_header(data, _FLO_MAGIC, "<ii", 8, "flow file")
     raw = np.frombuffer(data, dtype="<f4", count=2 * width * height, offset=12)
     # FlowField checks finiteness and makes the one copy of the payload.
     return FlowField(raw.reshape(height, width, 2))
@@ -133,7 +156,7 @@ def write_flow(flow: FlowField, path: str | Path) -> None:
 
 
 def read_flow(path: str | Path) -> FlowField:
-    return decode_flow(Path(path).read_bytes())
+    return decode_flow(_read_bytes(path))
 
 
 # --------------------------------------------------------------------- tracks
@@ -156,12 +179,7 @@ def _require_number(obj: dict, key: str, line: int) -> float:
 
 
 def parse_track_line(text: str, line: int) -> TrackedBox:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {line}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"line {line}: expected an object, got {type(obj).__name__}")
+    obj = _parse_object(text, f"line {line}")
     unknown = set(obj) - set(_TRACK_KEYS)
     if unknown:
         raise ParseError(f"line {line}: unknown keys {sorted(unknown)}")
@@ -184,7 +202,7 @@ def parse_track_line(text: str, line: int) -> TrackedBox:
 
 def read_tracks(path: str | Path) -> list[TrackedBox]:
     boxes = []
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         if line.strip():
             boxes.append(parse_track_line(line, line_no))
     return boxes
@@ -200,11 +218,7 @@ def write_tracks(boxes: Sequence[TrackedBox], path: str | Path) -> None:
 # ------------------------------------------------------------------- taxonomy
 
 def read_taxonomy(path: str | Path) -> ClassTaxonomy:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return ClassTaxonomy.from_dict(data)
+    return ClassTaxonomy.from_dict(load_json(path))
 
 
 def write_taxonomy(taxonomy: ClassTaxonomy, path: str | Path) -> None:
@@ -259,14 +273,7 @@ def write_manifest(manifest: SequenceManifest, path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> SequenceManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text("utf-8"))
-    except FileNotFoundError:
-        raise ParseError(f"manifest {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: manifest must be a JSON object")
+    doc = load_json(path)
     if doc.get("version") != MANIFEST_VERSION:
         raise ParseError(f"{path}: unsupported manifest version {doc.get('version')!r}")
 
@@ -322,10 +329,14 @@ def _referenced_file(manifest_path: Path, ref) -> str:
     if not isinstance(ref, str) or "\0" in ref:
         raise ParseError(f"{manifest_path}: file reference {ref!r} is not a path string")
     base = manifest_path.parent.resolve()
-    target = (base / ref).resolve()
+    try:  # the file system may refuse the name: too long, or a symlink loop
+        target = (base / ref).resolve()
+        exists = target.is_file()
+    except (OSError, RuntimeError) as exc:
+        raise ParseError(f"{manifest_path}: referenced file {ref}: {exc}") from None
     if not target.is_relative_to(base):
         raise ParseError(f"{manifest_path}: {ref!r} is outside the manifest's directory")
-    if not target.is_file():
+    if not exists:
         raise ParseError(f"{manifest_path}: referenced file {ref} does not exist")
     return ref
 

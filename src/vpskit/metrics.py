@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,12 +75,6 @@ class MetricReport:
     rq: float
     vpq_per_k: Mapping[int, float]
     vpq_mean: float | None = None
-
-    def mean_pq_over(self, class_ids: Iterable[int]) -> float | None:
-        """Mean PQ restricted to the given classes; None if none are scored."""
-        wanted = set(class_ids)
-        values = [m.pq for c, m in self.per_class.items() if c in wanted]
-        return sum(values) / len(values) if values else None
 
     def to_json_dict(self) -> dict:
         doc: dict = {

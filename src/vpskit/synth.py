@@ -184,6 +184,10 @@ def _validate_config(config: SceneConfig) -> None:
             raise InvalidConfig(
                 f"actor {actor.start} + t * {actor.velocity} + size {actor.size} is not finite"
             )
+        with np.errstate(over="ignore"):  # generate casts the velocity to float32
+            velocity = np.array(actor.velocity, dtype=np.float32)
+        if not np.isfinite(velocity).all():
+            raise InvalidConfig(f"actor velocity {actor.velocity} is beyond the float32 range")
         if actor.shape == DISK and not math.isfinite((size / 2.0) * (size / 2.0)):
             raise InvalidConfig(f"disk size {actor.size} has no finite squared radius")
     fixed = sum(b.height for b in config.background if b.height is not None)

@@ -35,6 +35,27 @@ def small_taxonomy() -> ClassTaxonomy:
     )
 
 
+def filled_grid(width: int, height: int, value: int = 0) -> LabelGrid:
+    return LabelGrid(np.full((height, width), value, dtype=np.uint32))
+
+
+def zero_flow(width: int, height: int) -> FlowField:
+    return FlowField(np.zeros((height, width, 2), dtype=np.float32))
+
+
+def constant_flow(width: int, height: int, dx: float, dy: float) -> FlowField:
+    vectors = np.empty((height, width, 2), dtype=np.float32)
+    vectors[..., 0], vectors[..., 1] = dx, dy
+    return FlowField(vectors)
+
+
+def mean_pq_over(report, class_ids) -> float | None:
+    """Mean PQ of a MetricReport restricted to the given classes; None if none are scored."""
+    wanted = set(class_ids)
+    values = [m.pq for c, m in report.per_class.items() if c in wanted]
+    return sum(values) / len(values) if values else None
+
+
 def random_panoptic_map(rng: Xoshiro256StarStar, width: int, height: int) -> PanopticMap:
     """A valid map with at most 6 segments: stuff background plus painted rectangles."""
     classes = np.full((height, width), (1, 2)[rng.next_below(2)], dtype=np.int64)

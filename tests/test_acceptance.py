@@ -17,11 +17,14 @@ from helpers import (
     assert_same_stats,
     brute_force_match,
     brute_force_ownership,
+    constant_flow,
     match_keys,
     match_segments,
+    mean_pq_over,
     oracle_pq_stats,
     random_panoptic_map,
     small_taxonomy,
+    zero_flow,
 )
 from vpskit import io as vio
 from vpskit.cli import main
@@ -217,7 +220,7 @@ def test_criterion_4_fillfuse_fidelity(tmp_path, capsys):
         for class_id, metrics in frame_report.per_class.items():
             if class_id in stuff_ids:
                 assert metrics.pq == 1.0
-        thing_pq = frame_report.mean_pq_over(thing_ids)
+        thing_pq = mean_pq_over(frame_report, thing_ids)
         if t in dropped_frames:
             assert thing_pq < 1.0
         else:
@@ -294,7 +297,7 @@ def test_criterion_7_warp_identity_and_shift():
     # identity: zero flow leaves grids bit-exact
     rng = Xoshiro256StarStar(0xC7)
     pmap = random_panoptic_map(rng, 12, 9)
-    w_inst, w_cls = warp_backward(pmap.instances, pmap.classes, FlowField.zero(12, 9))
+    w_inst, w_cls = warp_backward(pmap.instances, pmap.classes, zero_flow(12, 9))
     assert w_inst.values.tobytes() == pmap.instances.values.tobytes()
     assert w_cls.values.tobytes() == pmap.classes.values.tobytes()
 
@@ -303,7 +306,7 @@ def test_criterion_7_warp_identity_and_shift():
     inst[1:3, 2:4] = 7
     cls = np.where(inst == 7, 10, 1)
     w_inst, _ = warp_backward(
-        LabelGrid(inst), LabelGrid(cls), FlowField.constant(4, 4, 1.0, 0.0)
+        LabelGrid(inst), LabelGrid(cls), constant_flow(4, 4, 1.0, 0.0)
     )
     expected = np.zeros((4, 4), dtype=np.uint32)
     expected[1:3, 1:3] = 7
@@ -379,7 +382,7 @@ def test_criterion_8_round_trip_io(tmp_path):
 
     # malformed inputs give structured errors, never crashes
     good_grid = vio.encode_label_grid(LabelGrid(np.array([[1, 2], [3, 4]])))
-    good_flow = vio.encode_flow(FlowField.constant(2, 2, 1.0, -1.0))
+    good_flow = vio.encode_flow(constant_flow(2, 2, 1.0, -1.0))
     hostile = [
         b"",
         b"LM",

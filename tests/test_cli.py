@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import small_taxonomy
+from helpers import constant_flow, small_taxonomy, zero_flow
 from vpskit import io as vio
 from vpskit.cli import main
-from vpskit.core import FlowField, LabelGrid, PanopticMap
+from vpskit.core import LabelGrid, PanopticMap
 from vpskit.synth import Actor, Band, SceneConfig
 from vpskit.warpmatch import invert_flow, run_warpmatch_sequence
 
@@ -180,7 +181,7 @@ class TestPipelines:
     def test_invert_flow_command(self, tmp_path, capsys):
         from vpskit.core import FlowField
 
-        vio.write_flow(FlowField.constant(4, 4, 1.0, 0.0), tmp_path / "f.flo")
+        vio.write_flow(constant_flow(4, 4, 1.0, 0.0), tmp_path / "f.flo")
         code, _, _ = run(
             capsys,
             ["invert-flow", "--in", str(tmp_path / "f.flo"), "--out", str(tmp_path / "inv.flo")],
@@ -333,6 +334,7 @@ class TestErrors:
             ("actors", "start", [10**400, 2]),  # a JSON integer with no float value
             ("actors", "velocity", [0, 10**400]),
             ("actors", "size", 10**400),
+            ("actors", "velocity", [1e39, 0]),  # finite, but beyond the float32 range
         ],
     )
     def test_malformed_scene_config_is_error_json(self, section, field, value, tmp_path, capsys):
@@ -481,6 +483,20 @@ class TestErrors:
         self.assert_one_error_line(code, out, err, "InvalidConfig")
         assert not (tmp_path / "o").exists()
 
+    def test_invisible_actor_velocity_beyond_float32_is_error_json(self, tmp_path, capsys):
+        doc = scene_config_doc()
+        doc["actors"][0]["start"] = [-1e30, 0]  # never in the frame, yet its flow is cast
+        doc["actors"][0]["velocity"] = [1e39, 0]
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        self.assert_one_error_line(code, out, err, "InvalidConfig")
+
+    def test_missing_flow_file_is_error_json(self, tmp_path, capsys):
+        argv = ["invert-flow", "--in", str(tmp_path / "nope.flo"), "--out", str(tmp_path / "o.flo")]
+        code, out, err = run(capsys, argv)
+        self.assert_one_error_line(code, out, err, "ParseError")
+
     def test_frame_count_beyond_float_range_is_error_json(self, tmp_path, capsys):
         doc = scene_config_doc()
         doc["frames"] = 10**400
@@ -504,7 +520,7 @@ class TestErrors:
             PanopticMap(LabelGrid(np.array([[10, 1, 1]])), LabelGrid(np.array([[top, 0, 0]]))),
             PanopticMap(LabelGrid(np.array([[1, 1, 10]])), LabelGrid(np.array([[0, 0, 5]]))),
         ]
-        manifest = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, [FlowField.zero(3, 1)])
+        manifest = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, [zero_flow(3, 1)])
         argv = ["warpmatch", "--panoptic", str(manifest), "--flows", str(manifest)]
         code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
         self.assert_one_error_line(code, out, err, "Overflow")
@@ -541,7 +557,7 @@ class TestUnknownClassSweep:
         classes[1, 0, 0], classes[1, 1, 2], classes[1, 3, 1] = 120, 99, 99
         classes[2, 0, 1] = 99
         maps = [PanopticMap(LabelGrid(c), LabelGrid(i)) for c, i in zip(classes, instances)]
-        flows = [FlowField.constant(4, 4, 1.0, 0.0)] * 2
+        flows = [constant_flow(4, 4, 1.0, 0.0)] * 2
         panoptic = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, flows)
         semantic = vio.write_semantic_sequence(tmp_path / "sem", [m.classes for m in maps], TAX)
         tracks = tmp_path / "tracks.jsonl"
@@ -562,3 +578,57 @@ class TestUnknownClassSweep:
         assert code == 1 and not out
         assert err.count("\n") == 1
         assert json.loads(err) == {"error": "UnknownClass", "message": self.MESSAGE}
+
+
+class TestReaderSweep:
+    """Every JSON input of the CLI fails alike on a bad file: one ParseError line, no output."""
+
+    BAD_FILES = {
+        "missing": None,
+        "not UTF-8": b'{"a": "\xff"}\n',
+        "5000-digit integer": b'{"a": ' + b"9" * 5000 + b"}\n",
+        "top-level array": b"[1, 2]\n",
+    }
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("scene")
+        config = out / "scene.json"
+        config.write_text(json.dumps(scene_config_doc(frames=2)))
+        assert main(["synth", "--config", str(config), "--out", str(out / "s")]) == 0
+        return {"semantic": str(out / "s" / "semantic" / "manifest.json"),
+                "tracks": str(out / "s" / "tracks.jsonl")}
+
+    @pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
+    @pytest.mark.parametrize("flag", ["--config", "--binding", "--taxonomy", "--tracks", "manifest"])
+    def test_bad_input_file_is_one_parse_error_line(self, flag, content, scene, tmp_path, capsys):
+        bad = tmp_path / "input.json"
+        if content is not None:
+            bad.write_bytes(content)
+        out_dir = str(tmp_path / "out")
+        fillfuse = ["fillfuse", "--semantic", scene["semantic"], "--tracks", scene["tracks"]]
+        argv = {
+            "--config": ["synth", "--config", str(bad)],
+            "--binding": fillfuse + ["--binding", str(bad)],
+            "--taxonomy": fillfuse + ["--taxonomy", str(bad)],
+            "--tracks": ["fillfuse", "--semantic", scene["semantic"], "--tracks", str(bad)],
+            "manifest": ["render", "--in", str(bad)],
+        }[flag]
+        code, out, err = run(capsys, argv + ["--out", out_dir])
+        assert code == 1 and not out
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ParseError"
+        assert not Path(out_dir).exists()
+
+
+@pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")
+def test_runs_through_runpy_as_cprofile_does(tmp_path, monkeypatch, capsys):
+    """``python -m cProfile -m vpskit.cli`` runs this module as ``__main__`` through runpy."""
+    flow = tmp_path / "f.flo"
+    vio.write_flow(constant_flow(4, 4, 1.0, 0.0), flow)
+    argv = ["vpskit", "invert-flow", "--in", str(flow), "--out", str(tmp_path / "g.flo")]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("vpskit.cli", run_name="__main__")
+    assert exc.value.code == 0, capsys.readouterr().err
+    assert vio.read_flow(tmp_path / "g.flo") == invert_flow(vio.read_flow(flow))

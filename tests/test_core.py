@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import iou, oracle_violations
+from helpers import filled_grid, iou, oracle_violations
 from vpskit.core import (
     ClassEntry,
     ClassTaxonomy,
@@ -171,7 +171,7 @@ class TestGrids:
 
     def test_panoptic_map_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            PanopticMap(LabelGrid.filled(3, 2), LabelGrid.filled(2, 3))
+            PanopticMap(filled_grid(3, 2), filled_grid(2, 3))
 
     def test_flow_field_rejects_non_finite(self):
         vec = np.zeros((2, 2, 2), dtype=np.float32)
@@ -283,7 +283,7 @@ class TestValidatePanoptic:
 
     def test_dimension_violation(self):
         violations = validate_panoptic(
-            LabelGrid.filled(2, 2), LabelGrid.filled(3, 2), TAX
+            filled_grid(2, 2), filled_grid(3, 2), TAX
         )
         assert len(violations) == 1
         assert "dimension" in violations[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_ownership
-from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid
+from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, validate_panoptic
 from vpskit.errors import UnknownClass
 from vpskit.fillfuse import (
     TrackClassBinding,
@@ -143,7 +143,7 @@ class TestFillAndFuse:
         expected[1:3, 1:3] = 5  # person pixels inside the box
         assert np.array_equal(out.instances.values, expected)
         assert out.classes == semantic  # road inside the box keeps class + instance 0
-        assert out.validate(TAX) == []
+        assert validate_panoptic(out.classes, out.instances, TAX) == []
 
     def test_person_outside_all_boxes_keeps_instance_zero(self):
         semantic = semantic_4x4_with_person_block()

@@ -2,8 +2,10 @@
 
 The JSON integers reach past 2**1024, beyond the float range, so a reader
 that turns a JSON number into a float without ``core.finite_float`` fails
-here with an OverflowError. Scenes are generated only at a few pixels and
-frames; fuzzed frame sizes are validated, never generated.
+here with an OverflowError. The JSON readers also get raw bytes: invalid
+UTF-8, integers of 5000 digits and documents that are not objects. Scenes
+are generated only at a few pixels and frames; fuzzed frame sizes are
+validated, never generated.
 """
 
 import json
@@ -231,3 +233,27 @@ def test_binding_documents_parse_or_raise(workdir, doc):
     pairs = parses_or_raises_vps_error(_binding_pairs, str(path))
     if pairs is not None:
         parses_or_raises_vps_error(TrackClassBinding(pairs).check, TAX)
+
+
+HUGE_DIGITS = b"9" * 5000  # beyond Python's 4300-digit integer conversion limit
+raw_pieces = st.sampled_from(
+    [b"{", b"}", b"[", b"]", b", ", b": ", b"\n", b'"frame"', b'"x0"', b'"version"',
+     b'"classes"', b'"vps-seq-1"', b"1", HUGE_DIGITS, b"\xff", b"\xc3", b"\xed\xa0\x80"]
+) | st.binary(max_size=6)
+raw_files = (
+    st.lists(raw_pieces, max_size=10).map(b"".join)
+    | json_values.map(lambda doc: json.dumps(doc).encode())
+    | st.sampled_from(
+        [b"[%s]", b'{"x0": %s}', b'{"void_class_id": %s, "classes": []}',
+         b'{"version": "vps-seq-1", "frame_count": %s, "frames": []}']
+    ).map(lambda template: template % HUGE_DIGITS)
+)
+
+
+@pytest.mark.parametrize("reader", ["read_tracks", "read_taxonomy", "read_manifest", "load_json"])
+@given(data=raw_files)
+@FUZZ
+def test_raw_bytes_parse_or_raise(workdir, reader, data):
+    path = workdir / "raw_input"
+    path.write_bytes(data)
+    parses_or_raises_vps_error(getattr(vio, reader), path)

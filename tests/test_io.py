@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import zero_flow
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import BadMagic, FormatError, NonFinite, Overflow, ParseError, Truncated
 from vpskit.fillfuse import TrackedBox
@@ -102,7 +103,7 @@ class TestAtomicWrite:
 
 class TestFlowFormat:
     def test_zero_field_layout(self):
-        data = vio.encode_flow(FlowField.zero(2, 2))
+        data = vio.encode_flow(zero_flow(2, 2))
         assert len(data) == 12 + 32
         assert data[:4] == struct.pack("<f", 202021.25)
         assert data[12:] == b"\x00" * 32
@@ -123,7 +124,7 @@ class TestFlowFormat:
             vio.decode_flow(struct.pack("<fii", 1.0, 1, 1) + b"\x00" * 8)
 
     def test_truncated(self):
-        good = vio.encode_flow(FlowField.zero(2, 1))
+        good = vio.encode_flow(zero_flow(2, 1))
         with pytest.raises(Truncated):
             vio.decode_flow(good[:-4])
         with pytest.raises(Truncated):
@@ -256,7 +257,7 @@ class TestManifests:
     def test_panoptic_sequence_round_trip(self, tmp_path):
         taxonomy = make_taxonomy()
         maps = make_maps()
-        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        flows = [zero_flow(4, 3) for _ in range(len(maps) - 1)]
         manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, taxonomy, flows)
         loaded, loaded_tax = vio.load_panoptic_sequence(manifest_path)
         assert loaded == maps
@@ -303,7 +304,7 @@ class TestManifests:
     def test_bad_flow_direction(self, tmp_path):
         taxonomy = make_taxonomy()
         maps = make_maps()
-        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        flows = [zero_flow(4, 3) for _ in range(len(maps) - 1)]
         manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, taxonomy, flows)
         doc = json.loads(manifest_path.read_text())
         doc["flows"]["direction"] = "sideways"
@@ -334,7 +335,7 @@ class TestManifests:
     )
     def test_non_string_file_reference_is_parse_error(self, tmp_path, edit):
         maps = make_maps()
-        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        flows = [zero_flow(4, 3) for _ in range(len(maps) - 1)]
         manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, make_taxonomy(), flows)
         doc = json.loads(manifest_path.read_text())
         edit(doc)
@@ -354,7 +355,7 @@ class TestManifests:
     @pytest.mark.parametrize("absolute", [False, True])
     def test_reference_outside_manifest_directory_is_refused(self, tmp_path, key, source, absolute):
         maps = make_maps()
-        flows = [FlowField.zero(4, 3) for _ in range(len(maps) - 1)]
+        flows = [zero_flow(4, 3) for _ in range(len(maps) - 1)]
         manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", maps, make_taxonomy(), flows)
         vio.write_taxonomy(make_taxonomy(), tmp_path / "seq" / "taxonomy.json")
         # a valid file of the right kind, one level above the manifest
@@ -406,3 +407,48 @@ class TestManifests:
             (out / name).touch()
         vio.write_manifest(manifest, out / "manifest.json")
         assert vio.read_manifest(out / "manifest.json") == manifest
+
+    @pytest.mark.parametrize("ref", ["x" * 300 + ".lmap", "loop"])  # a name too long; a loop
+    def test_reference_the_file_system_refuses_is_parse_error(self, tmp_path, ref):
+        manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", make_maps(), make_taxonomy())
+        (tmp_path / "seq" / "loop").symlink_to("loop")
+        doc = json.loads(manifest_path.read_text())
+        doc["frames"][0]["classes"] = ref
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="referenced file"):
+            vio.read_manifest(manifest_path)
+
+
+class TestReaderContract:
+    """Every reader opens, decodes and parses its file through one shared step."""
+
+    JSON_READERS = ["read_tracks", "read_taxonomy", "read_manifest", "load_json"]
+    BAD_JSON = {
+        "not UTF-8": b'{"a": "\xff"}\n',
+        "5000-digit integer": b'{"a": ' + b"9" * 5000 + b"}\n",
+        "top-level array": b"[1, 2]\n",
+    }
+
+    @pytest.mark.parametrize(
+        "reader", JSON_READERS + ["read_label_grid", "read_flow"]
+    )
+    def test_missing_file_is_parse_error(self, reader, tmp_path):
+        with pytest.raises(ParseError, match="does not exist"):
+            getattr(vio, reader)(tmp_path / "missing")
+
+    @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON.keys())
+    @pytest.mark.parametrize("reader", JSON_READERS)
+    def test_malformed_json_is_parse_error(self, reader, content, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            getattr(vio, reader)(path)
+
+    def test_load_json_returns_the_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5, "\\u00e9"], "b": null}')
+        assert vio.load_json(path) == {"a": [1, 2.5, "é"], "b": None}
+
+    def test_other_os_errors_propagate(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            vio.load_json(tmp_path)

@@ -8,6 +8,7 @@ from helpers import (
     brute_force_match,
     match_keys,
     match_segments,
+    mean_pq_over,
     oracle_pq_stats,
     oracle_vpq_stats,
     random_panoptic_map,
@@ -288,4 +289,4 @@ class TestMeanPqOver:
         pqs = {1: 1.0, 10: 0.5, 11: 1.0, 2: 0.0}
         per_class = {c: ClassMetrics(v, v, 1.0, 1, 0, 0, v) for c, v in pqs.items()}
         report = MetricReport(per_class, pq=0.625, sq=0.625, rq=1.0, vpq_per_k={})
-        assert report.mean_pq_over(c for c in (1, 10, 11)) == pytest.approx(2.5 / 3)
+        assert mean_pq_over(report, (c for c in (1, 10, 11))) == pytest.approx(2.5 / 3)

@@ -80,6 +80,20 @@ class TestValidation:
         with pytest.raises(InvalidConfig, match="finite"):
             _validate_config(config)
 
+    @pytest.mark.parametrize(
+        "start",
+        [(1, 1), (-1e30, 0)],  # visible in frame 0, and never visible
+    )
+    def test_rejects_velocity_beyond_the_float32_range(self, start):
+        # generate casts velocities to float32: 1e39 would become inf with a RuntimeWarning
+        config = scene(actors=[rect(start=start, velocity=(1e39, 0))])
+        with pytest.raises(InvalidConfig, match="float32"):
+            _validate_config(config)
+
+    def test_accepts_the_largest_float32_velocity(self):
+        top = float(np.finfo(np.float32).max)
+        _validate_config(scene(actors=[rect(start=(-1e30, 0), velocity=(top, -top))]))
+
     def test_config_json_round_trip(self):
         config = scene(
             actors=[rect(velocity=(1, 0)), Actor("disk", 11, 4, (2.0, 2.0), (0.5, -1.0), 3)],

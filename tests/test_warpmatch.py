@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_invert_flow, oracle_match_greedy, oracle_warp_backward
+from helpers import (
+    constant_flow,
+    filled_grid,
+    oracle_invert_flow,
+    oracle_match_greedy,
+    oracle_warp_backward,
+    zero_flow,
+)
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import (
     DimensionMismatch,
@@ -57,7 +64,7 @@ class TestWarpBackward:
     def test_zero_flow_is_identity(self):
         inst = LabelGrid(np.arange(12).reshape(3, 4))
         cls = LabelGrid(np.full((3, 4), 1))
-        w_inst, w_cls = warp_backward(inst, cls, FlowField.zero(4, 3))
+        w_inst, w_cls = warp_backward(inst, cls, zero_flow(4, 3))
         assert w_inst == inst
         assert w_cls == cls
 
@@ -66,7 +73,7 @@ class TestWarpBackward:
         inst[1:3, 2:4] = 7
         cls = np.where(inst == 7, 10, 1)
         w_inst, w_cls = warp_backward(
-            LabelGrid(inst), LabelGrid(cls), FlowField.constant(4, 4, 1.0, 0.0)
+            LabelGrid(inst), LabelGrid(cls), constant_flow(4, 4, 1.0, 0.0)
         )
         expected = np.zeros((4, 4), dtype=np.uint32)
         expected[1:3, 1:3] = 7
@@ -78,9 +85,9 @@ class TestWarpBackward:
     def test_fractional_flow_rounds_to_nearest(self):
         inst = LabelGrid(np.arange(8).reshape(2, 4))
         cls = LabelGrid(np.full((2, 4), 1))
-        w_inst, _ = warp_backward(inst, cls, FlowField.constant(4, 2, 0.4, 0.0))
+        w_inst, _ = warp_backward(inst, cls, constant_flow(4, 2, 0.4, 0.0))
         assert w_inst == inst  # +0.4 rounds back to the same pixel
-        w_inst, _ = warp_backward(inst, cls, FlowField.constant(4, 2, 0.5, 0.0))
+        w_inst, _ = warp_backward(inst, cls, constant_flow(4, 2, 0.5, 0.0))
         assert np.array_equal(w_inst.values[:, :3], inst.values[:, 1:])  # 0.5 rounds up
 
     @given(
@@ -106,18 +113,18 @@ class TestWarpBackward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            warp_backward(LabelGrid.filled(3, 3), LabelGrid.filled(3, 3), FlowField.zero(4, 3))
+            warp_backward(filled_grid(3, 3), filled_grid(3, 3), zero_flow(4, 3))
         with pytest.raises(DimensionMismatch):
-            warp_backward(LabelGrid.filled(3, 3), LabelGrid.filled(4, 3), FlowField.zero(3, 3))
+            warp_backward(filled_grid(3, 3), filled_grid(4, 3), zero_flow(3, 3))
 
 
 class TestInvertFlow:
     def test_zero_field(self):
-        inv = invert_flow(FlowField.zero(5, 4))
+        inv = invert_flow(zero_flow(5, 4))
         assert not inv.vectors.any()
 
     def test_constant_field_splat(self):
-        inv = invert_flow(FlowField.constant(6, 6, 2.0, 0.0))
+        inv = invert_flow(constant_flow(6, 6, 2.0, 0.0))
         # sources x in [0,6) vote at x+2; targets 2..5 get (-2, 0)
         assert np.array_equal(inv.vectors[:, 2:6, 0], np.full((6, 4), -2.0, dtype=np.float32))
         assert not inv.vectors[:, 0:2, :].any()
@@ -141,7 +148,7 @@ class TestInvertFlow:
     def test_round_trips_translation_on_interior(self):
         # inverting the forward flow of a rigid shift yields the backward
         # flow wherever the splat landed
-        fwd = FlowField.constant(8, 8, 3.0, 2.0)
+        fwd = constant_flow(8, 8, 3.0, 2.0)
         inv = invert_flow(fwd)
         assert inv.vectors[4, 5].tolist() == [-3.0, -2.0]
 
@@ -399,7 +406,7 @@ class TestSequence:
         classes = seq[frame].classes.values.copy()
         classes[5, 7] = 99  # the +1 px flow samples it at (6, 5) of the warped grid
         seq[frame] = PanopticMap(LabelGrid(classes), seq[frame].instances)
-        flows = [FlowField.constant(8, 6, 1.0, 0.0) for _ in range(2)]
+        flows = [constant_flow(8, 6, 1.0, 0.0) for _ in range(2)]
         with pytest.raises(UnknownClass, match=r"^class 99 at pixel \(7, 5\) not in taxonomy$"):
             run_warpmatch_sequence(seq, flows, TAX)
 
@@ -422,31 +429,31 @@ class TestSequence:
     def test_flow_count_mismatch(self):
         seq = static_scene(frames=3)
         with pytest.raises(SequenceLengthMismatch):
-            run_warpmatch_sequence(seq, [FlowField.zero(8, 6)], TAX)
+            run_warpmatch_sequence(seq, [zero_flow(8, 6)], TAX)
 
     def test_static_permuted_frame_restored(self):
         seq = static_scene(frames=2, permutes={1})
-        flows = [FlowField.zero(8, 6)]
+        flows = [zero_flow(8, 6)]
         out = run_warpmatch_sequence(seq, flows, TAX)
         assert out[1].instances == out[0].instances
 
     def test_transitive_consistency_over_many_frames(self):
         seq = static_scene(frames=6, permutes={1, 2, 4})
-        flows = [FlowField.zero(8, 6) for _ in range(5)]
+        flows = [zero_flow(8, 6) for _ in range(5)]
         out = run_warpmatch_sequence(seq, flows, TAX)
         for frame in out[1:]:
             assert frame.instances == out[0].instances
 
     def test_class_channel_identity(self):
         seq = static_scene(frames=4, permutes={2})
-        flows = [FlowField.zero(8, 6) for _ in range(3)]
+        flows = [zero_flow(8, 6) for _ in range(3)]
         out = run_warpmatch_sequence(seq, flows, TAX)
         for inp, q in zip(seq, out):
             assert q.classes == inp.classes
 
     def test_support_preservation(self):
         seq = static_scene(frames=3, permutes={1, 2})
-        flows = [FlowField.zero(8, 6) for _ in range(2)]
+        flows = [zero_flow(8, 6) for _ in range(2)]
         out = run_warpmatch_sequence(seq, flows, TAX)
         for inp, q in zip(seq, out):
             assert np.array_equal(q.instances.values != 0, inp.instances.values != 0)
@@ -463,7 +470,7 @@ class TestSequence:
         inst1[3, 3] = 3 - 2  # reuses a low id for the newcomer
         inst1[0, 0] = 9
         seq = [pmap(classes0, inst0), pmap(classes1, inst1)]
-        out = run_warpmatch_sequence(seq, [FlowField.zero(4, 4)], TAX)
+        out = run_warpmatch_sequence(seq, [zero_flow(4, 4)], TAX)
         assert out[1].instances.values[0, 0] == 3  # matched to the old actor
         newcomer = int(out[1].instances.values[3, 3])
         assert newcomer == 4  # fresh id allocated after frame-0 max (3)
@@ -494,7 +501,7 @@ class TestSequence:
         inst[0, 0] = 1
         empty = pmap(np.full((4, 4), 1, dtype=np.int64), np.zeros((4, 4), dtype=np.int64))
         seq = [pmap(classes, inst), empty, pmap(classes, inst)]
-        out = run_warpmatch_sequence(seq, [FlowField.zero(4, 4)] * 2, TAX)
+        out = run_warpmatch_sequence(seq, [zero_flow(4, 4)] * 2, TAX)
         assert int(out[2].instances.values[0, 0]) != 1  # memory horizon is one frame
 
     def test_top_id_in_first_frame_then_fresh_id_is_overflow(self):
@@ -502,11 +509,11 @@ class TestSequence:
         first = pmap([[10, 1, 1]], [[top, 0, 0]])
         second = pmap([[1, 1, 10]], [[0, 0, 5]])  # disjoint from the first mask
         with pytest.raises(Overflow):
-            run_warpmatch_sequence([first, second], [FlowField.zero(3, 1)], TAX)
+            run_warpmatch_sequence([first, second], [zero_flow(3, 1)], TAX)
 
     def test_determinism_byte_identical(self):
         seq = static_scene(frames=5, permutes={1, 3})
-        flows = [FlowField.zero(8, 6) for _ in range(4)]
+        flows = [zero_flow(8, 6) for _ in range(4)]
         a = run_warpmatch_sequence(seq, flows, TAX)
         b = run_warpmatch_sequence(seq, flows, TAX)
         for x, y in zip(a, b):
