@@ -32,6 +32,10 @@ _MAX_LABEL = (1 << 32) - 1
 _KIND_UNKNOWN, _KIND_STUFF, _KIND_THING = 0, 1, 2
 _KIND_TABLE_SIZE = 1 << 16
 
+# remap indexes a table when every value of an unsigned grid lies below this
+# bound (at most 256 KB for a uint32 grid); other grids search the sorted keys.
+_REMAP_TABLE_SIZE = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -407,14 +411,21 @@ def _labels_at(grids: tuple, mask: np.ndarray) -> np.ndarray:
 def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:
     """A copy of ``values`` with each key of ``mapping`` replaced by its value.
 
-    Other values pass through. One sorted-key ``np.searchsorted`` replaces a
-    full-array pass per key; keys and values must fit the dtype of ``values``.
+    Other values pass through; keys and values must fit the dtype of
+    ``values``. An unsigned grid whose values all lie below
+    ``_REMAP_TABLE_SIZE`` is one ``np.take`` from a table indexed by value;
+    any other grid takes one sorted-key ``np.searchsorted``.
     """
     values = np.asarray(values)
     if not mapping:
         return values.copy()
     old = np.fromiter(mapping.keys(), dtype=values.dtype, count=len(mapping))
     new = np.fromiter(mapping.values(), dtype=values.dtype, count=len(mapping))
+    if values.dtype.kind == "u" and values.size and (top := int(values.max())) < _REMAP_TABLE_SIZE:
+        table = np.arange(top + 1, dtype=values.dtype)
+        present = old <= top  # keys above the largest value occur nowhere in the grid
+        table[old[present]] = new[present]
+        return np.take(table, values)
     order = np.argsort(old)
     return _lookup(old[order], new[order], values, values)
 

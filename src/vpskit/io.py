@@ -120,7 +120,8 @@ def _decode_header(data: bytes, magic: bytes, dims: str, size: int, kind: str) -
 
 def encode_label_grid(grid: LabelGrid) -> bytes:
     header = LMAP_MAGIC + struct.pack("<II", grid.width, grid.height)
-    return header + grid.values.astype("<u4").tobytes()
+    # The join makes the one copy: ascontiguousarray copies only a big-endian or non-C-order grid.
+    return header + memoryview(np.ascontiguousarray(grid.values, dtype="<u4"))
 
 
 def decode_label_grid(data: bytes) -> LabelGrid:
@@ -141,7 +142,7 @@ def read_label_grid(path: str | Path) -> LabelGrid:
 
 def encode_flow(flow: FlowField) -> bytes:
     header = struct.pack("<fii", FLO_SENTINEL, flow.width, flow.height)
-    return header + flow.vectors.astype("<f4").tobytes()
+    return header + memoryview(np.ascontiguousarray(flow.vectors, dtype="<f4"))
 
 
 def decode_flow(data: bytes) -> FlowField:
@@ -202,7 +203,9 @@ def parse_track_line(text: str, line: int) -> TrackedBox:
 
 def read_tracks(path: str | Path) -> list[TrackedBox]:
     boxes = []
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
+    # JSON Lines ends a line at "\n" alone (a "\r" before it is JSON whitespace);
+    # str.splitlines would also split at U+2028, "\f" and other breaks
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         if line.strip():
             boxes.append(parse_track_line(line, line_no))
     return boxes

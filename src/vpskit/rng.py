@@ -31,10 +31,6 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _rotl64(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** seeded via SplitMix64 expansion of a single 64-bit seed."""
 
@@ -47,14 +43,16 @@ class Xoshiro256StarStar:
 
     def next_u64(self) -> int:
         s = self._s
-        result = (_rotl64((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
+        x = (s[1] * 5) & _MASK64
+        # rotl64(x, 7) * 9: bits a rotate leaves above bit 63 drop out with the final mask
+        result = (((x << 7) | (x >> 57)) * 9) & _MASK64
         t = (s[1] << 17) & _MASK64
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = _rotl64(s[3], 45)
+        s[3] = ((s[3] << 45) | (s[3] >> 19)) & _MASK64
         return result
 
     def next_below(self, n: int) -> int:

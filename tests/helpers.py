@@ -3,9 +3,9 @@
 The frozenset-of-pixels segment matcher and its pixel-set IoU live here,
 not in the package: they are the independent reference the table-based
 metric engine is checked against. So do the per-instance erosion and the
-sorted-tuple greedy matcher that the package's table lookups replaced, and
-the full-grid backward warp and flow inversion that the package's lean
-ones must match bit for bit.
+sorted-tuple greedy matcher that the package's table lookups replaced, the
+full-grid backward warp and flow inversion that the package's lean ones
+must match bit for bit, and the scene generator's full-frame gathers.
 """
 
 import numpy as np
@@ -17,7 +17,9 @@ from vpskit.core import (
     LabelGrid,
     PanopticMap,
     Segment,
+    TrackedBox,
     extract_segments,
+    pixel_span,
 )
 from vpskit.metrics import PqStats
 from vpskit.rng import Xoshiro256StarStar
@@ -325,3 +327,45 @@ def oracle_violations(classes: np.ndarray, instances: np.ndarray, taxonomy: Clas
                 stuff.append(f"pixel ({x}, {y}): stuff class {class_id} carries instance {instance}")
     unknown = [f"pixel ({x}, {y}): unknown class {c}" for c, (x, y) in sorted(first_pixel.items())]
     return unknown + stuff
+
+
+def oracle_generate(config) -> tuple[list[PanopticMap], list[TrackedBox], list[FlowField]]:
+    """A scene's frames, boxes and flows from full pixel grids.
+
+    Each actor's footprint is an ``np.mgrid`` test; instances are painted in
+    (depth, index) order; the class and flow grids are gathers by instance
+    id from per-id tables, and each box is the extent of the ``np.nonzero``
+    pixels its actor kept.
+    """
+    from vpskit.synth import RECTANGLE, _background_grid
+
+    background = _background_grid(config)
+    actor_class = np.array([0] + [a.class_id for a in config.actors], dtype=np.uint32)
+    velocity = np.array([(0.0, 0.0)] + [a.velocity for a in config.actors], dtype=np.float32)
+    order = sorted(range(len(config.actors)), key=lambda i: (config.actors[i].depth, i))
+    yy, xx = np.mgrid[0 : config.height, 0 : config.width]
+    panoptic, boxes, flows = [], [], []
+    for t in range(config.frames):
+        footprints = []
+        for actor in config.actors:
+            x, y = actor.position(t)
+            x_lo, x_hi = pixel_span(x, x + actor.size, config.width)
+            y_lo, y_hi = pixel_span(y, y + actor.size, config.height)
+            inside = (xx >= x_lo) & (xx < x_hi) & (yy >= y_lo) & (yy < y_hi)
+            if actor.shape != RECTANGLE:
+                r = actor.size / 2.0
+                inside &= (xx + 0.5 - (x + r)) ** 2 + (yy + 0.5 - (y + r)) ** 2 <= r**2
+            footprints.append(inside)
+        instances = np.zeros_like(background)
+        for i in order:
+            instances[footprints[i]] = i + 1
+        for i, actor in enumerate(config.actors):
+            ys, xs = np.nonzero(instances == i + 1)
+            if ys.size:
+                box = (xs.min(), ys.min(), xs.max() + 1, ys.max() + 1)
+                boxes.append(TrackedBox(t, i + 1, actor.class_id, *map(float, box)))
+        classes = np.where(instances == 0, background, actor_class[instances])
+        panoptic.append(PanopticMap(LabelGrid(classes), LabelGrid(instances)))
+        if t + 1 < config.frames:
+            flows.append(FlowField(velocity[instances]))
+    return panoptic, boxes, flows

@@ -361,6 +361,19 @@ def test_pixel_span_is_centre_containment(lo, hi, limit):
 
 _LABELS = st.sampled_from([0, 1, 2, 7, _TOP - 1, _TOP])
 
+# remap's table bound and its neighbours up to the top of the label range
+_BOUND = 1 << 16
+_REMAP_EDGES = [0, 1, 2, _BOUND - 1, _BOUND, _BOUND + 1, _TOP - 1, _TOP]
+
+
+@st.composite
+def _remap_grids(draw):
+    """Grids below the table bound (table path) or reaching it (search path)."""
+    pool = draw(st.sampled_from([_REMAP_EDGES[:4], _REMAP_EDGES[:5], _REMAP_EDGES]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=np.uint32).reshape(h, w)
+
 
 class TestKeysAndRemap:
     @given(st.lists(st.tuples(_LABELS, _LABELS), min_size=1, max_size=30))
@@ -391,6 +404,23 @@ class TestKeysAndRemap:
         assert got.dtype == np.uint32 and got.shape == grid.shape
         assert np.array_equal(got, want)
         assert np.array_equal(grid, before)  # input untouched
+
+    @given(
+        _remap_grids(),
+        st.dictionaries(st.sampled_from(_REMAP_EDGES), st.sampled_from(_REMAP_EDGES), max_size=6),
+    )
+    @example(np.zeros((2, 2), dtype=np.uint32), {})
+    @example(np.array([[0, 1, 7]], dtype=np.uint32), {_TOP: 1, _BOUND: 2, 1: _TOP})
+    @example(np.array([[1, _BOUND - 1, 9]], dtype=np.uint32), {1: _BOUND - 1, _BOUND - 1: 0})
+    @example(np.array([[_BOUND, 1], [_TOP, 0]], dtype=np.uint32), {1: _BOUND, _TOP: 3})
+    @settings(max_examples=300)
+    def test_remap_table_and_search_paths_match_dict_loop(self, grid, mapping):
+        before = grid.copy()
+        got = remap(grid, mapping)
+        assert got.dtype == np.uint32 and got.shape == grid.shape
+        assert got.tolist() == [[mapping.get(v, v) for v in row] for row in before.tolist()]
+        assert np.array_equal(grid, before)  # input untouched
+        assert not np.shares_memory(got, grid)
 
 
 class TestOverlapTable:

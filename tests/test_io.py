@@ -30,6 +30,11 @@ class TestLabelGridFormat:
         vio.write_label_grid(grid, path)
         assert vio.read_label_grid(path) == grid
 
+    def test_column_major_grid_encodes_row_major(self):
+        values = np.arange(6, dtype=np.uint32).reshape(2, 3)
+        grid = LabelGrid(np.asfortranarray(values))
+        assert vio.encode_label_grid(grid)[12:] == values.tobytes()
+
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             vio.decode_label_grid(b"NOPE" + b"\x00" * 12)
@@ -197,6 +202,28 @@ class TestTracks:
         path.write_text("not json\n")
         with pytest.raises(ParseError, match="line 1"):
             vio.read_tracks(path)
+
+    GOOD = '{"frame": 0, "track_id": 1, "class_id": 10, "x0": 0, "y0": 0, "x1": 2, "y1": 2}'
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c"])
+    def test_only_newline_separates_lines(self, tmp_path, sep):
+        path = tmp_path / "t.jsonl"
+        path.write_text(self.GOOD + sep + self.GOOD + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1"):
+            vio.read_tracks(path)
+
+    def test_error_names_the_newline_counted_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        bad = self.GOOD.replace('"x1": 2', '"x1": 0')
+        # U+2028 is not JSON whitespace: the first line is malformed, not a line of its own
+        path.write_text(self.GOOD + "\u2028\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 1:"):
+            vio.read_tracks(path)
+
+    def test_crlf_line_endings_parse(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes((self.GOOD + "\r\n" + self.GOOD + "\r\n").encode())
+        assert len(vio.read_tracks(path)) == 2
 
     def test_bool_is_not_an_integer(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -9,11 +9,11 @@ import tracemalloc
 
 import pytest
 
-from vpskit.core import ClassEntry, ClassTaxonomy
-from vpskit.io import decode_flow, encode_flow
+from vpskit.core import ClassEntry, ClassTaxonomy, present_ids, remap
+from vpskit.io import decode_flow, encode_flow, encode_label_grid
 from vpskit.metrics import _frame_table
 from vpskit.render import colorize
-from vpskit.synth import Actor, Band, SceneConfig, generate
+from vpskit.synth import Actor, Band, SceneConfig, corrupt_masks, generate
 from vpskit.warpmatch import invert_flow, warp_backward
 
 TAX = ClassTaxonomy(
@@ -91,3 +91,33 @@ def test_invert_flow_peaks_at_most_8_grids(scene):
     flow = scene.flows[0]  # the result alone is 2 grids
     grids = peak_grids(lambda: invert_flow(flow))
     assert grids <= 8, f"invert_flow peaked at {grids:.2f} grids"
+
+
+def test_generate_peaks_at_most_7_grids_per_frame(scene):
+    # the bundle alone holds up to 4 grids per frame: classes, instances and a 2-grid flow
+    config = scene.config
+    grids = peak_grids(lambda: generate(config)) / config.frames
+    assert grids <= 7, f"generate peaked at {grids:.2f} grids per frame"
+
+
+def test_corrupt_masks_peaks_at_most_8_grids(scene):
+    frames, background = scene.panoptic[:1], scene.background_classes
+    grids = peak_grids(lambda: corrupt_masks(frames, background, 3))
+    assert grids <= 8, f"corrupt_masks peaked at {grids:.2f} grids"
+
+
+def test_remap_table_path_peaks_at_most_4_grids(scene):
+    values = scene.panoptic[0].instances.values  # ids below the table bound
+    ids = present_ids(values)
+    mapping = dict(zip(ids, reversed(ids)))
+    grids = peak_grids(lambda: remap(values, mapping))
+    assert grids <= 4, f"remap peaked at {grids:.2f} grids"
+
+
+def test_encoders_copy_the_payload_once(scene):
+    # the encoded bytes alone are 1 grid for a label grid and 2 for a flow
+    grid, flow = scene.panoptic[0].instances, scene.flows[0]
+    grids = peak_grids(lambda: encode_label_grid(grid))
+    assert grids <= 1.5, f"encode_label_grid peaked at {grids:.2f} grids"
+    grids = peak_grids(lambda: encode_flow(flow))
+    assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"

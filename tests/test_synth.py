@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_corrupt_masks, small_taxonomy
+from helpers import oracle_corrupt_masks, oracle_generate, small_taxonomy
 from vpskit.core import LabelGrid, PanopticMap
 from vpskit.errors import InvalidConfig
 from vpskit.metrics import pq, vpq
@@ -165,6 +165,13 @@ class TestGenerate:
         assert mask[4, 4]  # center is inside
         assert mask.sum() < 25
 
+    def test_disk_covers_pixel_centres_on_its_circle(self):
+        # centre (2.5, 2.5), radius 2: pixel centres (0.5, 2.5) and (2.5, 0.5) lie on the circle
+        disk = Actor("disk", 10, 4, (0.5, 0.5), (0, 0))
+        inst = generate(scene(frames=1, actors=[disk])).panoptic[0].instances.values
+        assert inst[2, 0] == 1 and inst[0, 2] == 1
+        assert inst[0, 0] == 0
+
     def test_deterministic_byte_identical(self):
         config = scene(frames=3, actors=[rect(velocity=(1, 0)), rect(class_id=11, start=(3, 3))])
         a = generate(config)
@@ -175,6 +182,36 @@ class TestGenerate:
         for fa, fb in zip(a.flows, b.flows):
             assert fa.vectors.tobytes() == fb.vectors.tobytes()
         assert a.boxes == b.boxes
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_grid_oracle(self, data):
+        # overlaps, depth ties, disks of size 2-3, fractional motion, actors leaving the frame
+        width, height = data.draw(st.integers(1, 14)), data.draw(st.integers(1, 12))
+        coords = st.integers(-60, 60).map(lambda n: n / 4)
+        actors = data.draw(
+            st.lists(
+                st.builds(
+                    Actor,
+                    shape=st.sampled_from(["rectangle", "disk"]),
+                    class_id=st.sampled_from([10, 11]),
+                    size=st.sampled_from([2, 3]) | st.integers(2, 9),
+                    start=st.tuples(coords, coords),
+                    velocity=st.tuples(coords, coords),
+                    depth=st.integers(0, 2),
+                ),
+                max_size=6,
+            )
+        )
+        config = scene(width, height, data.draw(st.integers(1, 4)), actors, (Band(1, 1), Band(2)))
+        bundle = generate(config)
+        panoptic, boxes, flows = oracle_generate(config)
+        for got, want in zip(bundle.panoptic, panoptic, strict=True):
+            assert got.classes.values.tobytes() == want.classes.values.tobytes()
+            assert got.instances.values.tobytes() == want.instances.values.tobytes()
+        for got, want in zip(bundle.flows, flows, strict=True):
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert bundle.boxes == boxes
 
     def test_band_layout(self):
         bundle = generate(scene(height=7, background=(Band(1, 2), Band(2))))
