@@ -43,6 +43,7 @@ _MODULE_OF = {
     "pq": "metrics",
     "rasterize_ownership": "fillfuse",
     "relabel": "warpmatch",
+    "render_sequence": "render",
     "run_fillfuse_sequence": "fillfuse",
     "run_warpmatch_sequence": "warpmatch",
     "validate_panoptic": "core",

@@ -15,31 +15,21 @@ from pathlib import Path
 
 from .errors import ParseError, VpsError
 
-# Pipeline entry points, by the module that defines them. They resolve on
-# first use (PEP 562), so each command imports only its own pipeline. The
-# commands call them as attributes of this module (through _cli), so a
-# wrapper set on one of these attributes, as perfbench's span tracer does,
-# is what runs.
-_PIPELINES = {
-    "generate": "synth",
-    "corrupt_shuffle_ids": "synth",
-    "corrupt_masks": "synth",
-    "corrupt_boxes": "synth",
-    "run_warpmatch_sequence": "warpmatch",
-    "invert_flow": "warpmatch",
-    "run_fillfuse_sequence": "fillfuse",
-    "vpq": "metrics",
-    "render_sequence": "render",
-}
-
 
 def __getattr__(name: str):
-    from importlib import import_module
+    """A public name of the package, resolved on first use through its PEP 562 table.
 
-    module = _PIPELINES.get(name)
-    if module is None:
+    Each command thus imports only its own pipeline. The commands call these
+    names as attributes of this module (through _cli), so a wrapper set on
+    one of them, as perfbench's span tracer does, is what runs. No other
+    name is lent: the package's ``__path__`` and ``__all__`` would make
+    ``from vpskit.cli import *`` import every pipeline.
+    """
+    import vpskit
+
+    if name not in vpskit.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
+    value = getattr(vpskit, name)
     globals()[name] = value
     return value
 
@@ -65,7 +55,7 @@ def _cmd_synth(args) -> int:
         if args.erode != 0:
             maps = _cli.corrupt_masks(maps, bundle.background_classes, args.erode)
         if args.shuffle_ids:
-            maps, _ = _cli.corrupt_shuffle_ids(maps, args.corrupt_seed)
+            maps = _cli.corrupt_shuffle_ids(maps, args.corrupt_seed)
     if args.box_jitter != 0 or args.box_drop != 0:
         boxes = _cli.corrupt_boxes(bundle.boxes, args.box_jitter, args.box_drop, args.corrupt_seed)
 
@@ -111,10 +101,7 @@ def _cmd_fillfuse(args) -> int:
     if taxonomy is None:
         raise ParseError("no taxonomy: pass --taxonomy or embed one in the manifest")
     tracks = vio.read_tracks(args.tracks)
-    if args.binding:
-        binding = TrackClassBinding(_binding_pairs(args.binding))
-    else:
-        binding = TrackClassBinding.identity(taxonomy)
+    binding = TrackClassBinding(_binding_pairs(args.binding)) if args.binding else None
     maps = _cli.run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
     manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
     return _emit({"frames": len(maps), "manifest": str(manifest)})
@@ -184,7 +171,7 @@ def _cmd_eval(args) -> int:
     report = _cli.vpq(pred, gt, taxonomy, window_sizes=windows)
     doc = report.to_json_dict()
     if args.report:
-        vio._atomic_write_text(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        vio.write_json(doc, args.report)
     return _emit(doc)
 
 

@@ -12,7 +12,8 @@ explicit direction tag) and the taxonomy together.
 Readers never crash on malformed input; they raise the structured errors
 from vpskit.errors. Every reader opens its file through ``_read_bytes``, and
 every JSON input is strict UTF-8 holding one JSON object, parsed by
-``_parse_object``. All writers go through a temp file and an atomic rename.
+``_parse_object``. Every JSON document is written by ``write_json``. All
+writers go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def _parse_object(text: str, where: str) -> dict:
 def load_json(path: str | Path) -> dict:
     """The JSON object in a UTF-8 file."""
     return _parse_object(_read_text(path), str(path))
+
+
+def write_json(doc: dict, path: str | Path) -> None:
+    """Write ``doc`` as JSON with sorted keys, two-space indent and a final newline."""
+    _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _decode_header(data: bytes, magic: bytes, dims: str, size: int, kind: str) -> tuple[int, int]:
@@ -214,7 +220,7 @@ def read_tracks(path: str | Path) -> list[TrackedBox]:
 def write_tracks(boxes: Sequence[TrackedBox], path: str | Path) -> None:
     ordered = sorted(boxes, key=lambda b: (b.frame, b.track_id))
     # a TrackedBox's instance dict holds exactly its fields, in declaration order
-    lines = [json.dumps(vars(b), separators=(", ", ": ")) for b in ordered]
+    lines = [json.dumps(vars(b)) for b in ordered]
     _atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
@@ -225,7 +231,7 @@ def read_taxonomy(path: str | Path) -> ClassTaxonomy:
 
 
 def write_taxonomy(taxonomy: ClassTaxonomy, path: str | Path) -> None:
-    _atomic_write_text(path, json.dumps(taxonomy.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(taxonomy.to_dict(), path)
 
 
 # ------------------------------------------------------------------ manifests
@@ -269,9 +275,7 @@ def manifest_to_dict(manifest: SequenceManifest) -> dict:
 
 
 def write_manifest(manifest: SequenceManifest, path: str | Path) -> None:
-    _atomic_write_text(
-        path, json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(manifest_to_dict(manifest), path)
 
 
 def read_manifest(path: str | Path) -> SequenceManifest:

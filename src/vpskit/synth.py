@@ -295,27 +295,21 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
     )
 
 
-def corrupt_shuffle_ids(
-    panoptic: Sequence[PanopticMap], seed: int
-) -> tuple[list[PanopticMap], list[dict[int, int]]]:
+def corrupt_shuffle_ids(panoptic: Sequence[PanopticMap], seed: int) -> list[PanopticMap]:
     """Permute each frame's instance ids (frame 0 included).
 
-    Returns the corrupted sequence and the applied old->new mapping per
-    frame so tests can invert the corruption. Classes and pixel supports
-    are untouched; one sequential generator drives all frames.
+    Classes and pixel supports are untouched; one sequential generator
+    drives all frames.
     """
     rng = Xoshiro256StarStar(seed)
     out: list[PanopticMap] = []
-    mappings: list[dict[int, int]] = []
     for pmap in panoptic:
         ids = present_ids(pmap.instances.values)
         permuted = list(ids)
         rng.shuffle(permuted)
-        mapping = dict(zip(ids, permuted))
-        values = remap(pmap.instances.values, mapping)
+        values = remap(pmap.instances.values, dict(zip(ids, permuted)))
         out.append(PanopticMap(classes=pmap.classes, instances=LabelGrid(values)))
-        mappings.append(mapping)
-    return out, mappings
+    return out
 
 
 def corrupt_boxes(

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import vpskit
 from helpers import small_taxonomy
 from vpskit import cli
 from vpskit.synth import Actor, Band, SceneConfig
@@ -30,6 +31,12 @@ def _wrapped() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("module, attr", _wrapped(), ids=lambda v: v)
 def test_wrapped_function_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_cli_wrapped_names_are_package_names():
+    """``vpskit.cli`` resolves pipelines through the package's name table alone."""
+    names = {attr for module, attr in _wrapped() if module == "vpskit.cli"} - {"main"}
+    assert names <= set(vpskit.__all__)
 
 
 def test_cli_calls_each_wrapped_name_through_the_module(tmp_path, monkeypatch):

@@ -103,6 +103,8 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["vpq"]["mean"] == 1.0
         assert json.loads((tmp_path / "r.json").read_text()) == doc
+        report = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        assert (tmp_path / "r.json").read_bytes() == report
 
     def test_shuffle_warpmatch_eval_recovers(self, tmp_path, capsys):
         config = write_config(tmp_path)

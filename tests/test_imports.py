@@ -111,6 +111,27 @@ def test_every_public_name_resolves_and_is_listed():
     assert set(vpskit.__all__) <= set(namespace)
 
 
+def test_cli_lends_only_public_names():
+    """``vpskit.cli`` is no package, and ``import *`` from it loads no pipeline."""
+    script = (
+        "import json, sys\n"
+        "from vpskit.cli import *\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'vpskit')\n"
+        "print(json.dumps([loaded, 'numpy' in sys.modules]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    modules, numpy_loaded = json.loads(proc.stdout)
+    assert set(modules) <= _PARSER
+    assert not numpy_loaded
+
+    import vpskit.cli
+    import vpskit.render
+
+    assert not hasattr(vpskit.cli, "__path__")
+    assert vpskit.cli.render_sequence is vpskit.render.render_sequence
+
+
 def test_tracked_box_is_one_class():
     from vpskit import core, fillfuse
 
