@@ -29,7 +29,6 @@ _MODULE_OF = {
     "PqStats": "metrics",
     "SceneConfig": "synth",
     "Segment": "core",
-    "TrackClassBinding": "fillfuse",
     "TrackedBox": "core",
     "build_iou_matrix": "warpmatch",
     "corrupt_boxes": "synth",

@@ -94,14 +94,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fillfuse(args) -> int:
     from . import io as vio
-    from .fillfuse import TrackClassBinding
 
     semantic, manifest_tax = vio.load_semantic_sequence(args.semantic)
     taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy else manifest_tax
     if taxonomy is None:
         raise ParseError("no taxonomy: pass --taxonomy or embed one in the manifest")
     tracks = vio.read_tracks(args.tracks)
-    binding = TrackClassBinding(_binding_pairs(args.binding)) if args.binding else None
+    binding = _binding_pairs(args.binding) if args.binding else None
     maps = _cli.run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
     manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
     return _emit({"frames": len(maps), "manifest": str(manifest)})

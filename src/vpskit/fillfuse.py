@@ -9,38 +9,12 @@ because they come straight from the tracker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import ClassTaxonomy, LabelGrid, PanopticMap, TrackedBox, pixel_span, remap
 from .errors import DimensionMismatch, UnknownClass
-
-
-@dataclass(frozen=True)
-class TrackClassBinding:
-    """Maps tracker-side category ids to taxonomy thing class ids."""
-
-    pairs: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", dict(self.pairs))
-
-    @classmethod
-    def identity(cls, taxonomy: ClassTaxonomy) -> "TrackClassBinding":
-        """Each thing class binds to itself; the default for synthetic tracks."""
-        return cls({c: c for c in taxonomy.thing_class_ids().tolist()})
-
-    def class_for(self, tracker_category: int) -> int | None:
-        return self.pairs.get(tracker_category)
-
-    def check(self, taxonomy: ClassTaxonomy) -> None:
-        for category, class_id in self.pairs.items():
-            if not taxonomy.has(class_id):
-                raise UnknownClass(f"binding {category} -> {class_id}: class not in taxonomy")
-            if not taxonomy.is_thing(class_id):
-                raise UnknownClass(f"binding {category} -> {class_id}: class is not a thing class")
 
 
 def rasterize_ownership(
@@ -67,22 +41,27 @@ def fill_and_fuse(
     semantic: LabelGrid,
     boxes: Sequence[TrackedBox],
     taxonomy: ClassTaxonomy,
-    binding: TrackClassBinding,
+    binding: Mapping[int, int],
 ) -> PanopticMap:
     """Build one panoptic frame from a semantic map and one frame of boxes.
 
     The class channel is the semantic map unchanged. A pixel receives a
     track id as its instance iff its semantic class equals the track's
-    bound class and the ownership raster assigns it that track. Boxes whose
-    tracker category has no binding are ignored.
+    bound class and the ownership raster assigns it that track. ``binding``
+    maps tracker categories to thing class ids; boxes whose category it
+    lacks are ignored.
     """
     taxonomy.thing_mask(semantic.values)  # raises UnknownClass
-    binding.check(taxonomy)
+    for category, class_id in binding.items():
+        if not taxonomy.has(class_id):
+            raise UnknownClass(f"binding {category} -> {class_id}: class not in taxonomy")
+        if not taxonomy.is_thing(class_id):
+            raise UnknownClass(f"binding {category} -> {class_id}: class is not a thing class")
 
     bound_class: dict[int, int] = {}
     kept = []
     for box in boxes:
-        class_id = binding.class_for(box.class_id)
+        class_id = binding.get(box.class_id)
         if class_id is None:
             continue
         if bound_class.setdefault(box.track_id, class_id) != class_id:
@@ -100,11 +79,15 @@ def run_fillfuse_sequence(
     semantic_seq: Sequence[LabelGrid],
     tracks: Iterable[TrackedBox],
     taxonomy: ClassTaxonomy,
-    binding: TrackClassBinding | None = None,
+    binding: Mapping[int, int] | None = None,
 ) -> list[PanopticMap]:
-    """Apply fill_and_fuse frame by frame; instance ids are the track ids."""
+    """Apply fill_and_fuse frame by frame; instance ids are the track ids.
+
+    ``binding`` maps tracker categories to thing class ids; by default each
+    thing class binds to itself, as synthetic tracks need.
+    """
     if binding is None:
-        binding = TrackClassBinding.identity(taxonomy)
+        binding = {c: c for c in taxonomy.thing_class_ids().tolist()}
     per_frame: dict[int, list[TrackedBox]] = {}
     for box in tracks:
         if box.frame >= len(semantic_seq):

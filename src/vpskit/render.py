@@ -85,6 +85,8 @@ def render_sequence(
     out_dir: str | Path,
 ) -> list[Path]:
     """Write one PPM per frame with zero-padded frame indices; returns the paths."""
+    for pmap in maps:  # an unknown class in any frame fails before the first write
+        taxonomy.thing_mask(pmap.classes.values)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

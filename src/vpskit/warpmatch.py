@@ -64,32 +64,27 @@ class IdAssignment:
 
 
 def warp_backward(
-    inst_t: LabelGrid,
-    class_t: LabelGrid,
-    flow_prev_to_curr: FlowField,
-    void_class_id: int = 0,
-) -> tuple[LabelGrid, LabelGrid]:
-    """Warp frame-t label grids onto the t-1 grid by backward sampling.
+    curr: PanopticMap, flow_prev_to_curr: FlowField, void_class_id: int = 0
+) -> PanopticMap:
+    """Warp a frame-t panoptic map onto the t-1 grid by backward sampling.
 
     Each target pixel p samples the frame-t grids at round(p + flow(p))
     with nearest-neighbor rounding (floor(s + 0.5) per axis); positions
     falling outside the grid yield instance 0 and the void class.
     """
-    if inst_t.values.shape != class_t.values.shape:
-        raise DimensionMismatch("instance and class grids differ in size")
-    h, w = inst_t.values.shape
+    h, w = curr.instances.values.shape
     if flow_prev_to_curr.vectors.shape[:2] != (h, w):
         raise DimensionMismatch(
             f"flow is {flow_prev_to_curr.width}x{flow_prev_to_curr.height}, "
             f"grids are {w}x{h}"
         )
     flat, outside = _nearest_pixel(flow_prev_to_curr.vectors)
-    warped_inst = inst_t.values.ravel()[flat].reshape(h, w)
+    warped_inst = curr.instances.values.ravel()[flat].reshape(h, w)
     warped_inst[outside] = 0
-    warped_inst = LabelGrid(warped_inst)
-    warped_class = class_t.values.ravel()[flat].reshape(h, w)
+    warped_class = curr.classes.values.ravel()[flat].reshape(h, w)
     warped_class[outside] = void_class_id
-    return warped_inst, LabelGrid(warped_class)
+    del flat, outside
+    return PanopticMap(classes=LabelGrid(warped_class), instances=LabelGrid(warped_inst))
 
 
 def _nearest_pixel(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +135,10 @@ def invert_flow(flow: FlowField) -> FlowField:
     return FlowField(out.reshape(flow.vectors.shape))
 
 
-def _dominant_class(
-    inst_values: np.ndarray, class_values: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
+def _dominant_class(pmap: PanopticMap, mask: np.ndarray) -> np.ndarray:
     """Per masked instance id in ascending order, its most frequent class (ties: lower id)."""
-    pairs, counts = np.unique(pack_keys(inst_values[mask], class_values[mask]), return_counts=True)
+    keys = pack_keys(pmap.instances.values[mask], pmap.classes.values[mask])
+    pairs, counts = np.unique(keys, return_counts=True)
     inst, cls = unpack_keys(pairs)
     order = np.lexsort((cls, -counts, inst))
     _, first = np.unique(inst[order], return_index=True)
@@ -152,8 +146,7 @@ def _dominant_class(
 
 
 def build_iou_matrix(
-    warped_inst: LabelGrid,
-    warped_class: LabelGrid,
+    warped: PanopticMap,
     prev: PanopticMap,
     taxonomy: ClassTaxonomy,
     class_strict: bool = True,
@@ -163,22 +156,20 @@ def build_iou_matrix(
     Only thing-class pixels with nonzero instance ids participate. With
     class_strict, pairs whose dominant classes differ score 0.
     """
-    if warped_inst.values.shape != prev.classes.values.shape:
+    if warped.instances.values.shape != prev.instances.values.shape:
         raise DimensionMismatch("warped grids and previous map differ in size")
-    if warped_inst.values.shape != warped_class.values.shape:
-        raise DimensionMismatch("warped instance and class grids differ in size")
 
-    cur_mask = taxonomy.thing_mask(warped_class.values) & (warped_inst.values != 0)
-    prev_mask = taxonomy.thing_mask(prev.classes.values) & (prev.instances.values != 0)
-
-    table = overlap_table((warped_inst.values,), cur_mask, (prev.instances.values,), prev_mask)
+    cur_mask, prev_mask = (
+        taxonomy.thing_mask(m.classes.values) & (m.instances.values != 0) for m in (warped, prev)
+    )
+    table = overlap_table((warped.instances.values,), cur_mask, (prev.instances.values,), prev_mask)
     row, col, inter = table.a_index, table.b_index, table.shared
     values = np.zeros((table.a_labels.size, table.b_labels.size), dtype=np.float64)
     values[row, col] = inter / (table.a_areas[row] + table.b_areas[col] - inter)
 
     if class_strict and values.size:
-        cur_cls = _dominant_class(warped_inst.values, warped_class.values, cur_mask)
-        prev_cls = _dominant_class(prev.instances.values, prev.classes.values, prev_mask)
+        cur_cls = _dominant_class(warped, cur_mask)
+        prev_cls = _dominant_class(prev, prev_mask)
         values[cur_cls[:, None] != prev_cls[None, :]] = 0.0
 
     return IoUMatrix(tuple(table.a_labels.tolist()), tuple(table.b_labels.tolist()), values)
@@ -221,18 +212,14 @@ def _matcher(threshold: float, method: str):
     return matchers[method]
 
 
-def match_ids(
-    matrix: IoUMatrix, threshold: float, method: str = "greedy"
-) -> IdAssignment:
-    """One-to-one id matching from the IoU matrix.
+def match_ids(matrix: IoUMatrix, threshold: float, method: str = "greedy") -> dict[int, int]:
+    """One-to-one matches, current id -> previous id, from the IoU matrix.
 
     Greedy repeatedly takes the largest remaining entry >= threshold
     (ties: lower previous id, then lower current id); "optimal" maximizes
     total IoU over entries >= threshold via the Hungarian method.
     """
-    matches = _matcher(threshold, method)(matrix, threshold)
-    fresh = frozenset(matrix.current_ids) - set(matches)
-    return IdAssignment(matches=matches, fresh=fresh)
+    return _matcher(threshold, method)(matrix, threshold)
 
 
 def relabel(
@@ -242,7 +229,8 @@ def relabel(
 
     Fresh ids are allocated from next_fresh_id in ascending order of the
     original id. The class grid and the nonzero pixel support are
-    preserved; the returned next fresh id strictly exceeds every emitted id.
+    preserved: an emitted id outside 1..2**32-1 raises Overflow. The
+    returned next fresh id strictly exceeds every emitted id.
     """
     present = present_ids(curr.instances.values)
     uncovered = [i for i in present if i not in assignment.matches and i not in assignment.fresh]
@@ -250,14 +238,15 @@ def relabel(
         raise IncompleteAssignment(f"ids {uncovered} not covered by the assignment")
 
     mapping = {old: assignment.matches[old] for old in present if old in assignment.matches}
-    beyond = [target for target in mapping.values() if not 0 <= target <= _MAX_LABEL]
-    if beyond:
-        raise Overflow(f"match target {beyond[0]} is outside the 32-bit label range")
     fresh = [old for old in present if old in assignment.fresh]  # ascending, as present_ids sorts
     next_id = next_fresh_id + len(fresh)
+    # Instance 0 means "no instance": every emitted id must lie in 1.._MAX_LABEL.
+    fresh_ends = (next_fresh_id, next_id - 1) if fresh else ()
+    for kind, ids in (("match target", mapping.values()), ("fresh id", fresh_ends)):
+        beyond = [i for i in ids if not 1 <= i <= _MAX_LABEL]
+        if beyond:
+            raise Overflow(f"{kind} {beyond[0]} is outside the instance id range 1..{_MAX_LABEL}")
     mapping.update(zip(fresh, range(next_fresh_id, next_id)))
-    if next_id - 1 > _MAX_LABEL:
-        raise Overflow(f"fresh id {next_id - 1} exceeds the 32-bit label range")
     out = remap(curr.instances.values, mapping)
     emitted = max(mapping.values(), default=0)
     return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), max(next_id, emitted + 1)
@@ -293,11 +282,9 @@ def run_warpmatch_sequence(
     out = [panoptic_seq[0]]
     next_fresh_id = int(out[0].instances.values.max()) + 1
     for curr, flow in zip(panoptic_seq[1:], flows_prev_to_curr):
-        warped_inst, warped_class = warp_backward(
-            curr.instances, curr.classes, flow, taxonomy.void_class_id
-        )
-        matrix = build_iou_matrix(warped_inst, warped_class, out[-1], taxonomy, class_strict)
-        matches = match_ids(matrix, threshold, matcher).matches
+        warped = warp_backward(curr, flow, taxonomy.void_class_id)
+        matrix = build_iou_matrix(warped, out[-1], taxonomy, class_strict)
+        matches = match_ids(matrix, threshold, matcher)
         # unmatched rows, and instances never in the matrix: warped out of view or stuff-only
         fresh = set(present_ids(curr.instances.values)) - matches.keys()
         relabeled, next_fresh_id = relabel(curr, IdAssignment(matches, fresh), next_fresh_id)

@@ -272,9 +272,9 @@ def oracle_match_greedy(matrix, threshold: float) -> list[tuple[int, int]]:
     return list(matches.items())
 
 
-def oracle_warp_backward(inst_t, class_t, flow_prev_to_curr, void_class_id: int = 0):
+def oracle_warp_backward(curr: PanopticMap, flow_prev_to_curr, void_class_id: int = 0):
     """Backward warp over full int64 pixel grids: round(p + flow(p)), outside -> 0 / void."""
-    h, w = inst_t.values.shape
+    h, w = curr.instances.values.shape
     ys, xs = np.mgrid[0:h, 0:w]
     with np.errstate(invalid="ignore"):  # beyond int64 casts to a value outside the grid
         sx = np.floor(xs + flow_prev_to_curr.vectors[..., 0] + 0.5).astype(np.int64)
@@ -282,9 +282,9 @@ def oracle_warp_backward(inst_t, class_t, flow_prev_to_curr, void_class_id: int 
     inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
     cx = np.clip(sx, 0, w - 1)
     cy = np.clip(sy, 0, h - 1)
-    warped_inst = np.where(inside, inst_t.values[cy, cx], np.uint32(0))
-    warped_class = np.where(inside, class_t.values[cy, cx], np.uint32(void_class_id))
-    return LabelGrid(warped_inst), LabelGrid(warped_class)
+    warped_inst = np.where(inside, curr.instances.values[cy, cx], np.uint32(0))
+    warped_class = np.where(inside, curr.classes.values[cy, cx], np.uint32(void_class_id))
+    return PanopticMap(LabelGrid(warped_class), LabelGrid(warped_inst))
 
 
 def oracle_invert_flow(flow: FlowField) -> FlowField:

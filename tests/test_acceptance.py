@@ -297,20 +297,19 @@ def test_criterion_7_warp_identity_and_shift():
     # identity: zero flow leaves grids bit-exact
     rng = Xoshiro256StarStar(0xC7)
     pmap = random_panoptic_map(rng, 12, 9)
-    w_inst, w_cls = warp_backward(pmap.instances, pmap.classes, zero_flow(12, 9))
-    assert w_inst.values.tobytes() == pmap.instances.values.tobytes()
-    assert w_cls.values.tobytes() == pmap.classes.values.tobytes()
+    warped = warp_backward(pmap, zero_flow(12, 9))
+    assert warped.instances.values.tobytes() == pmap.instances.values.tobytes()
+    assert warped.classes.values.tobytes() == pmap.classes.values.tobytes()
 
     # constant integer shift of the 4x4 block example
     inst = np.zeros((4, 4), dtype=np.int64)
     inst[1:3, 2:4] = 7
     cls = np.where(inst == 7, 10, 1)
-    w_inst, _ = warp_backward(
-        LabelGrid(inst), LabelGrid(cls), constant_flow(4, 4, 1.0, 0.0)
-    )
+    shifted = PanopticMap(LabelGrid(cls), LabelGrid(inst))
+    warped = warp_backward(shifted, constant_flow(4, 4, 1.0, 0.0))
     expected = np.zeros((4, 4), dtype=np.uint32)
     expected[1:3, 1:3] = 7
-    assert np.array_equal(w_inst.values, expected)
+    assert np.array_equal(warped.instances.values, expected)
 
     # GT flow reproduces the previous instance grid on co-visible pixels
     config = SceneConfig.from_dict(translating_scene_config())
@@ -318,11 +317,7 @@ def test_criterion_7_warp_identity_and_shift():
     for t in range(1, config.frames):
         prev = bundle.panoptic[t - 1].instances.values
         curr = bundle.panoptic[t].instances.values
-        warped, _ = warp_backward(
-            bundle.panoptic[t].instances,
-            bundle.panoptic[t].classes,
-            bundle.flows[t - 1],
-        )
+        warped = warp_backward(bundle.panoptic[t], bundle.flows[t - 1]).instances
         h, w = prev.shape
         ys, xs = np.mgrid[0:h, 0:w]
         covisible = np.zeros((h, w), dtype=bool)

@@ -1,7 +1,8 @@
 """perfbench's span tracer wraps vpskit functions by (module, attribute) name.
 
 A renamed or moved function would otherwise only show up as an absent span
-in the slow benchmark self-check; here each pair must still resolve.
+in the slow benchmark self-check; here each pair must still resolve, and
+the counts the tracer reads from arguments and results must still add up.
 """
 
 import ast
@@ -16,7 +17,30 @@ from helpers import small_taxonomy
 from vpskit import cli
 from vpskit.synth import Actor, Band, SceneConfig
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_SPANS = _PERFBENCH / "spans.py"
+# perfbench's counts over one pass of its tiny workload at seed 1. A change to
+# what a traced function takes or returns that the tracer's counting no longer
+# reads correctly shows here as a differing count.
+_TINY_COUNTS = {
+    "fillfuse.boxes": 19,
+    "fillfuse.instance_px": 757,
+    "fillfuse.owned_px": 882,
+    "io.bytes_read": 660884,
+    "io.bytes_written": 809298,
+    "io.files_read": 55,
+    "io.files_written": 67,
+    "metrics.fn": 10,
+    "metrics.fp": 10,
+    "metrics.scored_px": 15360,
+    "metrics.tp": 35,
+    "render.keys": 45,
+    "synth.actor_frames": 20,
+    "warpmatch.fresh": 0,
+    "warpmatch.instances": 16,
+    "warpmatch.iou_cells": 64,
+    "warpmatch.matched": 16,
+}
 
 
 def _wrapped() -> list[tuple[str, str]]:
@@ -73,3 +97,24 @@ def test_cli_calls_each_wrapped_name_through_the_module(tmp_path, monkeypatch):
     ):
         assert cli.main(argv) == 0, argv
     assert called == names
+
+
+def test_tracer_counts_of_the_tiny_workload(tmp_path, monkeypatch):
+    """The five commands in-process under perfbench's tracer, as its ``--trace 1`` pass runs them."""
+    monkeypatch.syspath_prepend(str(_PERFBENCH))
+    from pipeline import COMMANDS, run_inprocess_pass
+    from scenes import WORKLOADS, make_scene
+    from spans import Tracer
+
+    workload = WORKLOADS["tiny"]
+    scene, corrupt_seed = make_scene(workload, 1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _, codes = run_inprocess_pass(workload, scene, corrupt_seed, tmp_path / "pass")
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(COMMANDS)
+    assert tracer.absent == []
+    assert tracer.check() == []
+    assert dict(tracer.counts) == _TINY_COUNTS

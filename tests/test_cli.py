@@ -1,5 +1,7 @@
 import json
 import runpy
+import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -621,6 +623,73 @@ class TestReaderSweep:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ParseError"
         assert not Path(out_dir).exists()
+
+
+def _set_dims(data: bytes, width: int, height: int) -> bytes:
+    return data[:4] + struct.pack("<II", width, height) + data[12:]
+
+
+_CORRUPTIONS = {
+    "truncated": lambda data: data[:-1],
+    "trailing byte": lambda data: data + b"\0",
+    "bad magic": lambda data: b"XXXX" + data[4:],
+    "empty": lambda data: b"",
+    "2^40 pixels": lambda data: _set_dims(data, 1 << 20, 1 << 20),
+    "zero width": lambda data: _set_dims(data, 0, struct.unpack("<I", data[8:12])[0]),
+    "NaN component": lambda data: data[:12] + struct.pack("<f", float("nan")) + data[16:],
+    "transposed": lambda data: data[:4] + data[8:12] + data[4:8] + data[12:],
+}
+# Input -> (file corrupted in the scene, command line; {s} is the scene, {out} the output).
+_BINARY_INPUTS = {
+    "warpmatch lmap": ("gt/classes_0001.lmap", "warpmatch --panoptic {s}/gt/manifest.json "
+                       "--flows {s}/gt/manifest.json --out {out}"),
+    "warpmatch flo": ("gt/flow_0000.flo", "warpmatch --panoptic {s}/gt/manifest.json "
+                      "--flows {s}/gt/manifest.json --out {out}"),
+    "fillfuse lmap": ("semantic/classes_0001.lmap", "fillfuse --semantic "
+                      "{s}/semantic/manifest.json --tracks {s}/tracks.jsonl --out {out}"),
+    "eval pred lmap": ("corrupt/classes_0001.lmap", "eval --pred {s}/corrupt/manifest.json "
+                       "--gt {s}/gt/manifest.json --report {out}"),
+    "eval gt lmap": ("gt/classes_0001.lmap", "eval --pred {s}/corrupt/manifest.json "
+                     "--gt {s}/gt/manifest.json --report {out}"),
+    "render lmap": ("gt/classes_0001.lmap", "render --in {s}/gt/manifest.json --out {out}"),
+    "invert-flow flo": ("gt/flow_0000.flo", "invert-flow --in {s}/gt/flow_0000.flo --out {out}"),
+}
+# In an LMAP class grid the NaN bit pattern is an unknown class id. A lone flow
+# field with its dimensions swapped is a valid flow, so invert-flow takes it.
+_BINARY_CASES = [
+    (name, corruption)
+    for name in _BINARY_INPUTS
+    for corruption in _CORRUPTIONS
+    if (name, corruption) != ("invert-flow flo", "transposed")
+]
+
+
+class TestBinarySweep:
+    """Every LMAP and .flo input of the CLI fails alike on a corrupt file: one error line, no output."""
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("scene")
+        config = out / "scene.json"
+        config.write_text(json.dumps(scene_config_doc(frames=2)))
+        assert main(["synth", "--config", str(config), "--out", str(out / "s"), "--shuffle-ids"]) == 0
+        return out / "s"
+
+    @pytest.mark.parametrize(
+        "name, corruption", _BINARY_CASES, ids=[f"{n}-{c}" for n, c in _BINARY_CASES]
+    )
+    def test_corrupt_binary_input_is_one_error_line(self, name, corruption, scene, tmp_path, capsys):
+        path, command = _BINARY_INPUTS[name]
+        copy = tmp_path / "s"
+        shutil.copytree(scene, copy)
+        victim = copy / path
+        victim.write_bytes(_CORRUPTIONS[corruption](victim.read_bytes()))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command.format(s=copy, out=out).split())
+        assert code == 1 and not stdout
+        assert err.count("\n") == 1
+        assert set(json.loads(err)) == {"error", "message"}
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")

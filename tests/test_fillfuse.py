@@ -5,7 +5,6 @@ from helpers import brute_force_ownership
 from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, validate_panoptic
 from vpskit.errors import UnknownClass
 from vpskit.fillfuse import (
-    TrackClassBinding,
     TrackedBox,
     fill_and_fuse,
     rasterize_ownership,
@@ -21,7 +20,7 @@ TAX = ClassTaxonomy(
         ClassEntry(11, "rider", "thing"),
     )
 )
-BINDING = TrackClassBinding.identity(TAX)
+BINDING = {10: 10, 11: 11}
 
 
 def box(track_id, x0, y0, x1, y1, frame=0, class_id=10):
@@ -164,7 +163,7 @@ class TestFillAndFuse:
 
     def test_binding_maps_category_to_class(self):
         semantic = semantic_4x4_with_person_block()
-        binding = TrackClassBinding({1: 10})  # tracker category 1 -> person
+        binding = {1: 10}  # tracker category 1 -> person
         out = fill_and_fuse(semantic, [box(5, 1, 1, 3, 3, class_id=1)], TAX, binding)
         assert out.instances.values[1, 1] == 5
 
@@ -174,7 +173,7 @@ class TestFillAndFuse:
                 semantic_4x4_with_person_block(),
                 [],
                 TAX,
-                TrackClassBinding({1: 1}),  # road is stuff
+                {1: 1},  # road is stuff
             )
 
     def test_instance_support_subset_of_class_and_box(self):

@@ -11,6 +11,7 @@ validated, never generated.
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,8 +19,9 @@ from hypothesis import strategies as st
 from helpers import small_taxonomy
 from vpskit import io as vio
 from vpskit.cli import _binding_pairs
+from vpskit.core import LabelGrid
 from vpskit.errors import VpsError
-from vpskit.fillfuse import TrackClassBinding
+from vpskit.fillfuse import fill_and_fuse
 from vpskit.synth import SceneConfig, _validate_config, generate
 
 TAX = small_taxonomy()
@@ -232,7 +234,8 @@ def test_binding_documents_parse_or_raise(workdir, doc):
     path.write_text(json.dumps(doc))
     pairs = parses_or_raises_vps_error(_binding_pairs, str(path))
     if pairs is not None:
-        parses_or_raises_vps_error(TrackClassBinding(pairs).check, TAX)
+        semantic = LabelGrid(np.zeros((1, 1), dtype=np.uint32))
+        parses_or_raises_vps_error(fill_and_fuse, semantic, [], TAX, pairs)
 
 
 HUGE_DIGITS = b"9" * 5000  # beyond Python's 4300-digit integer conversion limit

@@ -65,7 +65,7 @@ def peak_grids(call) -> float:
 
 def test_warp_backward_peaks_at_most_8_grids(scene):
     curr, flow = scene.panoptic[1], scene.flows[0]
-    grids = peak_grids(lambda: warp_backward(curr.instances, curr.classes, flow))
+    grids = peak_grids(lambda: warp_backward(curr, flow))
     assert grids <= 8, f"warp_backward peaked at {grids:.2f} grids"
 
 

@@ -80,6 +80,12 @@ class TestPpm:
         assert [p.name for p in paths] == ["frame_0000.ppm", "frame_0001.ppm"]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_unknown_class_in_a_later_frame_writes_nothing(self, tmp_path):
+        maps = [pmap([[10, 1]], [[4, 0]]), pmap([[42, 1]], [[4, 0]])]
+        with pytest.raises(UnknownClass):
+            render_sequence(maps, TAX, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_rendering_is_byte_deterministic(self, tmp_path):
         image = colorize(pmap([[10, 1], [11, 2]], [[9, 0], [3, 0]]), TAX)
         write_ppm(image, tmp_path / "a.ppm")

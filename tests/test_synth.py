@@ -230,9 +230,7 @@ class TestGenerate:
         for t in range(1, config.frames):
             prev = bundle.panoptic[t - 1]
             curr = bundle.panoptic[t]
-            warped_inst, _ = warp_backward(
-                curr.instances, curr.classes, bundle.flows[t - 1], TAX.void_class_id
-            )
+            warped_inst = warp_backward(curr, bundle.flows[t - 1], TAX.void_class_id).instances
             h, w = prev.instances.values.shape
             for y in range(h):
                 for x in range(w):

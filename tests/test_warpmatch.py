@@ -11,6 +11,7 @@ from helpers import (
     oracle_warp_backward,
     zero_flow,
 )
+from vpskit import warpmatch
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import (
     DimensionMismatch,
@@ -62,33 +63,28 @@ def pmap(class_rows, inst_rows):
 
 class TestWarpBackward:
     def test_zero_flow_is_identity(self):
-        inst = LabelGrid(np.arange(12).reshape(3, 4))
-        cls = LabelGrid(np.full((3, 4), 1))
-        w_inst, w_cls = warp_backward(inst, cls, zero_flow(4, 3))
-        assert w_inst == inst
-        assert w_cls == cls
+        curr = PanopticMap(LabelGrid(np.full((3, 4), 1)), LabelGrid(np.arange(12).reshape(3, 4)))
+        assert warp_backward(curr, zero_flow(4, 3)) == curr
 
     def test_constant_shift_with_out_of_bounds(self):
         inst = np.zeros((4, 4), dtype=np.int64)
         inst[1:3, 2:4] = 7
         cls = np.where(inst == 7, 10, 1)
-        w_inst, w_cls = warp_backward(
-            LabelGrid(inst), LabelGrid(cls), constant_flow(4, 4, 1.0, 0.0)
-        )
+        warped = warp_backward(pmap(cls, inst), constant_flow(4, 4, 1.0, 0.0))
         expected = np.zeros((4, 4), dtype=np.uint32)
         expected[1:3, 1:3] = 7
-        assert np.array_equal(w_inst.values, expected)
+        assert np.array_equal(warped.instances.values, expected)
         # column x=3 samples x=4: out of bounds -> void class
-        assert all(w_cls.values[y, 3] == 0 for y in range(4))
-        assert w_cls.values[1, 1] == 10
+        assert all(warped.classes.values[y, 3] == 0 for y in range(4))
+        assert warped.classes.values[1, 1] == 10
 
     def test_fractional_flow_rounds_to_nearest(self):
-        inst = LabelGrid(np.arange(8).reshape(2, 4))
-        cls = LabelGrid(np.full((2, 4), 1))
-        w_inst, _ = warp_backward(inst, cls, constant_flow(4, 2, 0.4, 0.0))
-        assert w_inst == inst  # +0.4 rounds back to the same pixel
-        w_inst, _ = warp_backward(inst, cls, constant_flow(4, 2, 0.5, 0.0))
-        assert np.array_equal(w_inst.values[:, :3], inst.values[:, 1:])  # 0.5 rounds up
+        curr = pmap(np.full((2, 4), 1), np.arange(8).reshape(2, 4))
+        warped = warp_backward(curr, constant_flow(4, 2, 0.4, 0.0))
+        assert warped.instances == curr.instances  # +0.4 rounds back to the same pixel
+        warped = warp_backward(curr, constant_flow(4, 2, 0.5, 0.0))
+        inst = curr.instances.values
+        assert np.array_equal(warped.instances.values[:, :3], inst[:, 1:])  # 0.5 rounds up
 
     @given(
         st.one_of(
@@ -104,18 +100,15 @@ class TestWarpBackward:
         n = h * w
         labels = st.lists(st.integers(0, _TOP), min_size=n, max_size=n)
         components = st.lists(_FLOW_COMPONENT, min_size=2 * n, max_size=2 * n)
-        inst = LabelGrid(np.array(data.draw(labels), dtype=np.uint32).reshape(h, w))
-        cls = LabelGrid(np.array(data.draw(labels), dtype=np.uint32).reshape(h, w))
+        inst = np.array(data.draw(labels), dtype=np.uint32).reshape(h, w)
+        cls = np.array(data.draw(labels), dtype=np.uint32).reshape(h, w)
         flow = FlowField(np.array(data.draw(components), dtype=np.float32).reshape(h, w, 2))
-        got = warp_backward(inst, cls, flow, void)
-        want = oracle_warp_backward(inst, cls, flow, void)
-        assert got == want
+        curr = pmap(cls, inst)
+        assert warp_backward(curr, flow, void) == oracle_warp_backward(curr, flow, void)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            warp_backward(filled_grid(3, 3), filled_grid(3, 3), zero_flow(4, 3))
-        with pytest.raises(DimensionMismatch):
-            warp_backward(filled_grid(3, 3), filled_grid(4, 3), zero_flow(3, 3))
+            warp_backward(PanopticMap(filled_grid(3, 3), filled_grid(3, 3)), zero_flow(4, 3))
 
 
 class TestInvertFlow:
@@ -181,7 +174,7 @@ class TestBuildIoUMatrix:
         classes = [[1, 10, 10, 1], [1, 11, 11, 1], [10, 10, 1, 1]]
         instances = [[0, 1, 1, 0], [0, 2, 2, 0], [3, 3, 0, 0]]
         prev = pmap(classes, instances)
-        matrix = build_iou_matrix(prev.instances, prev.classes, prev, TAX)
+        matrix = build_iou_matrix(prev, prev, TAX)
         assert matrix.current_ids == (1, 2, 3)
         assert matrix.previous_ids == (1, 2, 3)
         assert np.array_equal(matrix.values, np.eye(3))
@@ -189,7 +182,7 @@ class TestBuildIoUMatrix:
     def test_disjoint_masks_all_zero(self):
         warped = pmap([[10, 1], [1, 1]], [[4, 0], [0, 0]])
         prev = pmap([[1, 1], [1, 10]], [[0, 0], [0, 9]])
-        matrix = build_iou_matrix(warped.instances, warped.classes, prev, TAX)
+        matrix = build_iou_matrix(warped, prev, TAX)
         assert matrix.values.tolist() == [[0.0]]
 
     def test_hand_counted_overlaps(self):
@@ -202,9 +195,7 @@ class TestBuildIoUMatrix:
         prev_inst[0:2, 0:2] = 2
         prev_inst[0:4, 3] = 3
         prev_cls = np.where(prev_inst > 0, 10, 1)
-        matrix = build_iou_matrix(
-            LabelGrid(warped_inst), LabelGrid(warped_cls), pmap(prev_cls, prev_inst), TAX
-        )
+        matrix = build_iou_matrix(pmap(warped_cls, warped_inst), pmap(prev_cls, prev_inst), TAX)
         assert matrix.current_ids == (1,)
         assert matrix.previous_ids == (2, 3)
         assert matrix.values[0, 0] == pytest.approx(2 / 6)
@@ -213,23 +204,23 @@ class TestBuildIoUMatrix:
     def test_class_strict_zeroes_mismatched_pairs(self):
         warped = pmap([[10, 10]], [[1, 1]])
         prev = pmap([[11, 11]], [[2, 2]])
-        strict = build_iou_matrix(warped.instances, warped.classes, prev, TAX, class_strict=True)
+        strict = build_iou_matrix(warped, prev, TAX, class_strict=True)
         assert strict.values.tolist() == [[0.0]]
-        loose = build_iou_matrix(warped.instances, warped.classes, prev, TAX, class_strict=False)
+        loose = build_iou_matrix(warped, prev, TAX, class_strict=False)
         assert loose.values.tolist() == [[1.0]]
 
     def test_class_strict_uses_majority_class_lower_id_on_ties(self):
         # warped 1 is 2x person, 2x rider (tie -> person); warped 3 is 1x person, 2x rider
         warped = pmap([[10, 10, 11, 11, 10, 11, 11]], [[1, 1, 1, 1, 3, 3, 3]])
         prev = pmap([[10, 10, 10, 10, 11, 11, 11]], [[4, 4, 4, 4, 6, 6, 6]])
-        matrix = build_iou_matrix(warped.instances, warped.classes, prev, TAX)
+        matrix = build_iou_matrix(warped, prev, TAX)
         assert matrix.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_stuff_and_unassigned_ignored(self):
         # nonzero id on a stuff pixel and thing pixels with id 0 don't participate
         warped = pmap([[1, 10]], [[5, 0]])
         prev = pmap([[10, 1]], [[0, 0]])
-        matrix = build_iou_matrix(warped.instances, warped.classes, prev, TAX)
+        matrix = build_iou_matrix(warped, prev, TAX)
         assert matrix.current_ids == ()
         assert matrix.previous_ids == ()
 
@@ -237,25 +228,19 @@ class TestBuildIoUMatrix:
 class TestMatchIds:
     def test_greedy_trace(self):
         matrix = IoUMatrix((0, 1), (0, 1), np.array([[0.9, 0.1], [0.0, 0.8]]))
-        a = match_ids(matrix, 0.3)
-        assert a.matches == {0: 0, 1: 1}
-        assert a.fresh == frozenset()
+        assert match_ids(matrix, 0.3) == {0: 0, 1: 1}
 
     def test_below_threshold_goes_fresh(self):
         matrix = IoUMatrix((7,), (3,), np.array([[0.2]]))
-        a = match_ids(matrix, 0.3)
-        assert a.matches == {}
-        assert a.fresh == frozenset({7})
+        assert match_ids(matrix, 0.3) == {}
 
     def test_empty_matrix(self):
         matrix = IoUMatrix((), (), np.zeros((0, 0)))
-        a = match_ids(matrix, 0.3)
-        assert a.matches == {} and a.fresh == frozenset()
+        assert match_ids(matrix, 0.3) == {}
 
     def test_tie_breaks_lower_previous_then_current(self):
         matrix = IoUMatrix((4, 9), (2, 6), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        a = match_ids(matrix, 0.3)
-        assert a.matches == {4: 2, 9: 6}
+        assert match_ids(matrix, 0.3) == {4: 2, 9: 6}
 
     def test_greedy_on_tied_matrices_follows_sorted_tuple_rule(self):
         rng = Xoshiro256StarStar(0x71E)
@@ -273,13 +258,12 @@ class TestMatchIds:
             matrix = IoUMatrix(current, tuple(pool[:cols]), values)
             threshold = (0.0, 0.3, 0.5, 1.0)[rng.next_below(4)]
             got = match_ids(matrix, threshold)
-            assert list(got.matches.items()) == oracle_match_greedy(matrix, threshold)
+            assert list(got.items()) == oracle_match_greedy(matrix, threshold)
 
     def test_greedy_prefers_largest_entry(self):
         # row 0 would take prev 0 at 0.6, but row 1 has 0.9 there first
         matrix = IoUMatrix((1, 2), (1, 2), np.array([[0.6, 0.4], [0.9, 0.0]]))
-        a = match_ids(matrix, 0.3)
-        assert a.matches == {2: 1, 1: 2}
+        assert match_ids(matrix, 0.3) == {2: 1, 1: 2}
 
     def test_optimal_agrees_on_unique_maximum_structure(self):
         rng = Xoshiro256StarStar(0x515)
@@ -292,10 +276,7 @@ class TestMatchIds:
             for i in range(n):  # dominate the diagonal: unique row/col maxima
                 values[i, i] = 0.6 + rng.next_below(40) / 100.0
             matrix = IoUMatrix(tuple(range(n)), tuple(range(n)), values)
-            greedy = match_ids(matrix, 0.3, "greedy")
-            optimal = match_ids(matrix, 0.3, "optimal")
-            assert greedy.matches == optimal.matches
-            assert greedy.fresh == optimal.fresh
+            assert match_ids(matrix, 0.3, "greedy") == match_ids(matrix, 0.3, "optimal")
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
     def test_iou_entries_outside_unit_interval_rejected(self, bad):
@@ -360,11 +341,24 @@ class TestRelabel:
         with pytest.raises(Overflow):
             relabel(curr, assignment, next_fresh_id)
 
-    @pytest.mark.parametrize("target", [1 << 32, -1])
+    @pytest.mark.parametrize("target", [1 << 32, -1, 0])
     def test_match_target_outside_uint32_is_overflow(self, target):
+        # 0 is the "no instance" sentinel: a mask relabeled to it would lose its support
         curr = pmap([[10, 10]], [[1, 2]])
-        with pytest.raises(Overflow):
+        with pytest.raises(Overflow, match=f"match target {target} "):
             relabel(curr, IdAssignment({1: target}, frozenset({2})), 3)
+
+    @pytest.mark.parametrize("next_fresh_id", [0, -5])
+    def test_fresh_id_below_one_is_overflow(self, next_fresh_id):
+        curr = pmap([[10, 10]], [[1, 3]])
+        with pytest.raises(Overflow, match=f"fresh id {next_fresh_id} "):
+            relabel(curr, IdAssignment({1: 1}, frozenset({3})), next_fresh_id)
+
+    def test_unused_next_fresh_id_is_not_checked(self):
+        curr = pmap([[10, 10]], [[1, 3]])
+        out, next_fresh_id = relabel(curr, IdAssignment({1: 1, 3: 3}, frozenset()), 0)
+        assert out.instances == curr.instances
+        assert next_fresh_id == 4
 
     def test_class_grid_untouched_and_support_preserved(self):
         curr = pmap([[10, 11], [1, 1]], [[1, 2], [0, 0]])
@@ -486,8 +480,8 @@ class TestSequence:
         vec[:, 0, 0] = 1.0  # column 0 samples column 1: nothing samples column 0
         flow = FlowField(vec)
         prev, curr = pmap(classes0, inst0), pmap(classes1, inst1)
-        warped = warp_backward(curr.instances, curr.classes, flow, TAX.void_class_id)
-        assert build_iou_matrix(*warped, prev, TAX).current_ids == (5, 7)
+        warped = warp_backward(curr, flow, TAX.void_class_id)
+        assert build_iou_matrix(warped, prev, TAX).current_ids == (5, 7)
 
         out = run_warpmatch_sequence([prev, curr], [flow], TAX)
         # fresh ids from 5 (frame 0's max is 4), ascending in the original id: 2, 3, 5
@@ -510,6 +504,19 @@ class TestSequence:
         second = pmap([[1, 1, 10]], [[0, 0, 5]])  # disjoint from the first mask
         with pytest.raises(Overflow):
             run_warpmatch_sequence([first, second], [zero_flow(3, 1)], TAX)
+
+    @pytest.mark.parametrize("frames", [2, 5])
+    def test_one_id_assignment_per_frame(self, frames, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return IdAssignment(*args, **kwargs)
+
+        monkeypatch.setattr(warpmatch, "IdAssignment", counting)
+        seq = static_scene(frames=frames, permutes={1, 3})
+        run_warpmatch_sequence(seq, [zero_flow(8, 6)] * (frames - 1), TAX)
+        assert len(built) == frames - 1
 
     def test_determinism_byte_identical(self):
         seq = static_scene(frames=5, permutes={1, 3})
