@@ -36,6 +36,10 @@ _KIND_TABLE_SIZE = 1 << 16
 # bound (at most 256 KB for a uint32 grid); other grids search the sorted keys.
 _REMAP_TABLE_SIZE = 1 << 16
 
+# overlap_table counts with one np.bincount while its joint table has no more
+# bins than this or than the grid has pixels, whichever is more.
+_DENSE_MIN_BINS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -189,10 +193,11 @@ def _as_label_array(values) -> np.ndarray:
         raise ValueError(f"label grid must be at least 1x1, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"label grid must be integer, got dtype {arr.dtype}")
-    if arr.min() < 0:
-        raise ValueError("label grid contains negative values")
-    if int(arr.max()) > _MAX_LABEL:
-        raise ValueError("label grid value exceeds the 32-bit label range")
+    if arr.dtype.kind != "u" or arr.dtype.itemsize > 4:  # uint8-uint32 hold only labels
+        if arr.min() < 0:
+            raise ValueError("label grid contains negative values")
+        if int(arr.max()) > _MAX_LABEL:
+            raise ValueError("label grid value exceeds the 32-bit label range")
     out = arr.astype(np.uint32, copy=True)
     out.setflags(write=False)
     return out
@@ -388,8 +393,22 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
     labelled by pack_keys; a pixel is shared when valid on both sides. Pairs
     are counted by the code ``a_idx * n_b + b_idx`` (COCO panopticapi's
-    pq_compute trick); keys and indices live only here, dropped once used.
+    pq_compute trick). While both sides' label ranges are small next to the
+    grid, one ``np.bincount`` of dense codes counts everything; other inputs
+    sort their labels. Keys and indices live only here.
     """
+    if a_valid.size:
+        (a_bins, a_radix), (b_bins, b_radix) = _code_bins(a), _code_bins(b)
+        if a_bins * b_bins <= min(max(a_valid.size, _DENSE_MIN_BINS), _MAX_LABEL):
+            counted = a_valid | b_valid
+            if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
+                a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
+                b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
+            joint = _dense_code(a, a_valid, a_radix).astype(np.intp).ravel()
+            joint *= b_bins
+            joint += _dense_code(b, b_valid, b_radix).ravel()
+            table = np.bincount(joint, minlength=a_bins * b_bins).reshape(a_bins, b_bins)
+            return _dense_overlap(table, a, a_radix, b, b_radix)
     a_labels, a_areas, a_idx = factorize(_labels_at(a, a_valid))
     code = a_idx[b_valid[a_valid]]  # the shared pixels, in row-major order
     del a_idx
@@ -400,6 +419,47 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
     codes, shared = np.unique(code, return_counts=True)
     a_index, b_index = np.divmod(codes, b_labels.size)
     return Overlap(a_labels, a_areas, b_labels, b_areas, a_index, b_index, shared)
+
+
+def _code_bins(grids: tuple) -> tuple[int, int]:
+    """A side's dense code count, bin 0 for invalid pixels included, and the radix of its low grid."""
+    radix = int(grids[-1].max()) + 1
+    high = int(grids[0].max()) + 1 if len(grids) == 2 else 1
+    return high * radix + 1, radix
+
+
+def _dense_code(grids: tuple, valid: np.ndarray, radix: int) -> np.ndarray:
+    """Per pixel, ``1 + high * radix + low`` where valid and 0 elsewhere, as uint32."""
+    code = grids[-1] + np.uint32(1)
+    if len(grids) == 2:
+        code += grids[0] * np.uint32(radix)
+    code *= valid
+    return code
+
+
+def _dense_overlap(table: np.ndarray, a: tuple, a_radix: int, b: tuple, b_radix: int) -> Overlap:
+    """The Overlap of a joint count table indexed by both sides' dense codes."""
+    a_counts, b_counts = table[1:].sum(axis=1), table[:, 1:].sum(axis=0)
+    a_codes, b_codes = np.flatnonzero(a_counts), np.flatnonzero(b_counts)
+    shared = table[1:, 1:]
+    rows, cols = np.nonzero(shared)  # row-major, so pairs ascend by (a, b)
+    return Overlap(
+        _code_labels(a_codes, a, a_radix),
+        a_counts[a_codes],
+        _code_labels(b_codes, b, b_radix),
+        b_counts[b_codes],
+        np.searchsorted(a_codes, rows),
+        np.searchsorted(b_codes, cols),
+        shared[rows, cols],
+    )
+
+
+def _code_labels(codes: np.ndarray, grids: tuple, radix: int) -> np.ndarray:
+    """The labels of dense codes less one, in the dtype the sort path gives them."""
+    if len(grids) == 1:
+        return codes.astype(grids[0].dtype)
+    high, low = np.divmod(codes, radix)
+    return pack_keys(high.astype(np.uint32), low.astype(np.uint32))
 
 
 def _labels_at(grids: tuple, mask: np.ndarray) -> np.ndarray:

@@ -285,6 +285,7 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
         panoptic.append(PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances)))
         if t + 1 < config.frames:
             flows.append(FlowField(flow))
+        del classes, instances, flow  # copied: free them before the next frame paints
 
     return GroundTruthBundle(
         config=config,
@@ -309,6 +310,7 @@ def corrupt_shuffle_ids(panoptic: Sequence[PanopticMap], seed: int) -> list[Pano
         rng.shuffle(permuted)
         values = remap(pmap.instances.values, dict(zip(ids, permuted)))
         out.append(PanopticMap(classes=pmap.classes, instances=LabelGrid(values)))
+        del values  # copied: free it before the next frame's remap
     return out
 
 
@@ -374,17 +376,19 @@ def corrupt_masks(
     """
     if erode < 0:
         raise ValueError(f"erode {erode} must be >= 0")
-    out: list[PanopticMap] = []
-    for pmap in panoptic:
-        instances = pmap.instances.values
-        # From the frame's shorter side on, every square reaches the zero border,
-        # so every instance pixel erodes: a larger radius only pads more.
-        radius = min(erode, *instances.shape)
-        low = _square_window(instances, radius, np.minimum)
-        high = _square_window(instances, radius, np.maximum)
-        kept = (low == instances) & (high == instances)
-        removed = (instances != 0) & ~kept
-        classes = np.where(removed, background.values, pmap.classes.values)
-        instances = np.where(removed, np.uint32(0), instances)
-        out.append(PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances)))
-    return out
+    return [_erode_frame(pmap, background, erode) for pmap in panoptic]
+
+
+def _erode_frame(pmap: PanopticMap, background: LabelGrid, erode: int) -> PanopticMap:
+    """One frame of corrupt_masks; its temporaries are freed before the next frame's."""
+    instances = pmap.instances.values
+    # From the frame's shorter side on, every square reaches the zero border,
+    # so every instance pixel erodes: a larger radius only pads more.
+    radius = min(erode, *instances.shape)
+    low = _square_window(instances, radius, np.minimum)
+    high = _square_window(instances, radius, np.maximum)
+    kept = (low == instances) & (high == instances)
+    removed = (instances != 0) & ~kept
+    classes = np.where(removed, background.values, pmap.classes.values)
+    instances = np.where(removed, np.uint32(0), instances)
+    return PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances))

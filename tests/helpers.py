@@ -5,7 +5,8 @@ not in the package: they are the independent reference the table-based
 metric engine is checked against. So do the per-instance erosion and the
 sorted-tuple greedy matcher that the package's table lookups replaced, the
 full-grid backward warp and flow inversion that the package's lean ones
-must match bit for bit, and the scene generator's full-frame gathers.
+must match bit for bit, the scene generator's full-frame gathers, the
+``np.unique`` overlap table and the label grid's full range scan.
 """
 
 import numpy as np
@@ -17,8 +18,10 @@ from vpskit.core import (
     LabelGrid,
     PanopticMap,
     Segment,
+    Overlap,
     TrackedBox,
     extract_segments,
+    pack_keys,
     pixel_span,
 )
 from vpskit.metrics import PqStats
@@ -74,6 +77,37 @@ def random_panoptic_map(rng: Xoshiro256StarStar, width: int, height: int) -> Pan
             classes[y0 : y0 + h, x0 : x0 + w] = (10, 11)[rng.next_below(2)]
             instances[y0 : y0 + h, x0 : x0 + w] = k + 1
     return PanopticMap(LabelGrid(classes), LabelGrid(instances))
+
+
+def oracle_overlap_table(a: tuple, a_valid, b: tuple, b_valid) -> Overlap:
+    """core.overlap_table's arrays from np.unique over each side's labels and over the label pairs."""
+
+    def labels(grids, mask):
+        return grids[0][mask] if len(grids) == 1 else pack_keys(grids[0][mask], grids[1][mask])
+
+    a_labels, a_areas = np.unique(labels(a, a_valid), return_counts=True)
+    b_labels, b_areas = np.unique(labels(b, b_valid), return_counts=True)
+    both = a_valid & b_valid
+    rows = np.searchsorted(a_labels, labels(a, both))
+    cols = np.searchsorted(b_labels, labels(b, both))
+    pairs, shared = np.unique(np.stack([rows, cols], axis=1), axis=0, return_counts=True)
+    return Overlap(a_labels, a_areas, b_labels, b_areas, pairs[:, 0], pairs[:, 1], shared)
+
+
+def oracle_label_array(values) -> np.ndarray:
+    """LabelGrid's values by a full range scan of any integer dtype: its checks, its messages."""
+    arr = np.asarray(values)
+    if arr.ndim != 2:
+        raise ValueError(f"label grid must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"label grid must be at least 1x1, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"label grid must be integer, got dtype {arr.dtype}")
+    if arr.min() < 0:
+        raise ValueError("label grid contains negative values")
+    if int(arr.max()) > (1 << 32) - 1:
+        raise ValueError("label grid value exceeds the 32-bit label range")
+    return arr.astype(np.uint32)
 
 
 def iou(a, b) -> float:

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import runpy
 import shutil
 import struct
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vpskit
 from helpers import constant_flow, small_taxonomy, zero_flow
 from vpskit import io as vio
 from vpskit.cli import main
@@ -703,3 +706,196 @@ def test_runs_through_runpy_as_cprofile_does(tmp_path, monkeypatch, capsys):
         runpy.run_module("vpskit.cli", run_name="__main__")
     assert exc.value.code == 0, capsys.readouterr().err
     assert vio.read_flow(tmp_path / "g.flo") == invert_flow(vio.read_flow(flow))
+
+
+# Each command's flags with a valid value: {name} fields name the sweep's scene files.
+_VALID_FLAGS = {
+    "synth": {"--config": "{config}", "--out": "{out}", "--box-jitter": "1", "--box-drop": "0.5",
+              "--erode": "1", "--corrupt-seed": "3"},
+    "fillfuse": {"--semantic": "{semantic}", "--tracks": "{tracks}", "--taxonomy": "{taxonomy}",
+                 "--binding": "{binding}", "--out": "{out}"},
+    "warpmatch": {"--panoptic": "{gt}", "--flows": "{gt}", "--threshold": "0.5",
+                  "--class-strict": "false", "--matcher": "optimal", "--out": "{out}"},
+    "eval": {"--pred": "{gt}", "--gt": "{gt}", "--windows": "1,2", "--report": "{out}"},
+    "render": {"--in": "{gt}", "--out": "{out}"},
+    "invert-flow": {"--in": "{flow}", "--out": "{out}"},
+}
+_REQUIRED = {"--config", "--out", "--semantic", "--tracks", "--panoptic", "--flows", "--pred",
+             "--gt", "--in"}
+_INPUT_PATHS = ["{missing}", "{directory}", ""]
+# Bad values of each flag: a wrong type, out of range, NaN or an infinity.
+_BAD_VALUES = {
+    "--box-jitter": ["1.5", "x", "-2", "nan", "inf"],
+    "--erode": ["1.5", "x", "-1", "nan"],
+    "--corrupt-seed": ["1.5", "x", "-1", str(1 << 64), str(1 << 70), "nan"],
+    "--box-drop": ["x", "1.5", "-0.5", "nan", "inf", "-inf"],
+    "--threshold": ["x", "1.5", "-0.5", "nan", "inf"],
+    "--class-strict": ["maybe", "2", ""],
+    "--matcher": ["hungarian", ""],
+    "--windows": ["x", "0", "-1", "1.5", "nan", "", ","],
+    "--out": ["{under_file}"],
+    "--report": ["{under_file}", ""],
+}
+
+
+def _usage_cases():
+    cases = []
+    for command, flags in _VALID_FLAGS.items():
+        argv = [command] + [part for pair in flags.items() for part in pair]
+
+        def replaced(flag, value, argv=argv):
+            at = argv.index(flag)
+            return argv[:at] + ([f"{flag}={value}"] if value is not None else []) + argv[at + 2:]
+
+        for flag in flags:
+            for value in _BAD_VALUES.get(flag, _INPUT_PATHS):
+                cases.append((f"{command} {flag}={value!r}", replaced(flag, value)))
+            cases.append((f"{command} {flag} without a value", replaced(flag, None) + [flag]))
+            if flag in _REQUIRED:
+                cases.append((f"{command} without {flag}", replaced(flag, None)))
+        cases.append((f"{command} unknown flag", argv + ["--no-such-flag", "1"]))
+        cases.append((f"{command} unknown argument", argv + ["extra"]))
+    cases.append(("synth --shuffle-ids=1", [*cases[0][1][:1], "--shuffle-ids=1", *cases[0][1][1:]]))
+    cases.append(("unknown command", ["no-such-command"]))
+    cases.append(("no command", []))
+    return cases
+
+
+_USAGE_CASES = _usage_cases()
+
+
+class TestFlagSweep:
+    """Every bad flag of every command fails alike: one JSON error line, no output, nonzero exit.
+
+    A value the parser refuses is a UsageError with exit code 2; a value the
+    command refuses exits 1.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("flags")
+        config = root / "scene.json"
+        config.write_text(json.dumps(scene_config_doc(frames=3)))
+        assert main(["synth", "--config", str(config), "--out", str(root / "s")]) == 0
+        (root / "binding.json").write_text('{"10": 10, "11": 11}')
+        (root / "directory").mkdir()
+        return {
+            "config": str(config),
+            "semantic": str(root / "s" / "semantic" / "manifest.json"),
+            "tracks": str(root / "s" / "tracks.jsonl"),
+            "taxonomy": str(root / "s" / "taxonomy.json"),
+            "binding": str(root / "binding.json"),
+            "gt": str(root / "s" / "gt" / "manifest.json"),
+            "flow": str(root / "s" / "gt" / "flow_0000.flo"),
+            "missing": str(root / "missing.json"),
+            "directory": str(root / "directory"),
+            "under_file": str(root / "binding.json" / "out"),
+        }
+
+    def run_any(self, capsys, argv, files, out):
+        argv = [arg.format(out=out, **files) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command", list(_VALID_FLAGS))
+    def test_the_valid_flags_run(self, command, files, tmp_path, capsys):
+        argv = [command] + [part for pair in _VALID_FLAGS[command].items() for part in pair]
+        code, out, err = self.run_any(capsys, argv, files, tmp_path / "out")
+        assert code == 0, err
+        assert (tmp_path / "out").exists()
+
+    def test_the_largest_seed_runs(self, files, tmp_path, capsys):
+        argv = ["synth", "--config", "{config}", "--out", "{out}", "--shuffle-ids",
+                f"--corrupt-seed={(1 << 64) - 1}"]
+        code, _, err = self.run_any(capsys, argv, files, tmp_path / "out")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [c[1] for c in _USAGE_CASES], ids=[c[0] for c in _USAGE_CASES])
+    def test_bad_flag_is_one_error_line(self, argv, files, tmp_path, capsys):
+        code, out, err = self.run_any(capsys, argv, files, tmp_path / "out")
+        assert code in (1, 2) and not out
+        assert err.count("\n") == 1, err
+        error = json.loads(err)
+        assert set(error) == {"error", "message"}
+        assert (code == 2) == (error["error"] == "UsageError")
+        assert not (tmp_path / "out").exists()
+
+
+# A small pipeline, one exit-1 case and one usage error, relative to the working directory.
+_ENTRY_STEPS = {
+    "synth": ["synth", "--config", "scene.json", "--out", "data", "--shuffle-ids", "--erode", "1"],
+    "warpmatch": ["warpmatch", "--panoptic", "data/corrupt/manifest.json",
+                  "--flows", "data/corrupt/manifest.json", "--out", "warped"],
+    "fillfuse": ["fillfuse", "--semantic", "data/semantic/manifest.json",
+                 "--tracks", "data/tracks.jsonl", "--out", "fused"],
+    "eval": ["eval", "--pred", "warped/manifest.json", "--gt", "data/gt/manifest.json",
+             "--report", "report.json"],
+    "render": ["render", "--in", "warped/manifest.json", "--out", "frames"],
+    "exit 1": ["eval", "--pred", "missing.json", "--gt", "data/gt/manifest.json"],
+    "usage error": ["synth", "--config", "scene.json", "--out", "other", "--box-jitter", "1.5"],
+}
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestProcessEntry:
+    """``python -m vpskit.cli`` runs main, then freezes the collector before it exits."""
+
+    def test_process_runs_equal_in_process_runs(self, tmp_path, monkeypatch, capsys):
+        process, in_process = tmp_path / "process", tmp_path / "in_process"
+        for root in (process, in_process):
+            root.mkdir()
+            (root / "scene.json").write_text(json.dumps(scene_config_doc()))
+        env = dict(os.environ, PYTHONPATH=str(Path(vpskit.__file__).parents[1]))
+        monkeypatch.chdir(in_process)
+        for name, argv in _ENTRY_STEPS.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "vpskit.cli", *argv],
+                cwd=process, env=env, capture_output=True, text=True, timeout=120,
+            )
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), name
+            assert code == {"exit 1": 1, "usage error": 2}.get(name, 0), name
+        assert _tree(process) == _tree(in_process)
+
+    def test_process_entry_freezes_before_atexit_handlers(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['vpskit', '--help']\n"
+            "from vpskit.cli import run\n"
+            "run()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: vpskit")
+        assert proc.stderr == "True\n"
+
+    @pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")
+    def test_main_and_the_runpy_route_leave_the_collector_unfrozen(self, tmp_path, monkeypatch, capsys):
+        frozen = gc.get_freeze_count()
+        flow = tmp_path / "f.flo"
+        vio.write_flow(constant_flow(4, 4, 1.0, 0.0), flow)
+        argv = ["invert-flow", "--in", str(flow), "--out", str(tmp_path / "g.flo")]
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["vpskit", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("vpskit.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        doc = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        assert doc["project"]["scripts"] == {"vpskit": "vpskit.cli:run"}

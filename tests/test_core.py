@@ -1,11 +1,14 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import filled_grid, iou, oracle_violations
+from helpers import filled_grid, iou, oracle_label_array, oracle_overlap_table, oracle_violations
+from vpskit import core
 from vpskit.core import (
     ClassEntry,
     ClassTaxonomy,
@@ -168,6 +171,29 @@ class TestGrids:
             LabelGrid(np.array([[1 << 33]]))
         with pytest.raises(ValueError):
             LabelGrid(np.zeros((0, 3), dtype=np.int64))
+
+    @given(
+        hnp.arrays(
+            hnp.integer_dtypes() | hnp.unsigned_integer_dtypes(),
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+        )
+    )
+    @example(np.array([[0, (1 << 32) - 1]], dtype=np.uint32))
+    @example(np.array([[0, 1 << 32]], dtype=np.uint64))
+    @example(np.array([[-1, 0]], dtype=np.int8))
+    @example(np.array([[(1 << 32) - 1]], dtype=">u4"))
+    @settings(max_examples=300)
+    def test_label_grid_accepts_what_a_full_range_scan_accepts(self, values):
+        try:
+            want = oracle_label_array(values)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                LabelGrid(values)
+            assert str(got.value) == str(exc)
+        else:
+            grid = LabelGrid(values)
+            assert grid.values.dtype == np.uint32
+            assert np.array_equal(grid.values, want)
 
     def test_panoptic_map_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -476,3 +502,87 @@ class TestOverlapTable:
         ]
         assert pairs == sorted(k for k, n in shared.items() if n)
         assert dict(zip(pairs, table.shared.tolist())) == +shared
+
+
+# Bins of a side's dense code: (max + 1) per grid, multiplied, plus one for
+# invalid pixels. A grid of fewer pixels counts with np.bincount up to the bound.
+_DENSE_BOUND = 1 << 16
+
+
+def _dense_bins(grids) -> int:
+    bins = 1
+    for grid in grids:
+        bins *= int(grid.max()) + 1
+    return bins + 1
+
+
+def _assert_same_overlap(got, want):
+    for name, g, w in zip(want._fields, got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+@st.composite
+def _overlap_side(draw, h, w):
+    pool = draw(st.sampled_from([[0], [0, 1, 2, 7], [0, 1, _TOP], [_TOP - 1, _TOP]]))
+    grids = tuple(
+        np.array(draw(st.lists(st.sampled_from(pool), min_size=h * w, max_size=h * w)), dtype=np.uint32)
+        .reshape(h, w)
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    kind = draw(st.sampled_from(["empty", "one pixel", "full", "random"]))
+    if kind == "random":
+        valid = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
+    else:
+        valid = np.full(h * w, kind == "full")
+        if kind == "one pixel":
+            valid[draw(st.integers(0, h * w - 1))] = True
+    return grids, valid.reshape(h, w)
+
+
+class TestOverlapPaths:
+    """overlap_table's bincount path and its sort path both give np.unique's arrays."""
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=300)
+    def test_each_path_matches_the_unique_oracle(self, h, w, data):
+        a, a_valid = data.draw(_overlap_side(h, w))
+        b, b_valid = data.draw(_overlap_side(h, w))
+        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as dense:
+            got = overlap_table(a, a_valid, b, b_valid)
+        assert dense.called == (_dense_bins(a) * _dense_bins(b) <= _DENSE_BOUND)
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    # a's bins times b's 2 (all zeros) land one step below, at and one step above the bound
+    @pytest.mark.parametrize(
+        "a_max, dense",
+        [((32765,), True), ((32766,), True), ((32767,), False),
+         ((257, 126), True), ((216, 150), True), ((255, 127), False)],
+    )
+    @pytest.mark.parametrize("valid", ["full", "sparse"])
+    def test_bin_bound(self, a_max, dense, valid):
+        h, w = 4, 8
+        a = tuple(np.arange(h * w, dtype=np.uint32).reshape(h, w) % (top + 1) for top in a_max)
+        for grid, top in zip(a, a_max):
+            grid[-1, -1] = top
+        b = (np.zeros((h, w), dtype=np.uint32),)
+        a_valid = np.ones((h, w), dtype=bool) if valid == "full" else np.eye(h, w, dtype=bool)
+        b_valid = a_valid.copy()
+        b_valid[0, 1] = True
+        assert _dense_bins(a) * _dense_bins(b) in (_DENSE_BOUND - 2, _DENSE_BOUND, _DENSE_BOUND + 2)
+        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
+            got = overlap_table(a, a_valid, b, b_valid)
+        assert spy.called == dense
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    def test_frame_size_grids_take_the_bincount_path_past_the_fixed_bound(self):
+        # 640x320 pixels allow more bins than the fixed bound: one per pixel
+        rng = np.random.default_rng(5)
+        a = (rng.integers(0, 14, (320, 640), dtype=np.uint32), rng.integers(0, 20, (320, 640), dtype=np.uint32))
+        b = (a[0].copy(), rng.integers(0, 20, (320, 640), dtype=np.uint32))
+        assert _DENSE_BOUND < _dense_bins(a) * _dense_bins(b) <= 640 * 320
+        a_valid, b_valid = a[0] != 0, rng.random((320, 640)) < 0.9
+        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
+            got = overlap_table(a, a_valid, b, b_valid)
+        assert spy.called
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
