@@ -16,7 +16,7 @@ pipeline's output and then removed. Wall time and the child's own peak RSS
 (``wait4``) come from perfbench's ``run_subprocess``.
 
 The optional Cityscapes-size row times ``eval`` on a 2048x1024x30 scene
-(40 actors, big-frames flags, seed 1): its inputs take about 2 GB of disk
+(40 actors, big-frames flags, seed 1): its inputs take about 3 GB of disk
 and the command about 1 GB of memory.
 
 perfbench's files are imported, not changed. The result is one JSON file:
@@ -219,7 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     doc = {
         "what": "wall time and peak RSS of each vpskit command, base against change, "
         "alternated pair by pair on fixed inputs",
-        "command": "python3 bench/ab.py " + " ".join(sys.argv[1:] if argv is None else argv),
+        "command": (
+            f"python3 bench/ab.py --base {args.base} --change {args.change} --workloads "
+            f"{' '.join(args.workloads)} --seeds {' '.join(map(str, args.seeds))} --commands "
+            f"{' '.join(args.commands)} --pairs {args.pairs} --cityscapes-pairs {args.cityscapes_pairs}"
+        ),
         "base": revs["base"],
         "change": revs["change"],
         "env": {"PYTHONDONTWRITEBYTECODE": "1"},
