@@ -21,8 +21,9 @@ and the command about 1 GB of memory.
 
 perfbench's files are imported, not changed. The result is one JSON file:
 per row the medians, quartiles, peak RSS medians, the pairs each side won,
-and whether the change's gain meets the claim rule (at least nine tenths of
-the pairs won, and a median gap wider than the base's interquartile range).
+and whether the change's gain meets the claim rule (at least ten pairs, nine
+tenths of them won, and a median gap wider than the base's interquartile
+range).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ CITYSCAPES = dataclasses.replace(
 )
 CITYSCAPES_SEED = 1
 CITYSCAPES_EVAL_TARGET_S = 4.0
+CLAIM_MIN_PAIRS = 10
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -146,7 +148,8 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             "change_faster_pairs": wins,
             "change_slower_pairs": losses,
             "median_change_pct": 100.0 * (change["median"] / base["median"] - 1.0),
-            "claim_rule_met": wins >= 0.9 * pairs
+            "claim_rule_met": pairs >= CLAIM_MIN_PAIRS
+            and wins >= 0.9 * pairs
             and base["median"] - change["median"] > base["q3"] - base["q1"],
             "outputs_identical": identical,
             "runs_s": {name: runs[name]["s"] for name in sides},

@@ -97,11 +97,11 @@ def _cmd_fillfuse(args) -> int:
     from . import io as vio
 
     semantic, manifest_tax = vio.load_semantic_sequence(args.semantic)
-    taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy is not None else manifest_tax
+    taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy else manifest_tax
     if taxonomy is None:
         raise ParseError("no taxonomy: pass --taxonomy or embed one in the manifest")
     tracks = vio.read_tracks(args.tracks)
-    binding = _binding_pairs(args.binding) if args.binding is not None else None
+    binding = _binding_pairs(args.binding) if args.binding else None
     maps = _cli.run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
     manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
     return _emit({"frames": len(maps), "manifest": str(manifest)})
@@ -170,7 +170,7 @@ def _cmd_eval(args) -> int:
     windows = [int(k) for k in args.windows.split(",") if k.strip()]
     report = _cli.vpq(pred, gt, taxonomy, window_sizes=windows)
     doc = report.to_json_dict()
-    if args.report is not None:
+    if args.report:
         vio.write_json(doc, args.report)
     return _emit(doc)
 
@@ -317,9 +317,10 @@ def run() -> None:
 if __name__ == "__main__":
     if sys.modules[__name__].__dict__ is globals():
         run()
-    # runpy.run_module (the route of `python -m cProfile -m vpskit.cli`) runs this code
-    # outside sys.modules, where _cli names the caller's module: use the real one, and
-    # leave the caller's heap unfrozen.
-    from vpskit.cli import main
+    else:
+        # runpy.run_module (the route of `python -m cProfile -m vpskit.cli`) runs this code
+        # outside sys.modules, where _cli names the caller's module: use the real one, and
+        # leave the caller's heap unfrozen.
+        from vpskit.cli import main
 
-    sys.exit(main())
+        sys.exit(main())

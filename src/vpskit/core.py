@@ -36,10 +36,6 @@ _KIND_TABLE_SIZE = 1 << 16
 # bound (at most 256 KB for a uint32 grid); other grids search the sorted keys.
 _REMAP_TABLE_SIZE = 1 << 16
 
-# overlap_table counts with one np.bincount while its joint table has no more
-# bins than this or than the grid has pixels, whichever is more.
-_DENSE_MIN_BINS = 1 << 16
-
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -393,22 +389,13 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
     labelled by pack_keys; a pixel is shared when valid on both sides. Pairs
     are counted by the code ``a_idx * n_b + b_idx`` (COCO panopticapi's
-    pq_compute trick). While both sides' label ranges are small next to the
-    grid, one ``np.bincount`` of dense codes counts everything; other inputs
-    sort their labels. Keys and indices live only here.
+    pq_compute trick). While the joint table of both sides' label ranges has
+    no more bins than the grid has pixels, one ``np.bincount`` of dense codes
+    counts everything; other inputs sort their labels. Keys and indices live only here.
     """
-    if a_valid.size:
-        (a_bins, a_radix), (b_bins, b_radix) = _code_bins(a), _code_bins(b)
-        if a_bins * b_bins <= min(max(a_valid.size, _DENSE_MIN_BINS), _MAX_LABEL):
-            counted = a_valid | b_valid
-            if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
-                a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
-                b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
-            joint = _dense_code(a, a_valid, a_radix).astype(np.intp).ravel()
-            joint *= b_bins
-            joint += _dense_code(b, b_valid, b_radix).ravel()
-            table = np.bincount(joint, minlength=a_bins * b_bins).reshape(a_bins, b_bins)
-            return _dense_overlap(table, a, a_radix, b, b_radix)
+    dense = _dense_overlap_table(a, a_valid, b, b_valid)
+    if dense is not None:
+        return dense
     a_labels, a_areas, a_idx = factorize(_labels_at(a, a_valid))
     code = a_idx[b_valid[a_valid]]  # the shared pixels, in row-major order
     del a_idx
@@ -419,6 +406,32 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
     codes, shared = np.unique(code, return_counts=True)
     a_index, b_index = np.divmod(codes, b_labels.size)
     return Overlap(a_labels, a_areas, b_labels, b_areas, a_index, b_index, shared)
+
+
+def _dense_overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) -> Overlap | None:
+    """overlap_table by one np.bincount, or None when the joint table would have more bins than pixels.
+
+    So the int64 table takes at most two uint32 grids of memory. A side
+    whose bins alone pass the bound stops before the other side's range scan.
+    """
+    bound = min(a_valid.size, _MAX_LABEL)
+    if not bound:
+        return None
+    a_bins, a_radix = _code_bins(a)
+    if 2 * a_bins > bound:  # b has at least 2 bins: invalid and one label
+        return None
+    b_bins, b_radix = _code_bins(b)
+    if a_bins * b_bins > bound:
+        return None
+    counted = a_valid | b_valid
+    if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
+        a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
+        b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
+    joint = _dense_code(a, a_valid, a_radix).astype(np.intp).ravel()
+    joint *= b_bins
+    joint += _dense_code(b, b_valid, b_radix).ravel()
+    table = np.bincount(joint, minlength=a_bins * b_bins).reshape(a_bins, b_bins)
+    return _dense_overlap(table, a, a_radix, b, b_radix)
 
 
 def _code_bins(grids: tuple) -> tuple[int, int]:

@@ -723,6 +723,8 @@ _VALID_FLAGS = {
 _REQUIRED = {"--config", "--out", "--semantic", "--tracks", "--panoptic", "--flows", "--pred",
              "--gt", "--in"}
 _INPUT_PATHS = ["{missing}", "{directory}", ""]
+# An empty optional path means the flag is left out (test_empty_optional_path_is_left_out).
+_OPTIONAL_PATHS = ["{missing}", "{directory}"]
 # Bad values of each flag: a wrong type, out of range, NaN or an infinity.
 _BAD_VALUES = {
     "--box-jitter": ["1.5", "x", "-2", "nan", "inf"],
@@ -734,7 +736,9 @@ _BAD_VALUES = {
     "--matcher": ["hungarian", ""],
     "--windows": ["x", "0", "-1", "1.5", "nan", "", ","],
     "--out": ["{under_file}"],
-    "--report": ["{under_file}", ""],
+    "--taxonomy": _OPTIONAL_PATHS,
+    "--binding": _OPTIONAL_PATHS,
+    "--report": ["{under_file}"],
 }
 
 
@@ -813,6 +817,16 @@ class TestFlagSweep:
                 f"--corrupt-seed={(1 << 64) - 1}"]
         code, _, err = self.run_any(capsys, argv, files, tmp_path / "out")
         assert code == 0, err
+
+    @pytest.mark.parametrize("command, flag", [("fillfuse", "--taxonomy"), ("fillfuse", "--binding"),
+                                               ("eval", "--report")])
+    def test_empty_optional_path_is_left_out(self, command, flag, files, tmp_path, capsys):
+        flags = dict(_VALID_FLAGS[command])
+        argv = [command] + [part for pair in flags.items() for part in pair]
+        at = argv.index(flag)
+        empty = self.run_any(capsys, argv[:at + 1] + [""] + argv[at + 2:], files, tmp_path / "out")
+        left_out = self.run_any(capsys, argv[:at] + argv[at + 2:], files, tmp_path / "out")
+        assert empty == left_out and empty[0] == 0, empty
 
     @pytest.mark.parametrize("argv", [c[1] for c in _USAGE_CASES], ids=[c[0] for c in _USAGE_CASES])
     def test_bad_flag_is_one_error_line(self, argv, files, tmp_path, capsys):

@@ -505,10 +505,8 @@ class TestOverlapTable:
 
 
 # Bins of a side's dense code: (max + 1) per grid, multiplied, plus one for
-# invalid pixels. A grid of fewer pixels counts with np.bincount up to the bound.
-_DENSE_BOUND = 1 << 16
-
-
+# invalid pixels. overlap_table counts with np.bincount while the two sides'
+# bins multiplied are at most the grid's pixel count.
 def _dense_bins(grids) -> int:
     bins = 1
     for grid in grids:
@@ -550,14 +548,14 @@ class TestOverlapPaths:
         b, b_valid = data.draw(_overlap_side(h, w))
         with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as dense:
             got = overlap_table(a, a_valid, b, b_valid)
-        assert dense.called == (_dense_bins(a) * _dense_bins(b) <= _DENSE_BOUND)
+        assert dense.called == (_dense_bins(a) * _dense_bins(b) <= h * w)
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
-    # a's bins times b's 2 (all zeros) land one step below, at and one step above the bound
+    # a's bins times b's 2 (all zeros) land one step below, at and one step above 32 pixels
     @pytest.mark.parametrize(
         "a_max, dense",
-        [((32765,), True), ((32766,), True), ((32767,), False),
-         ((257, 126), True), ((216, 150), True), ((255, 127), False)],
+        [((13,), True), ((14,), True), ((15,), False),
+         ((1, 6), True), ((2, 4), True), ((3, 3), False)],
     )
     @pytest.mark.parametrize("valid", ["full", "sparse"])
     def test_bin_bound(self, a_max, dense, valid):
@@ -569,18 +567,23 @@ class TestOverlapPaths:
         a_valid = np.ones((h, w), dtype=bool) if valid == "full" else np.eye(h, w, dtype=bool)
         b_valid = a_valid.copy()
         b_valid[0, 1] = True
-        assert _dense_bins(a) * _dense_bins(b) in (_DENSE_BOUND - 2, _DENSE_BOUND, _DENSE_BOUND + 2)
-        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
+        assert _dense_bins(a) * _dense_bins(b) in (h * w - 2, h * w, h * w + 2)
+        with (
+            mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy,
+            mock.patch.object(core, "_code_bins", wraps=core._code_bins) as scans,
+        ):
             got = overlap_table(a, a_valid, b, b_valid)
         assert spy.called == dense
+        # a's bins alone past half the bound skip b's range scans
+        assert scans.call_count == (2 if 2 * _dense_bins(a) <= h * w else 1)
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
-    def test_frame_size_grids_take_the_bincount_path_past_the_fixed_bound(self):
-        # 640x320 pixels allow more bins than the fixed bound: one per pixel
+    def test_frame_size_grids_take_the_bincount_path(self):
+        # big-frames-sized: 640x320 pixels allow one bin per pixel
         rng = np.random.default_rng(5)
         a = (rng.integers(0, 14, (320, 640), dtype=np.uint32), rng.integers(0, 20, (320, 640), dtype=np.uint32))
         b = (a[0].copy(), rng.integers(0, 20, (320, 640), dtype=np.uint32))
-        assert _DENSE_BOUND < _dense_bins(a) * _dense_bins(b) <= 640 * 320
+        assert _dense_bins(a) * _dense_bins(b) <= 640 * 320
         a_valid, b_valid = a[0] != 0, rng.random((320, 640)) < 0.9
         with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
             got = overlap_table(a, a_valid, b, b_valid)
