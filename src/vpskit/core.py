@@ -391,7 +391,8 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
     are counted by the code ``a_idx * n_b + b_idx`` (COCO panopticapi's
     pq_compute trick). While the joint table of both sides' label ranges has
     no more bins than the grid has pixels, one ``np.bincount`` of dense codes
-    counts everything; other inputs sort their labels. Keys and indices live only here.
+    counts everything; other inputs sort their labels. Keys and indices live
+    only here.
     """
     dense = _dense_overlap_table(a, a_valid, b, b_valid)
     if dense is not None:
