@@ -412,16 +412,14 @@ def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) 
 def _dense_overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) -> Overlap | None:
     """overlap_table by one np.bincount, or None when the joint table would have more bins than pixels.
 
-    So the int64 table takes at most two uint32 grids of memory. A side
-    whose bins alone pass the bound stops before the other side's range scan.
+    So the int64 table takes at most two uint32 grids of memory. The bins of
+    every 32nd row are a lower bound: where they already pass the bound, as
+    on crowded frames, the full range scans are skipped.
     """
     bound = min(a_valid.size, _MAX_LABEL)
-    if not bound:
+    if not bound or _code_bins(a, 32)[0] * _code_bins(b, 32)[0] > bound:
         return None
-    a_bins, a_radix = _code_bins(a)
-    if 2 * a_bins > bound:  # b has at least 2 bins: invalid and one label
-        return None
-    b_bins, b_radix = _code_bins(b)
+    (a_bins, a_radix), (b_bins, b_radix) = _code_bins(a), _code_bins(b)
     if a_bins * b_bins > bound:
         return None
     counted = a_valid | b_valid
@@ -435,10 +433,13 @@ def _dense_overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.nd
     return _dense_overlap(table, a, a_radix, b, b_radix)
 
 
-def _code_bins(grids: tuple) -> tuple[int, int]:
-    """A side's dense code count, bin 0 for invalid pixels included, and the radix of its low grid."""
-    radix = int(grids[-1].max()) + 1
-    high = int(grids[0].max()) + 1 if len(grids) == 2 else 1
+def _code_bins(grids: tuple, step: int = 1) -> tuple[int, int]:
+    """A side's dense code count, bin 0 for invalid pixels included, and the radix of its low grid.
+
+    With a step, only every step-th row is scanned, so the count is a lower bound.
+    """
+    radix = int(grids[-1][::step].max()) + 1
+    high = int(grids[0][::step].max()) + 1 if len(grids) == 2 else 1
     return high * radix + 1, radix
 
 

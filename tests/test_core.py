@@ -568,14 +568,21 @@ class TestOverlapPaths:
         b_valid = a_valid.copy()
         b_valid[0, 1] = True
         assert _dense_bins(a) * _dense_bins(b) in (h * w - 2, h * w, h * w + 2)
-        with (
-            mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy,
-            mock.patch.object(core, "_code_bins", wraps=core._code_bins) as scans,
-        ):
+        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
             got = overlap_table(a, a_valid, b, b_valid)
         assert spy.called == dense
-        # a's bins alone past half the bound skip b's range scans
-        assert scans.call_count == (2 if 2 * _dense_bins(a) <= h * w else 1)
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    @pytest.mark.parametrize("top_row", [0, 7])
+    def test_sampled_rows_past_the_bound_skip_the_full_scans(self, top_row):
+        # 16x8: the sampled rows' bins pass 128 pixels only when the large label is in row 0
+        a = (np.zeros((16, 8), dtype=np.uint32),)
+        a[0][top_row, 3] = 200
+        b = (np.arange(16 * 8, dtype=np.uint32).reshape(16, 8) % 3,)
+        a_valid, b_valid = np.ones((16, 8), dtype=bool), np.ones((16, 8), dtype=bool)
+        with mock.patch.object(core, "_code_bins", wraps=core._code_bins) as scans:
+            got = overlap_table(a, a_valid, b, b_valid)
+        assert scans.call_count == (2 if top_row == 0 else 4)
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
     def test_frame_size_grids_take_the_bincount_path(self):
