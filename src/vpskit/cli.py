@@ -126,7 +126,9 @@ def _binding_pairs(path: str) -> dict[int, int]:
 
 def _cmd_warpmatch(args) -> int:
     from . import io as vio
+    from .warpmatch import _matcher
 
+    _matcher(args.threshold, args.matcher)  # a bad threshold or missing scipy fails before any read
     manifest = vio.read_manifest(args.panoptic)
     maps = vio.read_panoptic_frames(args.panoptic, manifest)
     taxonomy = manifest.taxonomy
@@ -167,8 +169,7 @@ def _cmd_eval(args) -> int:
     taxonomy = gt_tax or pred_tax
     if taxonomy is None:
         raise ParseError("neither manifest embeds a taxonomy")
-    windows = [int(k) for k in args.windows.split(",") if k.strip()]
-    report = _cli.vpq(pred, gt, taxonomy, window_sizes=windows)
+    report = _cli.vpq(pred, gt, taxonomy, window_sizes=args.windows)
     doc = report.to_json_dict()
     if args.report:
         vio.write_json(doc, args.report)
@@ -201,6 +202,15 @@ def _seed(value: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^64), got {value!r}")
+
+
+def _window_sizes(value: str) -> list[int]:
+    try:
+        return [int(k) for k in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {value!r}"
+        ) from None
 
 
 def _bool_flag(value: str) -> bool:
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="predicted sequence manifest")
     p.add_argument("--gt", required=True, help="ground-truth sequence manifest")
     p.add_argument(
-        "--windows", default=",".join(str(k) for k in DEFAULT_WINDOW_SIZES)
+        "--windows", type=_window_sizes, default=",".join(str(k) for k in DEFAULT_WINDOW_SIZES)
     )
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.set_defaults(func=_cmd_eval)

@@ -79,7 +79,6 @@ class SceneConfig:
     taxonomy: ClassTaxonomy
     background: tuple[Band, ...] = ()
     actors: tuple[Actor, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "background", tuple(self.background))
@@ -111,41 +110,15 @@ class SceneConfig:
                 taxonomy=taxonomy,
                 background=background,
                 actors=actors,
-                seed=_integer(data, "seed", 0),
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InvalidConfig(f"malformed scene config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "frames": self.frames,
-            "seed": self.seed,
-            "taxonomy": self.taxonomy.to_dict(),
-            "background": [
-                {"class_id": b.class_id, **({"height": b.height} if b.height is not None else {})}
-                for b in self.background
-            ],
-            "actors": [
-                {
-                    "shape": a.shape,
-                    "class_id": a.class_id,
-                    "size": a.size,
-                    "start": list(a.start),
-                    "velocity": list(a.velocity),
-                    "depth": a.depth,
-                }
-                for a in self.actors
-            ],
-        }
 
 
 @dataclass
 class GroundTruthBundle:
     """Everything the oracle knows about one generated scene."""
 
-    config: SceneConfig
     panoptic: list[PanopticMap]
     boxes: list[TrackedBox]  # in frame order, then actor order
     flows: list[FlowField]  # flows[i]: frame i -> i+1
@@ -288,7 +261,6 @@ def generate(config: SceneConfig) -> GroundTruthBundle:
         del classes, instances, flow  # copied: free them before the next frame paints
 
     return GroundTruthBundle(
-        config=config,
         panoptic=panoptic,
         boxes=boxes,
         flows=flows,

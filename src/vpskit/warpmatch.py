@@ -203,12 +203,22 @@ def _match_optimal(matrix: IoUMatrix, threshold: float) -> dict[int, int]:
 
 
 def _matcher(threshold: float, method: str):
-    """The matching function for ``method``, once ``threshold`` and ``method`` are checked."""
+    """The matching function for ``method``, once ``threshold`` and ``method`` are checked.
+
+    "optimal" is refused here, before any work, when scipy cannot be imported.
+    """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
     matchers = {"greedy": _match_greedy, "optimal": _match_optimal}
     if method not in matchers:
         raise ValueError(f"unknown matching method {method!r}")
+    if method == "optimal":
+        try:
+            import scipy.optimize  # noqa: F401
+        except ImportError:
+            raise ValueError(
+                "the optimal matcher needs scipy: pip install vpskit[optimal]"
+            ) from None
     return matchers[method]
 
 

@@ -6,7 +6,8 @@ metric engine is checked against. So do the per-instance erosion and the
 sorted-tuple greedy matcher that the package's table lookups replaced, the
 full-grid backward warp and flow inversion that the package's lean ones
 must match bit for bit, the scene generator's full-frame gathers, the
-``np.unique`` overlap table and the label grid's full range scan.
+``np.unique`` overlap table and the label grid's full range scan. The
+scene config's JSON writer lives here too, since only tests write scene files.
 """
 
 import numpy as np
@@ -38,6 +39,31 @@ def small_taxonomy() -> ClassTaxonomy:
             ClassEntry(11, "rider", "thing"),
         )
     )
+
+
+def scene_to_dict(config) -> dict:
+    """The JSON document of a ``SceneConfig``: ``SceneConfig.from_dict`` reads it back."""
+    return {
+        "width": config.width,
+        "height": config.height,
+        "frames": config.frames,
+        "taxonomy": config.taxonomy.to_dict(),
+        "background": [
+            {"class_id": b.class_id, **({"height": b.height} if b.height is not None else {})}
+            for b in config.background
+        ],
+        "actors": [
+            {
+                "shape": a.shape,
+                "class_id": a.class_id,
+                "size": a.size,
+                "start": list(a.start),
+                "velocity": list(a.velocity),
+                "depth": a.depth,
+            }
+            for a in config.actors
+        ],
+    }
 
 
 def filled_grid(width: int, height: int, value: int = 0) -> LabelGrid:

@@ -23,6 +23,7 @@ from helpers import (
     mean_pq_over,
     oracle_pq_stats,
     random_panoptic_map,
+    scene_to_dict,
     small_taxonomy,
     zero_flow,
 )
@@ -52,7 +53,7 @@ def run_cli_json(capsys, argv):
 
 def static_scene_config() -> dict:
     """Criterion 1: 2 static actors, 10 frames."""
-    return SceneConfig(
+    return scene_to_dict(SceneConfig(
         width=64,
         height=48,
         frames=10,
@@ -62,13 +63,12 @@ def static_scene_config() -> dict:
             Actor("rectangle", 10, 8, (10, 10), (0, 0), 0),
             Actor("disk", 11, 10, (40, 28), (0, 0), 1),
         ),
-        seed=1,
-    ).to_dict()
+    ))
 
 
 def translating_scene_config() -> dict:
     """Criterion 2: 3 actors, integer velocities <= 3 px/frame, 30 frames, 256x128."""
-    return SceneConfig(
+    return scene_to_dict(SceneConfig(
         width=256,
         height=128,
         frames=30,
@@ -79,13 +79,12 @@ def translating_scene_config() -> dict:
             Actor("disk", 10, 12, (200, 40), (-3, 0), 1),
             Actor("rectangle", 11, 10, (30, 80), (2, 1), 2),
         ),
-        seed=2,
-    ).to_dict()
+    ))
 
 
 def fillfuse_scene_config() -> dict:
     """Criterion 4: 3 well-separated same-class actors, 10 frames."""
-    return SceneConfig(
+    return scene_to_dict(SceneConfig(
         width=96,
         height=64,
         frames=10,
@@ -96,8 +95,7 @@ def fillfuse_scene_config() -> dict:
             Actor("disk", 10, 9, (50, 10), (1, 1), 1),
             Actor("rectangle", 10, 7, (20, 44), (2, 1), 2),
         ),
-        seed=3,
-    ).to_dict()
+    ))
 
 
 def write_scene(tmp_path: Path, doc: dict, name: str) -> Path:

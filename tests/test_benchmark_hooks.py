@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import vpskit
-from helpers import small_taxonomy
+from helpers import scene_to_dict, small_taxonomy
 from vpskit import cli
 from vpskit.synth import Actor, Band, SceneConfig
 
@@ -82,7 +82,7 @@ def test_cli_calls_each_wrapped_name_through_the_module(tmp_path, monkeypatch):
         width=12, height=8, frames=2, taxonomy=small_taxonomy(),
         background=(Band(1, 4), Band(2)), actors=(Actor("rectangle", 10, 3, (1, 2), (1, 0)),),
     )
-    (tmp_path / "scene.json").write_text(json.dumps(config.to_dict()))
+    (tmp_path / "scene.json").write_text(json.dumps(scene_to_dict(config)))
     data, corrupt = tmp_path / "data", str(tmp_path / "data" / "corrupt" / "manifest.json")
     flow = str(tmp_path / "data" / "gt" / "flow_0000.flo")
     for argv in (

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vpskit
-from helpers import constant_flow, small_taxonomy, zero_flow
+from helpers import constant_flow, scene_to_dict, small_taxonomy, zero_flow
 from vpskit import io as vio
 from vpskit.cli import main
 from vpskit.core import LabelGrid, PanopticMap
@@ -34,9 +34,8 @@ def scene_config_doc(frames=4, velocity=(1, 0)):
             Actor("rectangle", 10, 3, (1, 2), velocity, 0),
             Actor("disk", 11, 4, (9, 6), (0, 0), 1),
         ),
-        seed=7,
     )
-    return config.to_dict()
+    return scene_to_dict(config)
 
 
 def write_config(tmp_path, **kwargs) -> Path:
@@ -255,6 +254,42 @@ def test_commands_without_optimal_matcher_never_import_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+_SCIPY_MISSING_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+import numpy as np
+import vpskit.cli
+from vpskit.warpmatch import IoUMatrix, match_ids
+
+manifest, out = sys.argv[1:]
+code = vpskit.cli.main(["warpmatch", "--panoptic", manifest, "--flows", manifest,
+                        "--matcher", "optimal", "--out", out])
+try:
+    match_ids(IoUMatrix((1,), (1,), np.ones((1, 1))), 0.3, "optimal")
+except ValueError as exc:
+    print(json.dumps(str(exc)))
+sys.exit(code)
+"""
+
+
+def test_optimal_matcher_without_scipy_fails_before_any_frame_is_read(tmp_path, capsys):
+    config = write_config(tmp_path)
+    _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+    manifest = json.loads(out)["gt_manifest"]
+    first = Path(manifest).parent / "classes_0000.lmap"
+    first.write_bytes(first.read_bytes()[:-1])  # a frame read would fail as Truncated
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MISSING_SCRIPT, manifest, str(tmp_path / "wm")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["error"] == "ValueError" and "scipy" in error["message"]
+    assert json.loads(proc.stdout) == error["message"]  # match_ids raises the same error
+    assert not (tmp_path / "wm").exists()
+
+
 class TestErrors:
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +312,11 @@ class TestErrors:
         code, _, err = run(capsys, ["eval", "--pred", gt, "--gt", gt, "--windows", "0"])
         assert code == 1
         assert json.loads(err)["error"] == "ValueError"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pred", gt, "--gt", gt, "--windows", "x"])
+        assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "UsageError" and "--windows" in error["message"]
 
     def test_flow_count_mismatch_error(self, tmp_path, capsys):
         long_config = write_config(tmp_path, frames=4)
@@ -358,7 +398,6 @@ class TestErrors:
             (("width",), 16.9),
             (("height",), "12"),
             (("frames",), True),
-            (("seed",), 7.0),
             (("background", 0, "class_id"), "1"),
             (("actors", 0, "class_id"), 10.0),
             (("actors", 0, "size"), 2.9),
@@ -734,7 +773,7 @@ _BAD_VALUES = {
     "--threshold": ["x", "1.5", "-0.5", "nan", "inf"],
     "--class-strict": ["maybe", "2", ""],
     "--matcher": ["hungarian", ""],
-    "--windows": ["x", "0", "-1", "1.5", "nan", "", ","],
+    "--windows": ["x", "0", "-1", "1.5", "nan", "", ",", "1,,2", ",3", "1,"],
     "--out": ["{under_file}"],
     "--taxonomy": _OPTIONAL_PATHS,
     "--binding": _OPTIONAL_PATHS,

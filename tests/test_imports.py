@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import vpskit
-from helpers import small_taxonomy
+from helpers import scene_to_dict, small_taxonomy
 from vpskit.cli import main
 from vpskit.synth import Actor, Band, SceneConfig
 
@@ -68,7 +68,7 @@ def inputs(tmp_path_factory):
         background=(Band(1, 6), Band(2)),
         actors=(Actor("rectangle", 10, 3, (1, 2), (1, 0)), Actor("disk", 11, 4, (9, 6), (0, 0))),
     )
-    scene.write_text(json.dumps(config.to_dict()))
+    scene.write_text(json.dumps(scene_to_dict(config)))
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         argv = ["synth", "--config", str(scene), "--out", str(tmp / "data"), "--shuffle-ids"]

@@ -28,7 +28,7 @@ TAX = ClassTaxonomy(
 
 
 @pytest.fixture(scope="module")
-def scene():
+def scene_config():
     actors = tuple(
         Actor(
             ("rectangle", "disk")[i % 2],
@@ -40,16 +40,19 @@ def scene():
         )
         for i in range(20)
     )
-    config = SceneConfig(
+    return SceneConfig(
         width=640,
         height=320,
         frames=2,
         taxonomy=TAX,
         background=(Band(2, 80), Band(0, 16), Band(1)),
         actors=actors,
-        seed=3,
     )
-    return generate(config)
+
+
+@pytest.fixture(scope="module")
+def scene(scene_config):
+    return generate(scene_config)
 
 
 def peak_grids(call) -> float:
@@ -93,10 +96,9 @@ def test_invert_flow_peaks_at_most_8_grids(scene):
     assert grids <= 8, f"invert_flow peaked at {grids:.2f} grids"
 
 
-def test_generate_peaks_at_most_7_grids_per_frame(scene):
+def test_generate_peaks_at_most_7_grids_per_frame(scene_config):
     # the bundle alone holds up to 4 grids per frame: classes, instances and a 2-grid flow
-    config = scene.config
-    grids = peak_grids(lambda: generate(config)) / config.frames
+    grids = peak_grids(lambda: generate(scene_config)) / scene_config.frames
     assert grids <= 7, f"generate peaked at {grids:.2f} grids per frame"
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_corrupt_masks, oracle_generate, small_taxonomy
+from helpers import oracle_corrupt_masks, oracle_generate, scene_to_dict, small_taxonomy
 from vpskit.core import LabelGrid, PanopticMap
 from vpskit.errors import InvalidConfig
 from vpskit.metrics import pq, vpq
@@ -24,7 +24,7 @@ from vpskit.warpmatch import warp_backward
 TAX = small_taxonomy()
 
 
-def scene(width=6, height=6, frames=2, actors=(), background=(Band(1),), seed=0):
+def scene(width=6, height=6, frames=2, actors=(), background=(Band(1),)):
     return SceneConfig(
         width=width,
         height=height,
@@ -32,7 +32,6 @@ def scene(width=6, height=6, frames=2, actors=(), background=(Band(1),), seed=0)
         taxonomy=TAX,
         background=tuple(background),
         actors=tuple(actors),
-        seed=seed,
     )
 
 
@@ -98,9 +97,12 @@ class TestValidation:
         config = scene(
             actors=[rect(velocity=(1, 0)), Actor("disk", 11, 4, (2.0, 2.0), (0.5, -1.0), 3)],
             background=(Band(1, 4), Band(2)),
-            seed=99,
         )
-        assert SceneConfig.from_dict(config.to_dict()) == config
+        doc = scene_to_dict(config)
+        assert SceneConfig.from_dict(doc) == config
+        # "seed" is no field: like any unknown key it is ignored, so the scene synthesises alike
+        for seed in (7.0, "x"):
+            assert SceneConfig.from_dict({**doc, "seed": seed}) == config
 
 
 class TestGenerate:
