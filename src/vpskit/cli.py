@@ -126,9 +126,13 @@ def _binding_pairs(path: str) -> dict[int, int]:
 
 def _cmd_warpmatch(args) -> int:
     from . import io as vio
-    from .warpmatch import _matcher
 
-    _matcher(args.threshold, args.matcher)  # a bad threshold or missing scipy fails before any read
+    if args.matcher == "optimal":
+        # A missing scipy fails before any read. Greedy imports warpmatch only after the
+        # frames: compiled ahead of them, the module adds 1.5 MB to big-frames' peak RSS.
+        from .warpmatch import _matcher
+
+        _matcher(args.threshold, args.matcher)
     manifest = vio.read_manifest(args.panoptic)
     maps = vio.read_panoptic_frames(args.panoptic, manifest)
     taxonomy = manifest.taxonomy
@@ -273,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="PQ/VPQ of a prediction against ground truth")
     p.add_argument("--pred", required=True, help="predicted sequence manifest")
     p.add_argument("--gt", required=True, help="ground-truth sequence manifest")
-    p.add_argument(
-        "--windows", type=_window_sizes, default=",".join(str(k) for k in DEFAULT_WINDOW_SIZES)
-    )
+    p.add_argument("--windows", type=_window_sizes, default=list(DEFAULT_WINDOW_SIZES))
     p.add_argument("--report", default=None, help="write the report JSON here")
     p.set_defaults(func=_cmd_eval)
 

@@ -216,9 +216,7 @@ def _matcher(threshold: float, method: str):
         try:
             import scipy.optimize  # noqa: F401
         except ImportError:
-            raise ValueError(
-                "the optimal matcher needs scipy: pip install vpskit[optimal]"
-            ) from None
+            raise ValueError("optimal matcher needs scipy: pip install vpskit[optimal]") from None
     return matchers[method]
 
 
