@@ -2,8 +2,8 @@
 
 Usage (from the repository root; git must know both revisions):
 
-    python3 bench/ab.py --base 47de5b5 --change HEAD --out BENCH_eval.json
-    python3 bench/ab.py --base HEAD~1 --change HEAD --pairs 3 --seeds 1 --cityscapes-pairs 0
+    python3 bench/ab.py --base HEAD~1 --change HEAD --out BENCH_change.json
+    python3 bench/ab.py --base HEAD~1 --change HEAD --pairs 3 --seeds 1 --cityscapes-pairs 0 --out ab.json
 
 Each revision is unpacked with ``git archive`` into the work directory, so
 neither tree holds bytecode, and every child runs with
@@ -198,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--cityscapes-pairs", type=int, default=5, help="eval pairs at 2048x1024x30; 0 skips")
     parser.add_argument("--work", default=None, help="work directory (default: a temporary one)")
-    parser.add_argument("--out", default="BENCH_eval.json")
+    parser.add_argument("--out", required=True, help="the JSON file to write; an existing one is overwritten")
     args = parser.parse_args(argv)
 
     os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # both sides start from source, as unpacked

@@ -128,6 +128,16 @@ class ClassTaxonomy:
             raise UnknownClass(f"class {class_id} at pixel ({x}, {y}) not in taxonomy")
         return kinds == _KIND_THING
 
+    def _label_things(self, classes: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Per class id of labels taken from the class grid ``grid``, whether it is a thing class.
+
+        An unknown id raises thing_mask's UnknownClass for ``grid``, so the error names a pixel.
+        """
+        kinds = self._kinds_of(classes)
+        if not kinds.all():
+            self.thing_mask(grid)
+        return kinds == _KIND_THING
+
     def _kinds_of(self, classes: np.ndarray) -> np.ndarray:
         """Per element, its uint8 kind code (_KIND_UNKNOWN where the id is not in the taxonomy)."""
         if self._kind_table is not None and classes.dtype.kind == "u":
@@ -383,104 +393,91 @@ class Overlap(NamedTuple):
     shared: np.ndarray
 
 
-def overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) -> Overlap:
+def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.ndarray | None) -> Overlap:
     """Label areas and pairwise overlaps of the valid pixels of two same-shape segmentations.
 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
-    labelled by pack_keys; a pixel is shared when valid on both sides. Pairs
-    are counted by the code ``a_idx * n_b + b_idx`` (COCO panopticapi's
-    pq_compute trick). While the joint table of both sides' label ranges has
-    no more bins than the grid has pixels, one ``np.bincount`` of dense codes
-    counts everything; other inputs sort their labels. Keys and indices live
-    only here.
+    labelled by pack_keys; a mask of None counts all of a side's pixels. A
+    pixel is shared when valid on both sides. With each side's labels ranked
+    (_rank_labels), one count of ``a_rank * (n_b + 1) + b_rank`` (COCO
+    panopticapi's pq_compute trick) per run of equal pixels gives both
+    sides' areas and every pair: ``np.bincount`` while the label counts
+    multiplied are at most the pixel count, ``np.unique`` beyond.
     """
-    dense = _dense_overlap_table(a, a_valid, b, b_valid)
-    if dense is not None:
-        return dense
-    a_labels, a_areas, a_idx = factorize(_labels_at(a, a_valid))
-    code = a_idx[b_valid[a_valid]]  # the shared pixels, in row-major order
-    del a_idx
-    b_labels, b_areas, b_idx = factorize(_labels_at(b, b_valid))
-    code *= b_labels.size
-    code += b_idx[a_valid[b_valid]]
-    del b_idx
-    codes, shared = np.unique(code, return_counts=True)
-    a_index, b_index = np.divmod(codes, b_labels.size)
-    return Overlap(a_labels, a_areas, b_labels, b_areas, a_index, b_index, shared)
+    if a_valid is not None and b_valid is not None:
+        counted = a_valid | b_valid
+        if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
+            a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
+            b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
+    a_labels, a_code, a_rank = _rank_labels(a, a_valid)
+    b_labels, b_code, b_rank = _rank_labels(b, b_valid)
+    n_a, n_b = a_labels.size, b_labels.size
+    a_code, b_code = a_code.ravel(), b_code.ravel()
+    ends = _run_ends(a_code, b_code)
+    lengths = np.diff(ends, prepend=-1)
+    joint = a_rank[a_code[ends]].astype(np.intp)
+    joint *= n_b + 1
+    joint += b_rank[b_code[ends]]
+    if n_a * n_b <= a_code.size:
+        table = np.bincount(joint, lengths, (n_a + 1) * (n_b + 1))
+        codes = np.flatnonzero(table)
+        counts = table[codes]
+    else:
+        codes, inverse = np.unique(joint, return_inverse=True)
+        counts = np.bincount(inverse, lengths)
+    counts = counts.astype(np.intp)
+    rows, cols = np.divmod(codes, n_b + 1)  # a rank, b rank; codes ascend, so pairs ascend by (a, b)
+    a_areas = np.bincount(rows, counts, n_a + 1)[1:].astype(np.intp)
+    b_areas = np.bincount(cols, counts, n_b + 1)[1:].astype(np.intp)
+    pairs = (rows > 0) & (cols > 0)
+    return Overlap(a_labels, a_areas, b_labels, b_areas, rows[pairs] - 1, cols[pairs] - 1, counts[pairs])
 
 
-def _dense_overlap_table(a: tuple, a_valid: np.ndarray, b: tuple, b_valid: np.ndarray) -> Overlap | None:
-    """overlap_table by one np.bincount, or None when the joint table would have more bins than pixels.
+def _rank_labels(grids: tuple, valid: np.ndarray | None = None) -> tuple:
+    """A side's sorted labels, a uint32 code per pixel, and per code its 1-based rank among the labels.
 
-    So the int64 table takes at most two uint32 grids of memory. The bins of
-    every 32nd row are a lower bound: where they already pass the bound, as
-    on crowded frames, the full range scans are skipped.
+    Code 0, of rank 0, marks pixels that are not valid, so ``rank[code]`` is
+    each pixel's rank. While the code range ``(max high + 1) * (max low + 1)``
+    is at most the pixel count, a presence table over it ranks the codes;
+    wider ranges sort the labels with factorize, and each code is its rank.
     """
-    bound = min(a_valid.size, _MAX_LABEL)
-    if not bound or _code_bins(a, 32)[0] * _code_bins(b, 32)[0] > bound:
-        return None
-    (a_bins, a_radix), (b_bins, b_radix) = _code_bins(a), _code_bins(b)
-    if a_bins * b_bins > bound:
-        return None
-    counted = a_valid | b_valid
-    if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
-        a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
-        b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
-    joint = _dense_code(a, a_valid, a_radix).astype(np.intp).ravel()
-    joint *= b_bins
-    joint += _dense_code(b, b_valid, b_radix).ravel()
-    table = np.bincount(joint, minlength=a_bins * b_bins).reshape(a_bins, b_bins)
-    return _dense_overlap(table, a, a_radix, b, b_radix)
-
-
-def _code_bins(grids: tuple, step: int = 1) -> tuple[int, int]:
-    """A side's dense code count, bin 0 for invalid pixels included, and the radix of its low grid.
-
-    With a step, only every step-th row is scanned, so the count is a lower bound.
-    """
-    radix = int(grids[-1][::step].max()) + 1
-    high = int(grids[0][::step].max()) + 1 if len(grids) == 2 else 1
-    return high * radix + 1, radix
-
-
-def _dense_code(grids: tuple, valid: np.ndarray, radix: int) -> np.ndarray:
-    """Per pixel, ``1 + high * radix + low`` where valid and 0 elsewhere, as uint32."""
-    code = grids[-1] + np.uint32(1)
+    low = grids[-1]
+    radix = int(low.max(initial=0)) + 1
+    span = radix * (int(grids[0].max(initial=0)) + 1 if len(grids) == 2 else 1)
+    if span > min(low.size, _MAX_LABEL):
+        where = ... if valid is None else valid
+        keys = low[where] if len(grids) == 1 else pack_keys(grids[0][where], low[where])
+        labels, _, index = factorize(keys)
+        code = np.zeros(low.shape, dtype=np.uint32)
+        code[where] = index + 1
+        return labels, code, np.arange(labels.size + 1, dtype=np.uint32)
+    code = low + np.uint32(1)
     if len(grids) == 2:
         code += grids[0] * np.uint32(radix)
-    code *= valid
-    return code
+    if valid is not None:
+        code *= valid
+    flat = code.ravel()
+    present = np.zeros(span + 1, dtype=bool)
+    present[flat[_run_ends(flat)]] = True
+    present[0] = False
+    high, rest = np.divmod(np.flatnonzero(present) - 1, radix)
+    labels = rest.astype(low.dtype)
+    if len(grids) == 2:
+        labels = pack_keys(high.astype(np.uint32), labels)
+    return labels, code, np.cumsum(present, dtype=np.uint32)
 
 
-def _dense_overlap(table: np.ndarray, a: tuple, a_radix: int, b: tuple, b_radix: int) -> Overlap:
-    """The Overlap of a joint count table indexed by both sides' dense codes."""
-    a_counts, b_counts = table[1:].sum(axis=1), table[:, 1:].sum(axis=0)
-    a_codes, b_codes = np.flatnonzero(a_counts), np.flatnonzero(b_counts)
-    shared = table[1:, 1:]
-    rows, cols = np.nonzero(shared)  # row-major, so pairs ascend by (a, b)
-    return Overlap(
-        _code_labels(a_codes, a, a_radix),
-        a_counts[a_codes],
-        _code_labels(b_codes, b, b_radix),
-        b_counts[b_codes],
-        np.searchsorted(a_codes, rows),
-        np.searchsorted(b_codes, cols),
-        shared[rows, cols],
-    )
+def _run_ends(*arrays: np.ndarray) -> np.ndarray:
+    """The index of the last element of each run along which same-length 1-D arrays all stay equal.
 
-
-def _code_labels(codes: np.ndarray, grids: tuple, radix: int) -> np.ndarray:
-    """The labels of dense codes less one, in the dtype the sort path gives them."""
-    if len(grids) == 1:
-        return codes.astype(grids[0].dtype)
-    high, low = np.divmod(codes, radix)
-    return pack_keys(high.astype(np.uint32), low.astype(np.uint32))
-
-
-def _labels_at(grids: tuple, mask: np.ndarray) -> np.ndarray:
-    if len(grids) == 1:
-        return grids[0][mask]
-    return pack_keys(grids[0][mask], grids[1][mask])
+    Label grids change value rarely along a row, so tables fill once per run, not per pixel.
+    """
+    change = np.empty(arrays[0].size, dtype=bool)
+    np.not_equal(arrays[0][1:], arrays[0][:-1], out=change[:-1])
+    for values in arrays[1:]:
+        change[:-1] |= values[1:] != values[:-1]
+    change[-1:] = True  # the last run ends with the array
+    return np.flatnonzero(change)
 
 
 def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:

@@ -143,42 +143,43 @@ def pq(pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy) -> MetricRep
     return report_from_stats(pq_stats(pred, gt, taxonomy))
 
 
-def _valid_mask(
-    pmap: PanopticMap, taxonomy: ClassTaxonomy, gt_void: np.ndarray
-) -> np.ndarray:
-    unassigned = taxonomy.thing_mask(pmap.classes.values) & (pmap.instances.values == 0)
-    non_void = pmap.classes.values != np.uint32(taxonomy.void_class_id)
-    return non_void & ~gt_void & ~unassigned
-
-
 def _frame_table(
     pred: PanopticMap, gt: PanopticMap, taxonomy: ClassTaxonomy
 ) -> tuple[Counter, Counter, Counter]:
-    """One frame's pred areas, gt areas and pred x gt intersections, by (class, instance) key."""
+    """One frame's pred areas, gt areas and pred x gt intersections, by (class, instance) key.
+
+    Every pixel is counted once, and validity is decided per label (see the module docstring).
+    """
     if pred.classes.values.shape != gt.classes.values.shape:
         raise DimensionMismatch(
             f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
         )
-    gt_void = gt.classes.values == np.uint32(taxonomy.void_class_id)
     table = overlap_table(
-        (pred.classes.values, pred.instances.values),
-        _valid_mask(pred, taxonomy, gt_void),
-        (gt.classes.values, gt.instances.values),
-        _valid_mask(gt, taxonomy, gt_void),
+        (pred.classes.values, pred.instances.values), None,
+        (gt.classes.values, gt.instances.values), None,
     )
-    pred_pairs = _key_pairs(table.a_labels)
-    gt_pairs = _key_pairs(table.b_labels)
-    pairs = zip(table.a_index.tolist(), table.b_index.tolist(), table.shared.tolist())
+    pred_classes, pred_ids = unpack_keys(table.a_labels)
+    gt_classes, gt_ids = unpack_keys(table.b_labels)
+    # pred before gt, so an unknown class in both is named in pred, as before
+    pred_things = taxonomy._label_things(pred_classes, pred.classes.values)
+    gt_things = taxonomy._label_things(gt_classes, gt.classes.values)
+    void = np.uint32(taxonomy.void_class_id)
+    gt_void = gt_classes == void
+    gt_valid = ~gt_void & ~(gt_things & (gt_ids == 0))
+    pred_areas = table.a_areas.copy()
+    on_void = gt_void[table.b_index]
+    np.subtract.at(pred_areas, table.a_index[on_void], table.shared[on_void])
+    pred_valid = (pred_classes != void) & ~(pred_things & (pred_ids == 0)) & (pred_areas > 0)
+    kept = pred_valid[table.a_index] & gt_valid[table.b_index]
+    pred_keys = list(zip(pred_classes.tolist(), pred_ids.tolist()))
+    gt_keys = list(zip(gt_classes.tolist(), gt_ids.tolist()))
+    pred_areas, gt_areas = pred_areas.tolist(), table.b_areas.tolist()
+    pairs = zip(*(column[kept].tolist() for column in (table.a_index, table.b_index, table.shared)))
     return (
-        Counter(dict(zip(pred_pairs, table.a_areas.tolist()))),
-        Counter(dict(zip(gt_pairs, table.b_areas.tolist()))),
-        Counter({(pred_pairs[p], gt_pairs[g]): count for p, g, count in pairs}),
+        Counter({pred_keys[p]: pred_areas[p] for p in np.flatnonzero(pred_valid).tolist()}),
+        Counter({gt_keys[g]: gt_areas[g] for g in np.flatnonzero(gt_valid).tolist()}),
+        Counter({(pred_keys[p], gt_keys[g]): count for p, g, count in pairs}),
     )
-
-
-def _key_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
-    classes, instances = unpack_keys(keys)
-    return list(zip(classes.tolist(), instances.tolist()))
 
 
 def _window_stats(tables: Sequence[tuple[Counter, Counter, Counter]], stats: PqStats) -> None:

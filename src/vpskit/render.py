@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, factorize, pack_keys, unpack_keys
+from .core import ClassTaxonomy, PanopticMap, _rank_labels, unpack_keys
 from .io import _atomic_write_bytes, _frame_stem
 from .rng import splitmix64
 
@@ -52,16 +52,14 @@ def instance_color(class_id: int, instance_id: int) -> tuple[int, int, int]:
 
 def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     """Render a panoptic map to an (h, w, 3) uint8 RGB buffer."""
-    taxonomy.thing_mask(pmap.classes.values)  # raises UnknownClass
-    keys, _, index = factorize(pack_keys(pmap.classes.values, pmap.instances.values).ravel())
-    classes, instances = unpack_keys(keys)
-    palette = np.empty((keys.size, 3), dtype=np.uint8)
-    for n, (class_id, instance_id) in enumerate(zip(classes.tolist(), instances.tolist())):
-        if taxonomy.is_stuff(class_id):
-            palette[n] = stuff_color(class_id)
-        else:
-            palette[n] = instance_color(class_id, instance_id)
-    return palette[index.reshape(pmap.height, pmap.width)]
+    labels, code, rank = _rank_labels((pmap.classes.values, pmap.instances.values))
+    classes, instances = unpack_keys(labels)
+    things = taxonomy._label_things(classes, pmap.classes.values)
+    palette = np.empty((labels.size + 1, 3), dtype=np.uint8)  # ranks are 1-based: row 0 goes unused
+    rows = zip(classes.tolist(), instances.tolist(), things.tolist())
+    for n, (class_id, instance_id, thing) in enumerate(rows, 1):
+        palette[n] = instance_color(class_id, instance_id) if thing else stuff_color(class_id)
+    return palette[rank][code]
 
 
 def encode_ppm(image: np.ndarray) -> bytes:

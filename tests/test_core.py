@@ -504,16 +504,6 @@ class TestOverlapTable:
         assert dict(zip(pairs, table.shared.tolist())) == +shared
 
 
-# Bins of a side's dense code: (max + 1) per grid, multiplied, plus one for
-# invalid pixels. overlap_table counts with np.bincount while the two sides'
-# bins multiplied are at most the grid's pixel count.
-def _dense_bins(grids) -> int:
-    bins = 1
-    for grid in grids:
-        bins *= int(grid.max()) + 1
-    return bins + 1
-
-
 def _assert_same_overlap(got, want):
     for name, g, w in zip(want._fields, got, want):
         assert g.dtype == w.dtype, name
@@ -539,60 +529,101 @@ def _overlap_side(draw, h, w):
 
 
 class TestOverlapPaths:
-    """overlap_table's bincount path and its sort path both give np.unique's arrays."""
+    """overlap_table gives np.unique's arrays, whichever way it ranks and counts the labels.
+
+    A side's labels are ranked by a presence table while its code range
+    ``(max high + 1) * (max low + 1)`` is at most the pixel count, and sorted by
+    factorize beyond; pairs are counted by np.bincount while the label counts
+    multiplied are at most the pixel count, and by np.unique beyond.
+    """
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=300)
     def test_each_path_matches_the_unique_oracle(self, h, w, data):
         a, a_valid = data.draw(_overlap_side(h, w))
         b, b_valid = data.draw(_overlap_side(h, w))
-        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as dense:
-            got = overlap_table(a, a_valid, b, b_valid)
-        assert dense.called == (_dense_bins(a) * _dense_bins(b) <= h * w)
+        got = overlap_table(a, a_valid, b, b_valid)
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
-    # a's bins times b's 2 (all zeros) land one step below, at and one step above 32 pixels
+    # A side's presence table has one bin per code of its range. Here a's range lands one step
+    # below, at and one step above the 32 counted pixels: all of a 4x8 grid, or the first 32 of
+    # an 8x9 grid, where only the pixels valid on some side are gathered.
     @pytest.mark.parametrize(
-        "a_max, dense",
-        [((13,), True), ((14,), True), ((15,), False),
-         ((1, 6), True), ((2, 4), True), ((3, 3), False)],
+        "a_max, ranked",
+        [((30,), True), ((31,), True), ((32,), False),
+         ((1, 14), True), ((1, 15), True), ((1, 16), False)],
     )
     @pytest.mark.parametrize("valid", ["full", "sparse"])
-    def test_bin_bound(self, a_max, dense, valid):
-        h, w = 4, 8
-        a = tuple(np.arange(h * w, dtype=np.uint32).reshape(h, w) % (top + 1) for top in a_max)
+    def test_bin_bound(self, a_max, ranked, valid):
+        h, w = (4, 8) if valid == "full" else (8, 9)
+        pixels = np.arange(h * w).reshape(h, w)
+        a = tuple((pixels % (top + 1)).astype(np.uint32) for top in a_max)
         for grid, top in zip(a, a_max):
-            grid[-1, -1] = top
-        b = (np.zeros((h, w), dtype=np.uint32),)
-        a_valid = np.ones((h, w), dtype=bool) if valid == "full" else np.eye(h, w, dtype=bool)
-        b_valid = a_valid.copy()
-        b_valid[0, 1] = True
-        assert _dense_bins(a) * _dense_bins(b) in (h * w - 2, h * w, h * w + 2)
-        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
+            grid.flat[31] = top
+        b = ((pixels % 3).astype(np.uint32),)
+        a_valid = pixels < 32
+        b_valid = a_valid & (pixels != 0)
+        with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
             got = overlap_table(a, a_valid, b, b_valid)
-        assert spy.called == dense
+        assert spy.called != ranked
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
-    @pytest.mark.parametrize("top_row", [0, 7])
-    def test_sampled_rows_past_the_bound_skip_the_full_scans(self, top_row):
-        # 16x8: the sampled rows' bins pass 128 pixels only when the large label is in row 0
-        a = (np.zeros((16, 8), dtype=np.uint32),)
-        a[0][top_row, 3] = 200
-        b = (np.arange(16 * 8, dtype=np.uint32).reshape(16, 8) % 3,)
-        a_valid, b_valid = np.ones((16, 8), dtype=bool), np.ones((16, 8), dtype=bool)
-        with mock.patch.object(core, "_code_bins", wraps=core._code_bins) as scans:
+    # 4x8 grids: a's 2 labels times b's 15, 16 or 17 land one step below, at and above 32 pixels
+    @pytest.mark.parametrize("n_b", [15, 16, 17])
+    def test_label_count_bound(self, n_b):
+        pixels = np.arange(32).reshape(4, 8)
+        a, b = ((pixels % 2).astype(np.uint32),), ((pixels % n_b).astype(np.uint32),)
+        a_valid, b_valid = np.ones((4, 8), dtype=bool), pixels != 0  # b keeps label 0 at pixel n_b
+        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
             got = overlap_table(a, a_valid, b, b_valid)
-        assert scans.call_count == (2 if top_row == 0 else 4)
+        assert spy.called == (2 * n_b > 32)
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    @pytest.mark.parametrize("masks", ["a", "b", "both"])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_a_none_mask_counts_every_pixel(self, masks, packed):
+        rng = np.random.default_rng(3)
+        a = tuple(rng.integers(0, 5, (6, 9), dtype=np.uint32) for _ in range(1 + packed))
+        b = (rng.integers(0, 40, (6, 9), dtype=np.uint32),)
+        a_valid, b_valid = rng.random((6, 9)) < 0.5, rng.random((6, 9)) < 0.5
+        got = overlap_table(
+            a, None if masks in ("a", "both") else a_valid, b, None if masks in ("b", "both") else b_valid
+        )
+        if masks in ("a", "both"):
+            a_valid = np.ones((6, 9), dtype=bool)
+        if masks in ("b", "both"):
+            b_valid = np.ones((6, 9), dtype=bool)
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
 
     def test_frame_size_grids_take_the_bincount_path(self):
-        # big-frames-sized: 640x320 pixels allow one bin per pixel
+        # big-frames-sized: 640x320 pixels, 14 classes and 20 ids on each side
         rng = np.random.default_rng(5)
         a = (rng.integers(0, 14, (320, 640), dtype=np.uint32), rng.integers(0, 20, (320, 640), dtype=np.uint32))
         b = (a[0].copy(), rng.integers(0, 20, (320, 640), dtype=np.uint32))
-        assert _dense_bins(a) * _dense_bins(b) <= 640 * 320
         a_valid, b_valid = a[0] != 0, rng.random((320, 640)) < 0.9
-        with mock.patch.object(core, "_dense_overlap", wraps=core._dense_overlap) as spy:
+        with mock.patch.object(core, "factorize", wraps=core.factorize) as ranks:
+            with mock.patch.object(np, "unique", wraps=np.unique) as pairs:
+                got = overlap_table(a, a_valid, b, b_valid)
+        assert not ranks.called and not pairs.called
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    def test_crowd_sized_frame_tables_do_not_sort(self):
+        # the crowd scene's frame: 512x256, classes below 13 and 120 actor ids on each side
+        h, w = 256, 512
+        rng = np.random.default_rng(11)
+
+        def side():
+            classes = np.repeat(np.arange(1, 6, dtype=np.uint32), h // 5 + 1)[:h, None].repeat(w, axis=1)
+            instances = np.zeros((h, w), dtype=np.uint32)
+            for instance_id in range(1, 121):
+                y, x, size = rng.integers(0, h - 24), rng.integers(0, w - 24), rng.integers(8, 25)
+                classes[y : y + size, x : x + size] = rng.integers(6, 13)
+                instances[y : y + size, x : x + size] = instance_id
+            return (classes, instances)
+
+        a, b = side(), side()
+        a_valid, b_valid = np.ones((h, w), dtype=bool), b[1] != 0
+        with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
             got = overlap_table(a, a_valid, b, b_valid)
-        assert spy.called
+        assert not spy.called
         _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))

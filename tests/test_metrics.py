@@ -16,7 +16,7 @@ from helpers import (
     with_ignore_regions,
 )
 from vpskit.core import LabelGrid, PanopticMap, Segment, extract_segments
-from vpskit.errors import DimensionMismatch, SequenceLengthMismatch
+from vpskit.errors import DimensionMismatch, SequenceLengthMismatch, UnknownClass
 from vpskit.metrics import (
     ClassMetrics,
     MetricReport,
@@ -282,6 +282,32 @@ class TestEngineAgainstOracle:
             want = oracle_vpq_stats(pred, gt, TAX, k)
             assert_same_stats(stats, want)
             assert report.vpq_per_k[k] == pytest.approx(report_from_stats(want).pq, abs=1e-12)
+
+
+class TestUnknownClassOrder:
+    """The frame table decides validity per label, yet an unknown class is named as a pixel scan names it."""
+
+    GT = [[1, 0, 0, 1], [1, 0, 10, 10]]
+    INST = [[0, 0, 0, 0], [0, 0, 3, 3]]
+
+    def test_pred_class_only_on_gt_void_pixels_is_named(self):
+        # class 99 lies only where gt is void, so no valid pred pixel carries it
+        pred_classes = [[1, 99, 99, 1], [1, 99, 10, 10]]
+        gt = pmap(self.GT, self.INST)
+        with pytest.raises(UnknownClass, match=r"^class 99 at pixel \(1, 0\) not in taxonomy$"):
+            vpq([gt, pmap(pred_classes, self.INST)], [gt, gt], TAX, window_sizes=(1, 2))
+
+    def test_unknown_classes_on_both_sides_name_pred(self):
+        # gt's unknown id is lower and comes first in row-major order; pred's is still named
+        pred_classes = [[1, 0, 0, 1], [1, 98, 10, 10]]
+        gt_classes = [[97, 0, 0, 1], [1, 0, 10, 10]]
+        with pytest.raises(UnknownClass, match=r"^class 98 at pixel \(1, 1\) not in taxonomy$"):
+            vpq([pmap(pred_classes, self.INST)], [pmap(gt_classes, self.INST)], TAX, window_sizes=(1,))
+
+    def test_gt_unknown_class_is_named_when_pred_has_none(self):
+        gt_classes = [[1, 0, 0, 1], [1, 0, 10, 97]]
+        with pytest.raises(UnknownClass, match=r"^class 97 at pixel \(3, 1\) not in taxonomy$"):
+            vpq([pmap(self.GT, self.INST)], [pmap(gt_classes, self.INST)], TAX, window_sizes=(1,))
 
 
 class TestMeanPqOver:
