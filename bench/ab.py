@@ -15,9 +15,10 @@ each into an output path of its own that is hashed against the base
 pipeline's output and then removed. Wall time and the child's own peak RSS
 (``wait4``) come from perfbench's ``run_subprocess``.
 
-The optional Cityscapes-size row times ``eval`` on a 2048x1024x30 scene
-(40 actors, big-frames flags, seed 1): its inputs take about 3 GB of disk
-and the command about 1 GB of memory.
+The optional Cityscapes-size rows time every command of ``--commands`` on a
+2048x1024x30 scene (40 actors, big-frames flags, seed 1), with
+``--cityscapes-pairs`` pairs each: the pass takes about 3 GB of disk, and a
+command up to about 1.5 GB of memory on the side that holds whole sequences.
 
 perfbench's files are imported, not changed. The result is one JSON file:
 per row the medians, quartiles, peak RSS medians, the pairs each side won,
@@ -153,10 +154,11 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             and base["median"] - change["median"] > base["q3"] - base["q1"],
             "outputs_identical": identical,
             "runs_s": {name: runs[name]["s"] for name in sides},
+            "runs_peak_rss_mb": {name: runs[name]["rss"] for name in sides},
         }
         if command == "eval":
             row["vpq_mean"] = json.loads((pass_dir / OUTPUTS["eval"]).read_text())["vpq"]["mean"]
-        if workload is CITYSCAPES:
+        if workload is CITYSCAPES and command == "eval":
             row["eval_target_s"] = CITYSCAPES_EVAL_TARGET_S
         rows.append(row)
         print(
@@ -196,7 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 7])
     parser.add_argument("--commands", nargs="+", default=list(COMMANDS), choices=COMMANDS)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--cityscapes-pairs", type=int, default=5, help="eval pairs at 2048x1024x30; 0 skips")
+    parser.add_argument(
+        "--cityscapes-pairs", type=int, default=5, help="pairs per command at 2048x1024x30; 0 skips"
+    )
     parser.add_argument("--work", default=None, help="work directory (default: a temporary one)")
     parser.add_argument("--out", required=True, help="the JSON file to write; an existing one is overwritten")
     args = parser.parse_args(argv)
@@ -215,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             for seed in args.seeds:
                 rows += measure(WORKLOADS[workload], seed, args.commands, args.pairs, work, sides)
         if args.cityscapes_pairs:
-            rows += measure(CITYSCAPES, CITYSCAPES_SEED, ["eval"], args.cityscapes_pairs, work, sides)
+            rows += measure(CITYSCAPES, CITYSCAPES_SEED, args.commands, args.cityscapes_pairs, work, sides)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)

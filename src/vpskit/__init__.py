@@ -20,7 +20,6 @@ _MODULE_OF = {
     "ClassEntry": "core",
     "ClassTaxonomy": "core",
     "FlowField": "core",
-    "GroundTruthBundle": "synth",
     "IdAssignment": "warpmatch",
     "IoUMatrix": "warpmatch",
     "LabelGrid": "core",
@@ -28,8 +27,10 @@ _MODULE_OF = {
     "PanopticMap": "core",
     "PqStats": "metrics",
     "SceneConfig": "synth",
+    "SceneFrame": "synth",
     "Segment": "core",
     "TrackedBox": "core",
+    "background_classes": "synth",
     "build_iou_matrix": "warpmatch",
     "corrupt_boxes": "synth",
     "corrupt_masks": "synth",

@@ -45,32 +45,54 @@ def _emit(summary: dict) -> int:
 
 def _cmd_synth(args) -> int:
     from . import io as vio
-    from .synth import SceneConfig
+    from .synth import SceneConfig, background_classes
 
     config = SceneConfig.from_dict(vio.load_json(args.config))
-    bundle = _cli.generate(config)
-    # every corruption runs (and checks its flag) before the first file is written
-    maps = boxes = None
+    # generate and every corruption check their config or flag here, before the first file
+    # is written, and do their work as the loop below pulls frames.
+    frames = _cli.generate(config)
+    gt_maps: list = []  # the loop hands each ground-truth map to the corruptions through it
+    corrupted = None
     if args.shuffle_ids or args.erode != 0:
-        maps = bundle.panoptic
+        corrupted = iter(gt_maps.pop, None)
         if args.erode != 0:
-            maps = _cli.corrupt_masks(maps, bundle.background_classes, args.erode)
+            corrupted = _cli.corrupt_masks(corrupted, background_classes(config), args.erode)
         if args.shuffle_ids:
-            maps = _cli.corrupt_shuffle_ids(maps, args.corrupt_seed)
+            corrupted = _cli.corrupt_shuffle_ids(corrupted, args.corrupt_seed)
+    boxes: list = []
+    corrupt_boxes = None
     if args.box_jitter != 0 or args.box_drop != 0:
-        boxes = _cli.corrupt_boxes(bundle.boxes, args.box_jitter, args.box_drop, args.corrupt_seed)
+        # reads boxes when write_tracks pulls it, once the loop has filled it
+        corrupt_boxes = _cli.corrupt_boxes(boxes, args.box_jitter, args.box_drop, args.corrupt_seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     vio.write_taxonomy(config.taxonomy, out / "taxonomy.json")
-    gt_manifest = vio.write_panoptic_sequence(
-        out / "gt", bundle.panoptic, config.taxonomy, flows=bundle.flows
-    )
-    semantic_manifest = vio.write_semantic_sequence(
-        out / "semantic", [m.classes for m in bundle.panoptic], config.taxonomy
-    )
+    gt = vio.SequenceWriter(out / "gt", config.frames, config.taxonomy, flows=True)
+    semantic = vio.SequenceWriter(out / "semantic", config.frames, config.taxonomy)
+    corrupt = None
+    if corrupted is not None:
+        corrupt = vio.SequenceWriter(out / "corrupt", config.frames, config.taxonomy, flows=True)
+    for frame in frames:
+        gt.write_frame(frame.panoptic.classes, frame.panoptic.instances)
+        semantic.write_frame(frame.panoptic.classes)
+        if corrupt is not None:
+            gt_maps.append(frame.panoptic)
+            pmap = next(corrupted)
+            corrupt.write_frame(pmap.classes, pmap.instances)
+            del pmap
+        if frame.flow is not None:
+            flow = vio.encode_flow(frame.flow)  # once for both directories
+            gt.write_flow(flow)
+            if corrupt is not None:
+                corrupt.write_flow(flow)
+            del flow
+        boxes.extend(frame.boxes)
+        del frame  # freed before the next frame paints
+
+    gt_manifest, semantic_manifest = gt.close(), semantic.close()
     tracks_path = out / "tracks.jsonl"
-    vio.write_tracks(bundle.boxes, tracks_path)
+    vio.write_tracks(boxes, tracks_path)
 
     summary = {
         "frames": config.frames,
@@ -80,14 +102,11 @@ def _cmd_synth(args) -> int:
         "semantic_manifest": str(semantic_manifest),
         "tracks": str(tracks_path),
     }
-    if maps is not None:
-        corrupt_manifest = vio.write_panoptic_sequence(
-            out / "corrupt", maps, config.taxonomy, flows=bundle.flows
-        )
-        summary["corrupt_manifest"] = str(corrupt_manifest)
-    if boxes is not None:
+    if corrupt is not None:
+        summary["corrupt_manifest"] = str(corrupt.close())
+    if corrupt_boxes is not None:
         corrupt_tracks = out / "tracks_corrupt.jsonl"
-        vio.write_tracks(boxes, corrupt_tracks)
+        vio.write_tracks(corrupt_boxes, corrupt_tracks)
         summary["corrupt_tracks"] = str(corrupt_tracks)
 
     return _emit(summary)
@@ -127,23 +146,20 @@ def _binding_pairs(path: str) -> dict[int, int]:
 def _cmd_warpmatch(args) -> int:
     from . import io as vio
 
-    if args.matcher == "optimal":
-        # A missing scipy fails before any read. Greedy imports warpmatch only after the
-        # frames: compiled ahead of them, the module adds 1.5 MB to big-frames' peak RSS.
-        from .warpmatch import _matcher
-
-        _matcher(args.threshold, args.matcher)
     manifest = vio.read_manifest(args.panoptic)
-    maps = vio.read_panoptic_frames(args.panoptic, manifest)
     taxonomy = manifest.taxonomy
     if taxonomy is None:
         raise ParseError(f"{args.panoptic}: manifest must embed a taxonomy")
     # The README walkthrough passes one manifest as both: parse it once.
+    flow_manifest = manifest
     if Path(args.flows).resolve() != Path(args.panoptic).resolve():
-        manifest = vio.read_manifest(args.flows)
-    flows, direction = vio.read_flow_fields(args.flows, manifest)
-    if direction == vio.FLOW_CURR_TO_PREV:
-        flows = [_cli.invert_flow(f) for f in flows]
+        flow_manifest = vio.read_manifest(args.flows)
+    maps = vio.iter_panoptic_frames(args.panoptic, manifest)
+    flows = vio.iter_flow_fields(args.flows, flow_manifest)
+    if flow_manifest.flows.direction == vio.FLOW_CURR_TO_PREV:
+        flows = map(_cli.invert_flow, flows)
+    # The pipeline checks its options (and scipy, for the optimal matcher) at the call, and
+    # frames are written as they are relabeled: check counts and sizes before the first one.
     out_maps = _cli.run_warpmatch_sequence(
         maps,
         flows,
@@ -152,11 +168,13 @@ def _cmd_warpmatch(args) -> int:
         class_strict=args.class_strict,
         matcher=args.matcher,
     )
-    manifest = vio.write_panoptic_sequence(args.out, out_maps, taxonomy)
+    vio.check_flow_sequence(args.panoptic, manifest, args.flows, flow_manifest)
+    frames = len(manifest.frames)
+    out = vio.write_panoptic_sequence(args.out, out_maps, taxonomy, count=frames)
     return _emit(
         {
-            "frames": len(out_maps),
-            "manifest": str(manifest),
+            "frames": frames,
+            "manifest": str(out),
             "threshold": args.threshold,
             "matcher": args.matcher,
         }

@@ -398,27 +398,32 @@ def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.nd
 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
     labelled by pack_keys; a mask of None counts all of a side's pixels. A
-    pixel is shared when valid on both sides. With each side's labels ranked
-    (_rank_labels), one count of ``a_rank * (n_b + 1) + b_rank`` (COCO
-    panopticapi's pq_compute trick) per run of equal pixels gives both
-    sides' areas and every pair: ``np.bincount`` while the label counts
-    multiplied are at most the pixel count, ``np.unique`` beyond.
+    pixel is shared when valid on both sides. Each side's pixels are coded
+    (_label_codes), and one scan finds the runs along which both codes stay
+    equal; the codes at their ends rank each side's labels (_ranked), and
+    one count of ``a_rank * (n_b + 1) + b_rank`` (COCO panopticapi's
+    pq_compute trick) per joint run gives both sides' areas and every pair:
+    ``np.bincount`` while the label counts multiplied are at most the pixel
+    count, ``np.unique`` beyond.
     """
     if a_valid is not None and b_valid is not None:
         counted = a_valid | b_valid
         if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
             a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
             b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
-    a_labels, a_code, a_rank = _rank_labels(a, a_valid)
-    b_labels, b_code, b_rank = _rank_labels(b, b_valid)
-    n_a, n_b = a_labels.size, b_labels.size
-    a_code, b_code = a_code.ravel(), b_code.ravel()
+    a_side, b_side = _label_codes(a, a_valid), _label_codes(b, b_valid)
+    a_code, b_code = a_side.code.ravel(), b_side.code.ravel()
+    # every run of one side's codes ends where a joint run ends, so one scan serves all three
     ends = _run_ends(a_code, b_code)
     lengths = np.diff(ends, prepend=-1)
-    joint = a_rank[a_code[ends]].astype(np.intp)
+    a_code, b_code = a_code[ends], b_code[ends]
+    a_labels, a_rank = _ranked(a_side, a_code)
+    b_labels, b_rank = _ranked(b_side, b_code)
+    n_a, n_b = a_labels.size, b_labels.size
+    joint = a_rank[a_code].astype(np.intp)
     joint *= n_b + 1
-    joint += b_rank[b_code[ends]]
-    if n_a * n_b <= a_code.size:
+    joint += b_rank[b_code]
+    if n_a * n_b <= a_side.code.size:
         table = np.bincount(joint, lengths, (n_a + 1) * (n_b + 1))
         codes = np.flatnonzero(table)
         counts = table[codes]
@@ -433,13 +438,24 @@ def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.nd
     return Overlap(a_labels, a_areas, b_labels, b_areas, rows[pairs] - 1, cols[pairs] - 1, counts[pairs])
 
 
-def _rank_labels(grids: tuple, valid: np.ndarray | None = None) -> tuple:
-    """A side's sorted labels, a uint32 code per pixel, and per code its 1-based rank among the labels.
+class _Codes(NamedTuple):
+    """One side of an overlap table: a uint32 code per pixel, and how to rank the codes."""
 
-    Code 0, of rank 0, marks pixels that are not valid, so ``rank[code]`` is
-    each pixel's rank. While the code range ``(max high + 1) * (max low + 1)``
-    is at most the pixel count, a presence table over it ranks the codes;
-    wider ranges sort the labels with factorize, and each code is its rank.
+    code: np.ndarray
+    radix: int  # code - 1 == high * radix + low
+    span: int  # the largest code
+    dtype: np.dtype  # of the low grid, and so of unpacked labels
+    packed: bool  # labels are pack_keys(high, low), not low alone
+    ranked: tuple | None  # (labels, rank), already known where factorize coded the pixels
+
+
+def _label_codes(grids: tuple, valid: np.ndarray | None = None) -> _Codes:
+    """A side's uint32 code per pixel; code 0 marks pixels that are not valid.
+
+    While the code range ``(max high + 1) * (max low + 1)`` is at most the
+    pixel count, a code is ``high * radix + low + 1`` and a presence table
+    over the range ranks the codes (_ranked); wider ranges sort the labels
+    with factorize, and each code is its rank.
     """
     low = grids[-1]
     radix = int(low.max(initial=0)) + 1
@@ -450,21 +466,40 @@ def _rank_labels(grids: tuple, valid: np.ndarray | None = None) -> tuple:
         labels, _, index = factorize(keys)
         code = np.zeros(low.shape, dtype=np.uint32)
         code[where] = index + 1
-        return labels, code, np.arange(labels.size + 1, dtype=np.uint32)
+        ranked = labels, np.arange(labels.size + 1, dtype=np.uint32)
+        return _Codes(code, radix, span, low.dtype, len(grids) == 2, ranked)
     code = low + np.uint32(1)
     if len(grids) == 2:
         code += grids[0] * np.uint32(radix)
     if valid is not None:
         code *= valid
-    flat = code.ravel()
-    present = np.zeros(span + 1, dtype=bool)
-    present[flat[_run_ends(flat)]] = True
+    return _Codes(code, radix, span, low.dtype, len(grids) == 2, None)
+
+
+def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A side's sorted labels, and per code its 1-based rank among them (0 for code 0).
+
+    ``seen`` holds the side's code at the last pixel of each of its runs, or
+    at more pixels: every code present, and no other.
+    """
+    if side.ranked is not None:
+        return side.ranked
+    present = np.zeros(side.span + 1, dtype=bool)
+    present[seen] = True
     present[0] = False
-    high, rest = np.divmod(np.flatnonzero(present) - 1, radix)
-    labels = rest.astype(low.dtype)
-    if len(grids) == 2:
+    high, rest = np.divmod(np.flatnonzero(present) - 1, side.radix)
+    labels = rest.astype(side.dtype)
+    if side.packed:
         labels = pack_keys(high.astype(np.uint32), labels)
-    return labels, code, np.cumsum(present, dtype=np.uint32)
+    return labels, np.cumsum(present, dtype=np.uint32)
+
+
+def _rank_labels(grids: tuple, valid: np.ndarray | None = None) -> tuple:
+    """A side's sorted labels, a uint32 code per pixel, and per code its 1-based rank (_label_codes)."""
+    side = _label_codes(grids, valid)
+    flat = side.code.ravel()
+    labels, rank = _ranked(side, flat[_run_ends(flat)])
+    return labels, side.code, rank
 
 
 def _run_ends(*arrays: np.ndarray) -> np.ndarray:

@@ -12,8 +12,12 @@ explicit direction tag) and the taxonomy together.
 Readers never crash on malformed input; they raise the structured errors
 from vpskit.errors. Every reader opens its file through ``_read_bytes``, and
 every JSON input is strict UTF-8 holding one JSON object, parsed by
-``_parse_object``. Every JSON document is written by ``write_json``. All
-writers go through a temp file and an atomic rename.
+``_parse_object``; ``_read_header`` reads a binary file's 12-byte header
+alone, to check sizes before any payload is read. Every JSON document is
+written by ``write_json``. All writers go through a temp file and an atomic
+rename. Sequences are read and written one frame at a time: the frame
+iterators read each file as it is pulled, and ``SequenceWriter`` writes
+each frame as it arrives and the manifest last.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
 from .core import finite_float, is_integer, is_number
-from .errors import BadMagic, FormatError, Overflow, ParseError, Truncated
+from .errors import BadMagic, DimensionMismatch, FormatError, Overflow, ParseError
+from .errors import SequenceLengthMismatch, Truncated
 
 LMAP_MAGIC = b"LMAP"
 FLO_SENTINEL = 202021.25
@@ -101,25 +106,44 @@ def write_json(doc: dict, path: str | Path) -> None:
     _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _decode_header(data: bytes, magic: bytes, dims: str, size: int, kind: str) -> tuple[int, int]:
-    """The (width, height) of a 12-byte header, checked with its payload of ``size``-byte pixels."""
-    if len(data) < 4:
-        raise Truncated(f"{kind} needs at least 4 bytes, got {len(data)}")
+def _decode_header(
+    data: bytes, magic: bytes, dims: str, size: int, kind: str, length: int | None = None
+) -> tuple[int, int]:
+    """The (width, height) of a 12-byte header, checked with its payload of ``size``-byte pixels.
+
+    ``length`` is the file's length when ``data`` holds only its first bytes.
+    """
+    length = len(data) if length is None else length
+    if length < 4:
+        raise Truncated(f"{kind} needs at least 4 bytes, got {length}")
     if data[:4] != magic:
         raise BadMagic(f"{kind}: expected {magic!r}, got {data[:4]!r}")
-    if len(data) < 12:
-        raise Truncated(f"{kind} header needs 12 bytes, got {len(data)}")
+    if length < 12:
+        raise Truncated(f"{kind} header needs 12 bytes, got {length}")
     width, height = struct.unpack(dims, data[4:12])
     if width < 1 or height < 1:
         raise FormatError(f"{kind} dimensions {width}x{height} invalid")
     if width * height > _MAX_PIXELS:
         raise Overflow(f"{kind} declares {width * height} pixels, cap is {_MAX_PIXELS}")
     expected = 12 + size * width * height
-    if len(data) < expected:
-        raise Truncated(f"{kind} payload needs {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise Truncated(f"{kind} has {len(data) - expected} trailing bytes")
+    if length < expected:
+        raise Truncated(f"{kind} payload needs {expected} bytes, got {length}")
+    if length > expected:
+        raise Truncated(f"{kind} has {length - expected} trailing bytes")
     return width, height
+
+
+def _read_header(
+    path: str | Path, magic: bytes, dims: str, size: int, kind: str
+) -> tuple[int, int]:
+    """_decode_header of a file's first 12 bytes and its length: the payload stays unread."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(12)
+            length = os.fstat(fh.fileno()).st_size
+    except FileNotFoundError:
+        raise ParseError(f"{path} does not exist") from None
+    return _decode_header(head, magic, dims, size, kind, length)
 
 
 # ---------------------------------------------------------------- label grids
@@ -281,6 +305,7 @@ def write_manifest(manifest: SequenceManifest, path: str | Path) -> None:
 def read_manifest(path: str | Path) -> SequenceManifest:
     path = Path(path)
     doc = load_json(path)
+    base = path.parent.resolve()  # every referenced file must lie inside it
     if doc.get("version") != MANIFEST_VERSION:
         raise ParseError(f"{path}: unsupported manifest version {doc.get('version')!r}")
 
@@ -293,8 +318,8 @@ def read_manifest(path: str | Path) -> SequenceManifest:
             raise ParseError(f"{path}: frame {i} entry malformed")
         classes, instances = entry["classes"], entry.get("instances")
         if instances is not None:
-            instances = _referenced_file(path, instances)
-        frames.append(FrameRef(classes=_referenced_file(path, classes), instances=instances))
+            instances = _referenced_file(path, base, instances)
+        frames.append(FrameRef(classes=_referenced_file(path, base, classes), instances=instances))
     count = doc.get("frame_count")
     if not is_integer(count) or count != len(frames):
         raise ParseError(f"{path}: frame_count {count!r} != {len(frames)} frame entries")
@@ -302,7 +327,7 @@ def read_manifest(path: str | Path) -> SequenceManifest:
     taxonomy = None
     tax_doc = doc.get("taxonomy")
     if isinstance(tax_doc, str):
-        taxonomy = read_taxonomy(path.parent / _referenced_file(path, tax_doc))
+        taxonomy = read_taxonomy(path.parent / _referenced_file(path, base, tax_doc))
     elif isinstance(tax_doc, dict):
         taxonomy = ClassTaxonomy.from_dict(tax_doc)
     elif tax_doc is not None:
@@ -325,17 +350,16 @@ def read_manifest(path: str | Path) -> SequenceManifest:
                 f"files, manifest lists {len(paths)}"
             )
         flows = FlowSetRef(
-            direction=direction, paths=tuple(_referenced_file(path, p) for p in paths)
+            direction=direction, paths=tuple(_referenced_file(path, base, p) for p in paths)
         )
 
     return SequenceManifest(frames=tuple(frames), taxonomy=taxonomy, flows=flows)
 
 
-def _referenced_file(manifest_path: Path, ref) -> str:
-    """Check that a manifest entry names an existing file inside the manifest's directory."""
+def _referenced_file(manifest_path: Path, base: Path, ref) -> str:
+    """Check that a manifest entry names an existing file inside ``base``, the resolved directory."""
     if not isinstance(ref, str) or "\0" in ref:
         raise ParseError(f"{manifest_path}: file reference {ref!r} is not a path string")
-    base = manifest_path.parent.resolve()
     try:  # the file system may refuse the name: too long, or a symlink loop
         target = (base / ref).resolve()
         exists = target.is_file()
@@ -354,14 +378,91 @@ def _frame_stem(index: int, count: int) -> str:
     return f"{index:0{max(4, len(str(max(count - 1, 0))))}d}"
 
 
+class SequenceWriter:
+    """Writes one sequence directory frame by frame, and its manifest last.
+
+    ``count``, the number of frames to come, sets the zero-padded file
+    names; ``close`` checks that exactly that many frames (and, with
+    ``flows``, one flow field fewer) were written before it writes the
+    manifest. The directory is made with the first file, so a run that
+    fails before its first frame leaves no directory, and one that fails
+    later leaves frame files but no manifest.
+    """
+
+    def __init__(
+        self,
+        out_dir: str | Path,
+        count: int,
+        taxonomy: ClassTaxonomy | None = None,
+        flows: bool = False,
+    ):
+        self.out_dir = Path(out_dir)
+        self._count = count
+        self._taxonomy = taxonomy
+        self._frames: list[FrameRef] = []
+        self._flows: list[str] | None = [] if flows else None
+        self._made = False
+
+    def _path(self, name: str) -> Path:
+        if not self._made:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            self._made = True
+        return self.out_dir / name
+
+    def write_frame(self, classes: LabelGrid, instances: LabelGrid | None = None) -> None:
+        """Write the next frame: its class grid, and its instance grid unless semantic-only."""
+        stem = _frame_stem(len(self._frames), self._count)
+        grids = (classes,) if instances is None else (classes, instances)
+        names = [f"{layer}_{stem}.lmap" for layer in ("classes", "instances")[: len(grids)]]
+        for grid, name in zip(grids, names):
+            write_label_grid(grid, self._path(name))
+        self._frames.append(FrameRef(*names))
+
+    def write_flow(self, data: bytes) -> None:
+        """Write the next flow field, as ``encode_flow`` bytes: one encoding serves every copy."""
+        name = f"flow_{_frame_stem(len(self._flows), self._count)}.flo"
+        _atomic_write_bytes(self._path(name), data)
+        self._flows.append(name)
+
+    def close(self) -> Path:
+        """Write the manifest (flows tagged prev_to_curr) once every frame is written; its path."""
+        if len(self._frames) != self._count:
+            raise SequenceLengthMismatch(
+                f"{self.out_dir}: {len(self._frames)} frames written, {self._count} announced"
+            )
+        flows = max(self._count - 1, 0)
+        if self._flows is not None and len(self._flows) != flows:
+            raise SequenceLengthMismatch(
+                f"{self.out_dir}: {self._count} frames need {flows} flow fields, "
+                f"{len(self._flows)} written"
+            )
+        flow_ref = None
+        if self._flows is not None:
+            flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=tuple(self._flows))
+        manifest_path = self._path("manifest.json")
+        write_manifest(SequenceManifest(tuple(self._frames), self._taxonomy, flow_ref), manifest_path)
+        return manifest_path
+
+
 def write_panoptic_sequence(
     out_dir: str | Path,
-    maps: Sequence[PanopticMap],
+    maps: Iterable[PanopticMap],
     taxonomy: ClassTaxonomy,
-    flows: Sequence[FlowField] | None = None,
+    flows: Iterable[FlowField] | None = None,
+    count: int | None = None,
 ) -> Path:
-    """Write a panoptic sequence plus manifest (flows tagged prev_to_curr); returns its path."""
-    return _write_sequence(out_dir, [(m.classes, m.instances) for m in maps], taxonomy, flows)
+    """Write each map as it arrives, then the flows (tagged prev_to_curr), then the manifest.
+
+    ``count`` is the number of maps, ``len(maps)`` by default. Returns the
+    manifest's path.
+    """
+    count = len(maps) if count is None else count
+    writer = SequenceWriter(out_dir, count, taxonomy, flows is not None)
+    for pmap in maps:
+        writer.write_frame(pmap.classes, pmap.instances)
+    for flow in flows or ():
+        writer.write_flow(encode_flow(flow))
+    return writer.close()
 
 
 def write_semantic_sequence(
@@ -370,31 +471,10 @@ def write_semantic_sequence(
     taxonomy: ClassTaxonomy | None = None,
 ) -> Path:
     """Write a classes-only sequence (no instance grids)."""
-    return _write_sequence(out_dir, [(g,) for g in grids], taxonomy, None)
-
-
-def _write_sequence(
-    out_dir: str | Path, frames: list[tuple], taxonomy: ClassTaxonomy | None, flows: Sequence | None
-) -> Path:
-    """Write each frame's (classes,) or (classes, instances) grids, the flows, then the manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    refs = []
-    for i, grids in enumerate(frames):
-        stem = _frame_stem(i, len(frames))
-        names = [f"{layer}_{stem}.lmap" for layer in ("classes", "instances")[: len(grids)]]
-        for grid, name in zip(grids, names):
-            write_label_grid(grid, out_dir / name)
-        refs.append(FrameRef(*names))
-    flow_ref = None
-    if flows is not None:
-        flow_names = tuple(f"flow_{_frame_stem(i, len(frames))}.flo" for i in range(len(flows)))
-        for flow, name in zip(flows, flow_names):
-            write_flow(flow, out_dir / name)
-        flow_ref = FlowSetRef(direction=FLOW_PREV_TO_CURR, paths=flow_names)
-    manifest_path = out_dir / "manifest.json"
-    write_manifest(SequenceManifest(tuple(refs), taxonomy, flow_ref), manifest_path)
-    return manifest_path
+    writer = SequenceWriter(out_dir, len(grids), taxonomy)
+    for grid in grids:
+        writer.write_frame(grid)
+    return writer.close()
 
 
 def load_panoptic_sequence(
@@ -404,22 +484,31 @@ def load_panoptic_sequence(
     return read_panoptic_frames(manifest_path, manifest), manifest.taxonomy
 
 
-def read_panoptic_frames(
+def iter_panoptic_frames(
     manifest_path: str | Path, manifest: SequenceManifest
-) -> list[PanopticMap]:
-    """The panoptic maps of an already parsed manifest read from manifest_path."""
-    base = Path(manifest_path).parent
-    maps = []
+) -> Iterator[PanopticMap]:
+    """The panoptic maps of an already parsed manifest, each read as it is pulled.
+
+    A semantic-only manifest is refused at the call, before any read.
+    """
     for i, frame in enumerate(manifest.frames):
         if frame.instances is None:
             raise ParseError(
                 f"{manifest_path}: frame {i} has no instance grid; "
                 "this is a semantic-only sequence"
             )
-        classes = read_label_grid(base / frame.classes)
-        instances = read_label_grid(base / frame.instances)
-        maps.append(PanopticMap(classes=classes, instances=instances))
-    return maps
+    base = Path(manifest_path).parent
+    return (
+        PanopticMap(read_label_grid(base / f.classes), read_label_grid(base / f.instances))
+        for f in manifest.frames
+    )
+
+
+def read_panoptic_frames(
+    manifest_path: str | Path, manifest: SequenceManifest
+) -> list[PanopticMap]:
+    """The panoptic maps of an already parsed manifest read from manifest_path."""
+    return list(iter_panoptic_frames(manifest_path, manifest))
 
 
 def load_semantic_sequence(
@@ -430,12 +519,54 @@ def load_semantic_sequence(
     return [read_label_grid(base / f.classes) for f in manifest.frames], manifest.taxonomy
 
 
+def iter_flow_fields(manifest_path: str | Path, manifest: SequenceManifest) -> Iterator[FlowField]:
+    """The flow fields of an already parsed manifest, each read as it is pulled."""
+    if manifest.flows is None:
+        raise ParseError(f"{manifest_path}: manifest carries no flow fields")
+    base = Path(manifest_path).parent
+    return (read_flow(base / p) for p in manifest.flows.paths)
+
+
 def read_flow_fields(
     manifest_path: str | Path, manifest: SequenceManifest
 ) -> tuple[list[FlowField], str]:
     """The flow fields and their direction of an already parsed manifest."""
-    base = Path(manifest_path).parent
-    if manifest.flows is None:
-        raise ParseError(f"{manifest_path}: manifest carries no flow fields")
-    flows = [read_flow(base / p) for p in manifest.flows.paths]
+    flows = list(iter_flow_fields(manifest_path, manifest))
     return flows, manifest.flows.direction
+
+
+def check_flow_sequence(
+    manifest_path: str | Path,
+    manifest: SequenceManifest,
+    flows_path: str | Path,
+    flows_manifest: SequenceManifest,
+) -> None:
+    """Check a panoptic sequence and the flows of ``flows_manifest`` from the files' headers alone.
+
+    There must be one flow field fewer than frames, and every grid and flow
+    field must have one size. Only the 12-byte headers are read, so a
+    streamed run checks this before it writes its first frame.
+    """
+    if flows_manifest.flows is None:
+        raise ParseError(f"{flows_path}: manifest carries no flow fields")
+    frames, flows = len(manifest.frames), len(flows_manifest.flows.paths)
+    if flows != max(frames - 1, 0):
+        raise SequenceLengthMismatch(
+            f"{frames} frames need {max(frames - 1, 0)} flow fields, got {flows}"
+        )
+    base, flow_base = Path(manifest_path).parent, Path(flows_path).parent
+    size = None
+    for frame in manifest.frames:
+        for name in filter(None, (frame.classes, frame.instances)):
+            grid = _read_header(base / name, LMAP_MAGIC, "<II", 4, "LMAP")
+            size = size or grid
+            if grid != size:
+                raise DimensionMismatch(
+                    f"{base / name}: grid is {grid[0]}x{grid[1]}, frame 0 is {size[0]}x{size[1]}"
+                )
+    for name in flows_manifest.flows.paths:
+        flow = _read_header(flow_base / name, _FLO_MAGIC, "<ii", 8, "flow file")
+        if flow != size:
+            raise DimensionMismatch(
+                f"{flow_base / name}: flow is {flow[0]}x{flow[1]}, grids are {size[0]}x{size[1]}"
+            )

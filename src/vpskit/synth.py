@@ -2,12 +2,14 @@
 
 Scenes are horizontal stuff bands with rectangle/disk actors translating
 at constant velocity; occlusion follows depth (higher on top). The
-generator emits per-frame panoptic maps (whose class grids are the
-semantic maps), tight tracked boxes and exact forward flow fields, which
-together act as the oracle for both conversion pipelines. Corruption
-helpers simulate imperfect upstream networks, each over a sequence:
-per-frame id shuffles (time-inconsistent panoptic nets), box jitter/drops
-(imperfect trackers) and mask erosion (coarse segmentation).
+generator yields one frame at a time: its panoptic map (whose class grid
+is the semantic map), its tight tracked boxes and the exact forward flow
+to the next frame, which together act as the oracle for both conversion
+pipelines. Corruption helpers simulate imperfect upstream networks, each
+taking and yielding a stream: per-frame id shuffles (time-inconsistent
+panoptic nets), box jitter/drops (imperfect trackers) and mask erosion
+(coarse segmentation). Each checks its arguments when called and does its
+work as items are pulled, so a caller holds one frame at a time.
 
 All randomness comes from the package's fixed xoshiro256** generator (see
 vpskit.rng), so corruptions replay bit-exactly for a given seed.
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .core import THING, ClassTaxonomy, FlowField, LabelGrid, PanopticMap, TrackedBox
@@ -115,14 +119,13 @@ class SceneConfig:
             raise InvalidConfig(f"malformed scene config: {exc}") from exc
 
 
-@dataclass
-class GroundTruthBundle:
-    """Everything the oracle knows about one generated scene."""
+@dataclass(frozen=True)
+class SceneFrame:
+    """Everything the oracle knows about one generated frame."""
 
-    panoptic: list[PanopticMap]
-    boxes: list[TrackedBox]  # in frame order, then actor order
-    flows: list[FlowField]  # flows[i]: frame i -> i+1
-    background_classes: LabelGrid
+    panoptic: PanopticMap
+    boxes: tuple[TrackedBox, ...]  # in actor order
+    flow: FlowField | None  # this frame -> the next; None for the last frame
 
 
 def _validate_config(config: SceneConfig) -> None:
@@ -167,13 +170,14 @@ def _validate_config(config: SceneConfig) -> None:
         raise InvalidConfig("band heights exceed the image height")
 
 
-def _background_grid(config: SceneConfig) -> np.ndarray:
+def background_classes(config: SceneConfig) -> LabelGrid:
+    """The band classes of a scene that generate accepts: the grid eroded pixels fall back to."""
     grid = np.full(
         (config.height, config.width), config.taxonomy.void_class_id, dtype=np.uint32
     )
     bands = config.background
     if not bands:
-        return grid
+        return LabelGrid(grid)
     free = config.height - sum(b.height for b in bands if b.height is not None)
     flexible = sum(1 for b in bands if b.height is None)
     share = free // flexible if flexible else 0
@@ -186,7 +190,7 @@ def _background_grid(config: SceneConfig) -> np.ndarray:
         y += h
         if y >= config.height:
             break
-    return grid
+    return LabelGrid(grid)
 
 
 def _actor_mask(
@@ -209,91 +213,94 @@ def _actor_mask(
     return window, (xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2 <= r2
 
 
-def generate(config: SceneConfig) -> GroundTruthBundle:
-    """Deterministically generate the scene's full ground-truth bundle.
+def generate(config: SceneConfig) -> Iterator[SceneFrame]:
+    """Deterministically generate the scene's ground truth, one SceneFrame at a time.
 
-    Actor instance ids are the 1-based actor indices and stay stable for
-    the whole sequence; occlusion paints higher depth on top (ties: later
-    actor). Actors may leave the frame; their boxes vanish with them.
+    The config is checked when generate is called; each frame is painted
+    when it is pulled. Actor instance ids are the 1-based actor indices and
+    stay stable for the whole sequence; occlusion paints higher depth on top
+    (ties: later actor). Actors may leave the frame; their boxes vanish with
+    them.
     """
     _validate_config(config)
-    background = _background_grid(config)
+    return _frames(config)
+
+
+def _frames(config: SceneConfig) -> Iterator[SceneFrame]:
+    background = background_classes(config).values
     # the flow grids hold each actor's velocity as float32
     velocity = np.array([a.velocity for a in config.actors], dtype=np.float32)
-
-    panoptic: list[PanopticMap] = []
-    boxes: list[TrackedBox] = []
-    flows: list[FlowField] = []
-
     order = sorted(range(len(config.actors)), key=lambda i: (config.actors[i].depth, i))
     for t in range(config.frames):
-        footprints = [_actor_mask(a, t, config.width, config.height) for a in config.actors]
-        # pixels no actor covers keep the background class, instance 0 and zero flow
-        instances = np.zeros_like(background)
-        classes = background.copy()
-        flow = np.zeros((config.height, config.width, 2), dtype=np.float32)
-        for i in order:
-            window, mask = footprints[i]
-            instances[window][mask] = i + 1
-            classes[window][mask] = config.actors[i].class_id
-            np.copyto(flow[window], velocity[i], where=mask[:, :, None])
+        yield _frame(config, t, background, velocity, order)
 
-        for i, ((rows, cols), _) in enumerate(footprints):
-            mine = instances[rows, cols] == i + 1
-            ys = mine.any(axis=1).nonzero()[0]
-            if not ys.size:
-                continue
-            xs = mine.any(axis=0).nonzero()[0]
-            boxes.append(
-                TrackedBox(
-                    frame=t,
-                    track_id=i + 1,
-                    class_id=config.actors[i].class_id,
-                    x0=float(cols.start + xs[0]),
-                    y0=float(rows.start + ys[0]),
-                    x1=float(cols.start + xs[-1] + 1),
-                    y1=float(rows.start + ys[-1] + 1),
-                )
+
+def _frame(
+    config: SceneConfig, t: int, background: np.ndarray, velocity: np.ndarray, order: list[int]
+) -> SceneFrame:
+    """Frame t of generate; its temporaries are freed before the next frame paints."""
+    footprints = [_actor_mask(a, t, config.width, config.height) for a in config.actors]
+    # pixels no actor covers keep the background class, instance 0 and zero flow
+    instances = np.zeros_like(background)
+    classes = background.copy()
+    flow = np.zeros((config.height, config.width, 2), dtype=np.float32)
+    for i in order:
+        window, mask = footprints[i]
+        instances[window][mask] = i + 1
+        classes[window][mask] = config.actors[i].class_id
+        np.copyto(flow[window], velocity[i], where=mask[:, :, None])
+
+    boxes = []
+    for i, ((rows, cols), _) in enumerate(footprints):
+        mine = instances[rows, cols] == i + 1
+        ys = mine.any(axis=1).nonzero()[0]
+        if not ys.size:
+            continue
+        xs = mine.any(axis=0).nonzero()[0]
+        boxes.append(
+            TrackedBox(
+                frame=t,
+                track_id=i + 1,
+                class_id=config.actors[i].class_id,
+                x0=float(cols.start + xs[0]),
+                y0=float(rows.start + ys[0]),
+                x1=float(cols.start + xs[-1] + 1),
+                y1=float(rows.start + ys[-1] + 1),
             )
-        panoptic.append(PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances)))
-        if t + 1 < config.frames:
-            flows.append(FlowField(flow))
-        del classes, instances, flow  # copied: free them before the next frame paints
-
-    return GroundTruthBundle(
-        panoptic=panoptic,
-        boxes=boxes,
-        flows=flows,
-        background_classes=LabelGrid(background),
-    )
+        )
+    panoptic = PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances))
+    del classes, instances  # copied: free them before the flow is copied
+    return SceneFrame(panoptic, tuple(boxes), FlowField(flow) if t + 1 < config.frames else None)
 
 
-def corrupt_shuffle_ids(panoptic: Sequence[PanopticMap], seed: int) -> list[PanopticMap]:
-    """Permute each frame's instance ids (frame 0 included).
+def corrupt_shuffle_ids(panoptic: Iterable[PanopticMap], seed: int) -> Iterator[PanopticMap]:
+    """Permute each frame's instance ids (frame 0 included), frame by frame as they are pulled.
 
     Classes and pixel supports are untouched; one sequential generator
     drives all frames.
     """
-    rng = Xoshiro256StarStar(seed)
-    out: list[PanopticMap] = []
-    for pmap in panoptic:
-        ids = present_ids(pmap.instances.values)
-        permuted = list(ids)
-        rng.shuffle(permuted)
-        values = remap(pmap.instances.values, dict(zip(ids, permuted)))
-        out.append(PanopticMap(classes=pmap.classes, instances=LabelGrid(values)))
-        del values  # copied: free it before the next frame's remap
-    return out
+    return map(partial(_shuffle_frame, Xoshiro256StarStar(seed)), panoptic)
+
+
+def _shuffle_frame(rng: Xoshiro256StarStar, pmap: PanopticMap) -> PanopticMap:
+    """One frame of corrupt_shuffle_ids; its temporaries are freed before the next frame's."""
+    ids = present_ids(pmap.instances.values)
+    permuted = list(ids)
+    rng.shuffle(permuted)
+    values = remap(pmap.instances.values, dict(zip(ids, permuted)))
+    return PanopticMap(classes=pmap.classes, instances=LabelGrid(values))
 
 
 def corrupt_boxes(
-    boxes: Sequence[TrackedBox], jitter: int, drop_rate: float, seed: int
-) -> list[TrackedBox]:
+    boxes: Iterable[TrackedBox], jitter: int, drop_rate: float, seed: int
+) -> Iterator[TrackedBox]:
     """Jitter box edges by uniform integers in [-jitter, +jitter] and drop boxes.
 
-    Per box, in list order, five draws in fixed order: x0, y0, x1, y1
-    offsets, then the drop variate (dropped iff it is < drop_rate). Boxes
-    that degenerate after jitter are discarded like misses.
+    The arguments are checked when corrupt_boxes is called; ``boxes`` is
+    read as the result is pulled. Per box, in input order, five draws in
+    fixed order: x0, y0, x1, y1 offsets, then the drop variate (dropped iff
+    it is < drop_rate). Boxes that degenerate after jitter are discarded
+    like misses.
     """
     if jitter < 0:
         raise ValueError(f"jitter {jitter} must be >= 0")
@@ -301,8 +308,12 @@ def corrupt_boxes(
         raise ValueError(f"jitter {jitter} is beyond the float range")
     if not 0.0 <= drop_rate <= 1.0:
         raise ValueError(f"drop rate {drop_rate} outside [0, 1]")
-    rng = Xoshiro256StarStar(seed)
-    out: list[TrackedBox] = []
+    return _jittered(boxes, jitter, drop_rate, Xoshiro256StarStar(seed))
+
+
+def _jittered(
+    boxes: Iterable[TrackedBox], jitter: int, drop_rate: float, rng: Xoshiro256StarStar
+) -> Iterator[TrackedBox]:
     for box in boxes:
         offsets = [rng.next_int(-jitter, jitter) for _ in range(4)]
         dropped = rng.next_float() < drop_rate
@@ -313,8 +324,7 @@ def corrupt_boxes(
         x1 = box.x1 + offsets[2]
         y1 = box.y1 + offsets[3]
         if x1 > x0 and y1 > y0:
-            out.append(TrackedBox(box.frame, box.track_id, box.class_id, x0, y0, x1, y1))
-    return out
+            yield TrackedBox(box.frame, box.track_id, box.class_id, x0, y0, x1, y1)
 
 
 def _square_window(grid: np.ndarray, radius: int, reduce) -> np.ndarray:
@@ -335,20 +345,22 @@ def _square_window(grid: np.ndarray, radius: int, reduce) -> np.ndarray:
 
 
 def corrupt_masks(
-    panoptic: Sequence[PanopticMap], background: LabelGrid, erode: int
-) -> list[PanopticMap]:
-    """Erode every actor mask by a (2*erode+1) square; erode=0 is the identity.
+    panoptic: Iterable[PanopticMap], background: LabelGrid, erode: int
+) -> Iterator[PanopticMap]:
+    """Erode every actor mask by a (2*erode+1) square, frame by frame as they are pulled.
 
-    A pixel keeps its instance iff every pixel of the square centred on it
-    carries the same id, i.e. iff the minimum and the maximum id over that
-    square both equal its own; the grid is zero-padded, so the image border
-    counts as outside every mask. Eroded pixels fall back to their class in
-    ``background`` (the scene's band classes) with instance 0. Erosion is
+    erode=0 is the identity; a negative erode is refused when corrupt_masks
+    is called. A pixel keeps its instance iff every pixel of the square
+    centred on it carries the same id, i.e. iff the minimum and the maximum
+    id over that square both equal its own; the grid is zero-padded, so the
+    image border counts as outside every mask. Eroded pixels fall back to
+    their class in ``background`` (the scene's band classes,
+    ``background_classes(config)``) with instance 0. Erosion is
     deterministic, so it takes no seed.
     """
     if erode < 0:
         raise ValueError(f"erode {erode} must be >= 0")
-    return [_erode_frame(pmap, background, erode) for pmap in panoptic]
+    return map(partial(_erode_frame, background=background, erode=erode), panoptic)
 
 
 def _erode_frame(pmap: PanopticMap, background: LabelGrid, erode: int) -> PanopticMap:

@@ -12,7 +12,7 @@ across gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -261,40 +261,67 @@ def relabel(
 
 
 def run_warpmatch_sequence(
-    panoptic_seq: Sequence[PanopticMap],
-    flows_prev_to_curr: Sequence[FlowField],
+    panoptic_seq: Iterable[PanopticMap],
+    flows_prev_to_curr: Iterable[FlowField],
     taxonomy: ClassTaxonomy,
     threshold: float = DEFAULT_IOU_THRESHOLD,
     class_strict: bool = True,
     matcher: str = "greedy",
-) -> list[PanopticMap]:
-    """Run the full pipeline over a sequence; flows[i] maps grid i into frame i+1.
+) -> Iterator[PanopticMap]:
+    """Run the full pipeline over a sequence and yield each output frame.
 
-    Frame 0 passes through unchanged. Each later frame is warped backward,
-    matched against the previous *output* frame (so consistency is
-    transitive) and relabeled. Instances that warp entirely out of view,
-    or sit only on stuff pixels, cannot match and therefore receive fresh ids.
+    flows[i] maps grid i into frame i+1. The matching options are checked
+    at the call; the frames and flows are read as output frames are
+    pulled. Frame 0 passes through unchanged.
+    Each later frame is warped backward, matched against the previous
+    *output* frame (so consistency is transitive) and relabeled. Instances
+    that warp entirely out of view, or sit only on stuff pixels, cannot
+    match and therefore receive fresh ids. Each frame's classes are checked
+    against the taxonomy as it is read, and each output frame is yielded
+    only once the next frame and its flow are read and checked: a sequence
+    whose second frame or first flow is bad fails before it yields anything.
     """
-    if len(flows_prev_to_curr) != max(len(panoptic_seq) - 1, 0):
-        raise SequenceLengthMismatch(
-            f"{len(panoptic_seq)} frames need {max(len(panoptic_seq) - 1, 0)} flow "
-            f"fields, got {len(flows_prev_to_curr)}"
-        )
     _matcher(threshold, matcher)
-    if not panoptic_seq:
-        return []
-    # Matching only sees the pixels a warp samples, so check every frame first.
-    for pmap in panoptic_seq:
-        taxonomy.thing_mask(pmap.classes.values)
+    return _relabeled(
+        iter(panoptic_seq), iter(flows_prev_to_curr), taxonomy, threshold, class_strict, matcher
+    )
 
-    out = [panoptic_seq[0]]
-    next_fresh_id = int(out[0].instances.values.max()) + 1
-    for curr, flow in zip(panoptic_seq[1:], flows_prev_to_curr):
+
+def _relabeled(
+    maps: Iterator[PanopticMap],
+    flows: Iterator[FlowField],
+    taxonomy: ClassTaxonomy,
+    threshold: float,
+    class_strict: bool,
+    matcher: str,
+) -> Iterator[PanopticMap]:
+    prev = next(maps, None)
+    frames = 0 if prev is None else 1
+    if prev is not None:
+        # Matching only sees the pixels a warp samples, so check every frame as it is read.
+        taxonomy.thing_mask(prev.classes.values)
+        next_fresh_id = int(prev.instances.values.max()) + 1
+    for curr in maps:
+        flow = next(flows, None)
+        if flow is None:
+            raise SequenceLengthMismatch(
+                f"{frames + 1} frames need at least {frames} flow fields, got {frames - 1}"
+            )
+        frames += 1
+        taxonomy.thing_mask(curr.classes.values)
+        yield prev
         warped = warp_backward(curr, flow, taxonomy.void_class_id)
-        matrix = build_iou_matrix(warped, out[-1], taxonomy, class_strict)
+        del flow  # each frame's inputs are freed before the next frame is read
+        matrix = build_iou_matrix(warped, prev, taxonomy, class_strict)
+        del warped
         matches = match_ids(matrix, threshold, matcher)
         # unmatched rows, and instances never in the matrix: warped out of view or stuff-only
         fresh = set(present_ids(curr.instances.values)) - matches.keys()
-        relabeled, next_fresh_id = relabel(curr, IdAssignment(matches, fresh), next_fresh_id)
-        out.append(relabeled)
-    return out
+        prev, next_fresh_id = relabel(curr, IdAssignment(matches, fresh), next_fresh_id)
+        del curr
+    if next(flows, None) is not None:
+        raise SequenceLengthMismatch(
+            f"{frames} frames need {max(frames - 1, 0)} flow fields, got more"
+        )
+    if prev is not None:
+        yield prev

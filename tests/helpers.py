@@ -7,8 +7,12 @@ sorted-tuple greedy matcher that the package's table lookups replaced, the
 full-grid backward warp and flow inversion that the package's lean ones
 must match bit for bit, the scene generator's full-frame gathers, the
 ``np.unique`` overlap table and the label grid's full range scan. The
-scene config's JSON writer lives here too, since only tests write scene files.
+scene config's JSON writer lives here too, since only tests write scene files,
+and so do the collectors that turn the package's frame streams into the
+whole sequences tests compare.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +68,37 @@ def scene_to_dict(config) -> dict:
             for a in config.actors
         ],
     }
+
+
+@dataclass
+class SceneBundle:
+    """A generated scene collected whole: ``flows[i]`` maps frame i to i+1."""
+
+    panoptic: list[PanopticMap]
+    boxes: list[TrackedBox]  # in frame order, then actor order
+    flows: list[FlowField]
+    background_classes: LabelGrid
+
+
+def generate_scene(config) -> SceneBundle:
+    """Every frame ``synth.generate`` yields for ``config``, collected into sequences."""
+    from vpskit.synth import background_classes, generate
+
+    frames = generate(config)  # checks the config first
+    bundle = SceneBundle([], [], [], background_classes(config))
+    for frame in frames:
+        bundle.panoptic.append(frame.panoptic)
+        bundle.boxes.extend(frame.boxes)
+        if frame.flow is not None:
+            bundle.flows.append(frame.flow)
+    return bundle
+
+
+def warpmatch_all(*args, **kwargs) -> list[PanopticMap]:
+    """Every frame ``run_warpmatch_sequence`` yields, collected into a list."""
+    from vpskit.warpmatch import run_warpmatch_sequence
+
+    return list(run_warpmatch_sequence(*args, **kwargs))
 
 
 def filled_grid(width: int, height: int, value: int = 0) -> LabelGrid:
@@ -397,9 +432,9 @@ def oracle_generate(config) -> tuple[list[PanopticMap], list[TrackedBox], list[F
     id from per-id tables, and each box is the extent of the ``np.nonzero``
     pixels its actor kept.
     """
-    from vpskit.synth import RECTANGLE, _background_grid
+    from vpskit.synth import RECTANGLE, background_classes
 
-    background = _background_grid(config)
+    background = background_classes(config).values
     actor_class = np.array([0] + [a.class_id for a in config.actors], dtype=np.uint32)
     velocity = np.array([(0.0, 0.0)] + [a.velocity for a in config.actors], dtype=np.float32)
     order = sorted(range(len(config.actors)), key=lambda i: (config.actors[i].depth, i))

@@ -18,6 +18,7 @@ from helpers import (
     brute_force_match,
     brute_force_ownership,
     constant_flow,
+    generate_scene,
     match_keys,
     match_segments,
     mean_pq_over,
@@ -34,7 +35,7 @@ from vpskit.errors import FormatError
 from vpskit.fillfuse import TrackedBox, rasterize_ownership
 from vpskit.metrics import pq, pq_stats, vpq
 from vpskit.rng import Xoshiro256StarStar
-from vpskit.synth import Actor, Band, SceneConfig, generate
+from vpskit.synth import Actor, Band, SceneConfig
 from vpskit.warpmatch import warp_backward
 
 TAX = small_taxonomy()
@@ -311,7 +312,7 @@ def test_criterion_7_warp_identity_and_shift():
 
     # GT flow reproduces the previous instance grid on co-visible pixels
     config = SceneConfig.from_dict(translating_scene_config())
-    bundle = generate(config)
+    bundle = generate_scene(config)
     for t in range(1, config.frames):
         prev = bundle.panoptic[t - 1].instances.values
         curr = bundle.panoptic[t].instances.values

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import vpskit
-from helpers import constant_flow, scene_to_dict, small_taxonomy, zero_flow
+from helpers import constant_flow, scene_to_dict, small_taxonomy, warpmatch_all, zero_flow
 from vpskit import io as vio
 from vpskit.cli import main
 from vpskit.core import LabelGrid, PanopticMap
 from vpskit.synth import Actor, Band, SceneConfig
-from vpskit.warpmatch import invert_flow, run_warpmatch_sequence
+from vpskit.warpmatch import invert_flow
 
 TAX = small_taxonomy()
 
@@ -214,10 +214,10 @@ class TestPipelines:
         code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
         assert code == 0, err
         got, _ = vio.load_panoptic_sequence(json.loads(out)["manifest"])
-        want = run_warpmatch_sequence(maps, [invert_flow(f) for f in backward], taxonomy)
+        want = warpmatch_all(maps, [invert_flow(f) for f in backward], taxonomy)
         assert got == want
         # the tag matters: the backward flows used as forward flows give other ids
-        assert want != run_warpmatch_sequence(maps, backward, taxonomy)
+        assert want != warpmatch_all(maps, backward, taxonomy)
 
 
 # Runs in a fresh interpreter so that no other test's imports count.
@@ -570,6 +570,70 @@ class TestErrors:
         argv = ["warpmatch", "--panoptic", str(manifest), "--flows", str(manifest)]
         code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
         self.assert_one_error_line(code, out, err, "Overflow")
+
+
+class TestStreamedRuns:
+    """synth and warpmatch write each frame as they make it, and the manifest last."""
+
+    def sequence(self, tmp_path, unknown_frame=None, flow_sizes=((4, 4), (4, 4))):
+        classes = np.ones((3, 4, 4), dtype=np.uint32)
+        instances = np.zeros((3, 4, 4), dtype=np.uint32)
+        classes[:, 2:, 2:], instances[:, 2:, 2:] = 10, 1
+        if unknown_frame is not None:
+            classes[unknown_frame, 1, 3] = 99
+        maps = [PanopticMap(LabelGrid(c), LabelGrid(i)) for c, i in zip(classes, instances)]
+        flows = [zero_flow(*size) for size in flow_sizes]
+        return str(vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, flows))
+
+    def warpmatch(self, capsys, seq, out):
+        argv = ["warpmatch", "--panoptic", seq, "--flows", seq, "--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1 and not stdout
+        assert err.count("\n") == 1
+        return json.loads(err)
+
+    def test_unknown_class_in_the_last_frame_leaves_frames_but_no_manifest(self, tmp_path, capsys):
+        out = tmp_path / "wm"
+        error = self.warpmatch(capsys, self.sequence(tmp_path, unknown_frame=2), out)
+        assert error == {"error": "UnknownClass", "message": "class 99 at pixel (3, 1) not in taxonomy"}
+        assert not (out / "manifest.json").exists()
+        # frame 1 goes out only once frame 2 is read and checked
+        assert sorted(p.name for p in out.iterdir()) == ["classes_0000.lmap", "instances_0000.lmap"]
+
+    def test_unknown_class_in_the_second_frame_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "wm"
+        error = self.warpmatch(capsys, self.sequence(tmp_path, unknown_frame=1), out)
+        assert error["error"] == "UnknownClass"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flow_sizes", [((4, 4), (5, 4)), ((4, 3), (4, 4))])
+    def test_a_flow_of_another_size_writes_no_frame_file(self, flow_sizes, tmp_path, capsys):
+        out = tmp_path / "wm"
+        error = self.warpmatch(capsys, self.sequence(tmp_path, flow_sizes=flow_sizes), out)
+        assert error["error"] == "DimensionMismatch"
+        assert "flow is" in error["message"] and "grids are 4x4" in error["message"]
+        assert not out.exists()
+
+    def test_synth_writes_the_bytes_of_its_parts(self, tmp_path, capsys):
+        """Each directory holds what the package's streams give, the flows in both."""
+        from helpers import generate_scene
+        from vpskit.synth import corrupt_boxes, corrupt_masks, corrupt_shuffle_ids
+
+        config = write_config(tmp_path)
+        argv = ["synth", "--config", str(config), "--out", str(tmp_path / "o"), "--shuffle-ids",
+                "--erode", "1", "--box-jitter", "1", "--corrupt-seed", "5"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        summary = json.loads(out)
+        bundle = generate_scene(SceneConfig.from_dict(json.loads(config.read_text())))
+        eroded = corrupt_masks(bundle.panoptic, bundle.background_classes, 1)
+        corrupted, _ = vio.load_panoptic_sequence(summary["corrupt_manifest"])
+        assert corrupted == list(corrupt_shuffle_ids(eroded, 5))
+        for name in ("gt_manifest", "corrupt_manifest"):
+            manifest = vio.read_manifest(summary[name])
+            assert vio.read_flow_fields(summary[name], manifest)[0] == bundle.flows
+        assert vio.read_tracks(summary["tracks"]) == bundle.boxes
+        assert vio.read_tracks(summary["corrupt_tracks"]) == list(corrupt_boxes(bundle.boxes, 1, 0.0, 5))
 
 
 def test_warpmatch_parses_a_shared_manifest_once(tmp_path, capsys, monkeypatch):

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import small_taxonomy
+from helpers import generate_scene, small_taxonomy
 from vpskit import io as vio
 from vpskit.cli import _binding_pairs
 from vpskit.core import LabelGrid
 from vpskit.errors import VpsError
 from vpskit.fillfuse import fill_and_fuse
-from vpskit.synth import SceneConfig, _validate_config, generate
+from vpskit.synth import SceneConfig, _validate_config
 
 TAX = small_taxonomy()
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -208,7 +208,7 @@ def test_taxonomy_documents_parse_or_raise(workdir, doc):
 def test_small_scene_configs_generate_or_raise(doc):
     config = parses_or_raises_vps_error(SceneConfig.from_dict, doc)
     if config is not None:
-        parses_or_raises_vps_error(generate, config)
+        parses_or_raises_vps_error(generate_scene, config)
 
 
 @given(scene_docs(mostly(st.integers(1, 4) | integers)) | json_values)

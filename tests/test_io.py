@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import zero_flow
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from vpskit.errors import BadMagic, FormatError, NonFinite, Overflow, ParseError, Truncated
+from vpskit.errors import BadMagic, DimensionMismatch, FormatError, NonFinite, Overflow
+from vpskit.errors import ParseError, SequenceLengthMismatch, Truncated
 from vpskit.fillfuse import TrackedBox
 from vpskit import io as vio
 
@@ -444,6 +445,139 @@ class TestManifests:
         manifest_path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="referenced file"):
             vio.read_manifest(manifest_path)
+
+
+class TestStreams:
+    """Sequences are read and written one frame at a time; the manifest goes last."""
+
+    def write(self, tmp_path, n=3, w=4, h=3):
+        maps = make_maps(n, w, h)
+        flows = [zero_flow(w, h) for _ in range(n - 1)]
+        path = vio.write_panoptic_sequence(tmp_path / "seq", maps, make_taxonomy(), flows)
+        return path, vio.read_manifest(path)
+
+    def test_a_stream_writes_the_bytes_of_a_list(self, tmp_path):
+        maps, flows = make_maps(), [zero_flow(4, 3)] * 2
+        listed = vio.write_panoptic_sequence(tmp_path / "a", maps, make_taxonomy(), flows)
+        streamed = vio.write_panoptic_sequence(
+            tmp_path / "b", iter(maps), make_taxonomy(), iter(flows), count=3
+        )
+        names = sorted(p.name for p in listed.parent.iterdir())
+        assert names == sorted(p.name for p in streamed.parent.iterdir())
+        for name in names:
+            assert (listed.parent / name).read_bytes() == (streamed.parent / name).read_bytes()
+
+    def test_the_count_sets_the_padding(self, tmp_path):
+        writer = vio.SequenceWriter(tmp_path / "seq", 10001)
+        writer.write_frame(make_maps(1)[0].classes)
+        assert [p.name for p in (tmp_path / "seq").iterdir()] == ["classes_00000.lmap"]
+
+    def test_the_directory_is_made_with_the_first_file(self, tmp_path):
+        writer = vio.SequenceWriter(tmp_path / "seq", 2, make_taxonomy(), flows=True)
+        assert not (tmp_path / "seq").exists()
+        writer.write_frame(make_maps(1)[0].classes, make_maps(1)[0].instances)
+        assert (tmp_path / "seq" / "instances_0000.lmap").exists()
+
+    @pytest.mark.parametrize("frames, flows", [(1, 0), (3, 0), (2, 0), (2, 2)])
+    def test_a_short_or_long_sequence_gets_no_manifest(self, tmp_path, frames, flows):
+        writer = vio.SequenceWriter(tmp_path / "seq", 2, make_taxonomy(), flows=True)
+        for pmap in make_maps(frames):
+            writer.write_frame(pmap.classes, pmap.instances)
+        for _ in range(flows):
+            writer.write_flow(vio.encode_flow(zero_flow(4, 3)))
+        with pytest.raises(SequenceLengthMismatch):
+            writer.close()
+        assert not (tmp_path / "seq" / "manifest.json").exists()
+
+    def test_a_failing_stream_leaves_frames_but_no_manifest(self, tmp_path):
+        def maps():
+            yield from make_maps(2)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            vio.write_panoptic_sequence(tmp_path / "seq", maps(), make_taxonomy(), count=3)
+        names = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        assert names == [f"{layer}_000{t}.lmap" for layer in ("classes", "instances") for t in (0, 1)]
+
+    def test_frames_are_read_as_they_are_pulled(self, tmp_path, monkeypatch):
+        path, manifest = self.write(tmp_path)
+        read = []
+        real = vio.read_label_grid
+        monkeypatch.setattr(vio, "read_label_grid", lambda p: read.append(Path(p).name) or real(p))
+        frames = vio.iter_panoptic_frames(path, manifest)
+        flows = vio.iter_flow_fields(path, manifest)
+        assert read == []
+        assert next(frames) == make_maps()[0]
+        assert read == ["classes_0000.lmap", "instances_0000.lmap"]
+        assert next(flows) == zero_flow(4, 3)
+        assert list(frames) == make_maps()[1:]
+
+    def test_a_semantic_only_sequence_is_refused_before_any_read(self, tmp_path, monkeypatch):
+        grids = [m.classes for m in make_maps()]
+        path = vio.write_semantic_sequence(tmp_path / "sem", grids, make_taxonomy())
+        monkeypatch.setattr(vio, "read_label_grid", None)  # a read would fail as TypeError
+        with pytest.raises(ParseError, match="semantic-only"):
+            vio.iter_panoptic_frames(path, vio.read_manifest(path))
+        with pytest.raises(ParseError, match="no flow fields"):
+            vio.iter_flow_fields(path, vio.read_manifest(path))
+
+    def test_the_flow_sequence_check_reads_headers_alone(self, tmp_path, monkeypatch):
+        path, manifest = self.write(tmp_path)
+        monkeypatch.setattr(vio, "_read_bytes", None)  # a payload read would fail as TypeError
+        vio.check_flow_sequence(path, manifest, path, manifest)
+
+    @pytest.mark.parametrize(
+        "name, size, message",
+        [
+            ("classes_0002.lmap", (5, 3), "classes_0002.lmap: grid is 5x3, frame 0 is 4x3"),
+            ("instances_0001.lmap", (4, 2), "instances_0001.lmap: grid is 4x2, frame 0 is 4x3"),
+            ("flow_0001.flo", (3, 4), "flow_0001.flo: flow is 3x4, grids are 4x3"),
+        ],
+    )
+    def test_a_size_apart_is_a_dimension_mismatch(self, tmp_path, name, size, message):
+        path, manifest = self.write(tmp_path)
+        if name.endswith(".flo"):
+            vio.write_flow(zero_flow(*size), path.parent / name)
+        else:
+            vio.write_label_grid(LabelGrid(np.ones(size[::-1], dtype=np.uint32)), path.parent / name)
+        with pytest.raises(DimensionMismatch, match=message):
+            vio.check_flow_sequence(path, manifest, path, manifest)
+
+    def test_a_flow_count_apart_is_a_length_mismatch(self, tmp_path):
+        path, manifest = self.write(tmp_path)
+        short, short_manifest = self.write(tmp_path / "short", n=2)
+        with pytest.raises(SequenceLengthMismatch, match="3 frames need 2 flow fields, got 1"):
+            vio.check_flow_sequence(path, manifest, short, short_manifest)
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda data: data[:-1], Truncated),
+            (lambda data: data + b"\0", Truncated),
+            (lambda data: b"XXXX" + data[4:], BadMagic),
+            (lambda data: b"", Truncated),
+            (lambda data: data[:4] + struct.pack("<II", 0, 3) + data[12:], FormatError),
+        ],
+    )
+    def test_a_header_check_fails_as_the_full_read_would(self, tmp_path, corrupt, error):
+        path, manifest = self.write(tmp_path)
+        victim = path.parent / "classes_0001.lmap"
+        victim.write_bytes(corrupt(victim.read_bytes()))
+        with pytest.raises(error) as full:
+            vio.read_label_grid(victim)
+        with pytest.raises(error) as header:
+            vio.check_flow_sequence(path, manifest, path, manifest)
+        assert str(header.value) == str(full.value)
+
+    def test_a_manifest_resolves_its_directory_once(self, tmp_path, monkeypatch):
+        path, _ = self.write(tmp_path, n=4)
+        resolved = []
+        real = Path.resolve
+        monkeypatch.setattr(Path, "resolve", lambda p, *a, **k: resolved.append(p) or real(p, *a, **k))
+        vio.read_manifest(path)
+        # the directory once, then each of the 4 + 4 grids and 3 flows it names
+        assert resolved.count(path.parent) == 1
+        assert len(resolved) == 1 + 11
 
 
 class TestReaderContract:

@@ -2,13 +2,20 @@
 
 The frame is 640x320, the size of the benchmark's big-frames scene: stuff
 bands, twenty moving things, and a fractional flow. A budget counts every
-array a call allocates at once, its result included.
+array a call allocates at once, its result included. The streamed commands
+hold one frame's working set, so their peaks do not grow with the frame count.
 """
 
+import contextlib
+import io
+import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
+from helpers import generate_scene, scene_to_dict
+from vpskit import cli
 from vpskit.core import ClassEntry, ClassTaxonomy, present_ids, remap
 from vpskit.io import decode_flow, encode_flow, encode_label_grid
 from vpskit.metrics import _frame_table
@@ -52,7 +59,7 @@ def scene_config():
 
 @pytest.fixture(scope="module")
 def scene(scene_config):
-    return generate(scene_config)
+    return generate_scene(scene_config)
 
 
 def peak_grids(call) -> float:
@@ -97,8 +104,8 @@ def test_invert_flow_peaks_at_most_8_grids(scene):
 
 
 def test_generate_peaks_at_most_7_grids_per_frame(scene_config):
-    # the bundle alone holds up to 4 grids per frame: classes, instances and a 2-grid flow
-    grids = peak_grids(lambda: generate(scene_config)) / scene_config.frames
+    # the collected scene alone holds up to 4 grids per frame: classes, instances and a 2-grid flow
+    grids = peak_grids(lambda: generate_scene(scene_config)) / scene_config.frames
     assert grids <= 7, f"generate peaked at {grids:.2f} grids per frame"
 
 
@@ -123,3 +130,29 @@ def test_encoders_copy_the_payload_once(scene):
     assert grids <= 1.5, f"encode_label_grid peaked at {grids:.2f} grids"
     grids = peak_grids(lambda: encode_flow(flow))
     assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"
+
+
+def test_synth_and_warpmatch_peak_alike_at_4_and_16_frames(scene_config, tmp_path):
+    """In-process ``cli.main`` peaks of 16 frames stay within 10% of those of 4 frames."""
+
+    def run(argv: list[str]) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+
+    def commands(frames: int) -> list[list[str]]:
+        root = tmp_path / str(frames)
+        root.mkdir()
+        config = root / "scene.json"
+        config.write_text(json.dumps(scene_to_dict(replace(scene_config, frames=frames))))
+        corrupt = str(root / "data" / "corrupt" / "manifest.json")
+        return [
+            ["synth", "--config", str(config), "--out", str(root / "data"), "--shuffle-ids",
+             "--erode", "1", "--box-jitter", "1", "--box-drop", "0.1"],
+            ["warpmatch", "--panoptic", corrupt, "--flows", corrupt, "--out", str(root / "wm")],
+        ]
+
+    for argv in commands(2):  # imports and first-use caches, outside the measured runs
+        run(argv)
+    peaks = {n: [peak_grids(lambda: run(argv)) for argv in commands(n)] for n in (4, 16)}
+    for name, four, sixteen in zip(("synth", "warpmatch"), peaks[4], peaks[16]):
+        assert sixteen <= 1.1 * four, f"{name}: {four:.2f} grids at 4 frames, {sixteen:.2f} at 16"

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_corrupt_masks, oracle_generate, scene_to_dict, small_taxonomy
+from helpers import (
+    generate_scene,
+    oracle_corrupt_masks,
+    oracle_generate,
+    scene_to_dict,
+    small_taxonomy,
+)
+from vpskit import synth
 from vpskit.core import LabelGrid, PanopticMap
 from vpskit.errors import InvalidConfig
 from vpskit.metrics import pq, vpq
@@ -106,8 +113,24 @@ class TestValidation:
 
 
 class TestGenerate:
+    def test_frames_are_painted_as_they_are_pulled(self, monkeypatch):
+        painted = []
+        real = synth._frame
+        monkeypatch.setattr(synth, "_frame", lambda config, t, *a: painted.append(t) or real(config, t, *a))
+        frames = generate(scene(frames=3, actors=[rect(velocity=(1, 0))]))
+        assert painted == []
+        first = next(frames)
+        assert painted == [0]
+        assert [b.frame for b in first.boxes] == [0] and first.flow is not None
+        assert [frame.flow for frame in frames] != [None, None]
+        assert painted == [0, 1, 2]
+
+    def test_the_last_frame_has_no_flow(self):
+        frames = list(generate(scene(frames=2, actors=[rect()])))
+        assert frames[0].flow is not None and frames[1].flow is None
+
     def test_static_actor_constant_frames_zero_flow(self):
-        bundle = generate(scene(frames=4, actors=[rect()]))
+        bundle = generate_scene(scene(frames=4, actors=[rect()]))
         first = bundle.panoptic[0]
         for frame in bundle.panoptic[1:]:
             assert frame.classes == first.classes
@@ -116,7 +139,7 @@ class TestGenerate:
             assert not flow.vectors.any()
 
     def test_moving_rectangle_geometry(self):
-        bundle = generate(scene(frames=2, actors=[rect(velocity=(1, 0))]))
+        bundle = generate_scene(scene(frames=2, actors=[rect(velocity=(1, 0))]))
         (box,) = [b for b in bundle.boxes if b.frame == 1]
         assert (box.x0, box.x1, box.y0, box.y1) == (2.0, 4.0, 1.0, 3.0)
         flow = bundle.flows[0].vectors
@@ -126,7 +149,7 @@ class TestGenerate:
         assert not flow[..., 1].any()
 
     def test_instance_ids_are_actor_indices(self):
-        bundle = generate(
+        bundle = generate_scene(
             scene(width=10, actors=[rect(start=(0, 0)), rect(class_id=11, start=(5, 3))])
         )
         values = set(np.unique(bundle.panoptic[0].instances.values)) - {0}
@@ -135,7 +158,7 @@ class TestGenerate:
     def test_depth_occlusion(self):
         low = rect(start=(1, 1), depth=1)
         high = Actor("rectangle", 11, 2, (2, 2), (0, 0), depth=2)
-        bundle = generate(scene(actors=[low, high]))
+        bundle = generate_scene(scene(actors=[low, high]))
         inst = bundle.panoptic[0].instances.values
         assert inst[2, 2] == 2  # overlap pixel carries the deeper (higher) actor
         assert inst[1, 1] == 1
@@ -147,7 +170,7 @@ class TestGenerate:
             frames=3,
             actors=[rect(size=4, velocity=(1, 1)), Actor("disk", 11, 5, (6, 2), (-1, 0), 1)],
         )
-        bundle = generate(config)
+        bundle = generate_scene(config)
         for box in bundle.boxes:
             mask = bundle.panoptic[box.frame].instances.values == box.track_id
             ys, xs = np.nonzero(mask)
@@ -155,13 +178,13 @@ class TestGenerate:
             assert ys.min() == box.y0 and ys.max() + 1 == box.y1
 
     def test_actor_exits_frame(self):
-        bundle = generate(scene(frames=5, actors=[rect(start=(4, 1), velocity=(1, 0))]))
+        bundle = generate_scene(scene(frames=5, actors=[rect(start=(4, 1), velocity=(1, 0))]))
         # actor fully out after x start >= 6: frame 2 covers x in {6,7} -> gone
         assert [b.frame for b in bundle.boxes] == [0, 1]
         assert not bundle.panoptic[2].instances.values.any()
 
     def test_disk_shape_is_round(self):
-        bundle = generate(scene(width=9, height=9, frames=1, actors=[Actor("disk", 10, 5, (2, 2), (0, 0))]))
+        bundle = generate_scene(scene(width=9, height=9, frames=1, actors=[Actor("disk", 10, 5, (2, 2), (0, 0))]))
         mask = bundle.panoptic[0].instances.values == 1
         assert not mask[2, 2]  # corner of the bounding square is outside the disk
         assert mask[4, 4]  # center is inside
@@ -170,14 +193,14 @@ class TestGenerate:
     def test_disk_covers_pixel_centres_on_its_circle(self):
         # centre (2.5, 2.5), radius 2: pixel centres (0.5, 2.5) and (2.5, 0.5) lie on the circle
         disk = Actor("disk", 10, 4, (0.5, 0.5), (0, 0))
-        inst = generate(scene(frames=1, actors=[disk])).panoptic[0].instances.values
+        inst = generate_scene(scene(frames=1, actors=[disk])).panoptic[0].instances.values
         assert inst[2, 0] == 1 and inst[0, 2] == 1
         assert inst[0, 0] == 0
 
     def test_deterministic_byte_identical(self):
         config = scene(frames=3, actors=[rect(velocity=(1, 0)), rect(class_id=11, start=(3, 3))])
-        a = generate(config)
-        b = generate(config)
+        a = generate_scene(config)
+        b = generate_scene(config)
         for ma, mb in zip(a.panoptic, b.panoptic):
             assert ma.instances.values.tobytes() == mb.instances.values.tobytes()
             assert ma.classes.values.tobytes() == mb.classes.values.tobytes()
@@ -206,7 +229,7 @@ class TestGenerate:
             )
         )
         config = scene(width, height, data.draw(st.integers(1, 4)), actors, (Band(1, 1), Band(2)))
-        bundle = generate(config)
+        bundle = generate_scene(config)
         panoptic, boxes, flows = oracle_generate(config)
         for got, want in zip(bundle.panoptic, panoptic, strict=True):
             assert got.classes.values.tobytes() == want.classes.values.tobytes()
@@ -216,7 +239,7 @@ class TestGenerate:
         assert bundle.boxes == boxes
 
     def test_band_layout(self):
-        bundle = generate(scene(height=7, background=(Band(1, 2), Band(2))))
+        bundle = generate_scene(scene(height=7, background=(Band(1, 2), Band(2))))
         classes = bundle.panoptic[0].classes.values
         assert np.all(classes[:2] == 1)
         assert np.all(classes[2:] == 2)
@@ -228,7 +251,7 @@ class TestGenerate:
             frames=4,
             actors=[rect(size=3, velocity=(2, 1)), Actor("disk", 11, 4, (9, 2), (-1, 2), 1)],
         )
-        bundle = generate(config)
+        bundle = generate_scene(config)
         for t in range(1, config.frames):
             prev = bundle.panoptic[t - 1]
             curr = bundle.panoptic[t]
@@ -250,7 +273,7 @@ class TestGenerate:
 
 class TestCorruptShuffle:
     def make_bundle(self, frames=6):
-        return generate(
+        return generate_scene(
             scene(
                 width=10,
                 height=8,
@@ -261,14 +284,14 @@ class TestCorruptShuffle:
 
     def test_support_and_classes_untouched(self):
         bundle = self.make_bundle()
-        shuffled = corrupt_shuffle_ids(bundle.panoptic, seed=5)
+        shuffled = list(corrupt_shuffle_ids(bundle.panoptic, seed=5))
         for orig, shuf in zip(bundle.panoptic, shuffled):
             assert shuf.classes == orig.classes
             assert np.array_equal(shuf.instances.values != 0, orig.instances.values != 0)
 
     def test_per_frame_pq_stays_one_while_vpq_degrades(self):
         bundle = self.make_bundle()
-        shuffled = corrupt_shuffle_ids(bundle.panoptic, seed=5)
+        shuffled = list(corrupt_shuffle_ids(bundle.panoptic, seed=5))
         assert any(  # seed 5 actually shuffles
             not np.array_equal(shuf.instances.values, orig.instances.values)
             for orig, shuf in zip(bundle.panoptic, shuffled)
@@ -280,7 +303,7 @@ class TestCorruptShuffle:
 
     def test_recorded_permutations_invert(self):
         bundle = self.make_bundle()
-        shuffled = corrupt_shuffle_ids(bundle.panoptic, seed=11)
+        shuffled = list(corrupt_shuffle_ids(bundle.panoptic, seed=11))
         for orig, shuf in zip(bundle.panoptic, shuffled):
             # the frame's old -> new ids, read from the pixels of both grids
             support = orig.instances.values != 0
@@ -299,41 +322,48 @@ class TestCorruptShuffle:
 
     def test_replays_bit_exactly(self):
         bundle = self.make_bundle()
-        a = corrupt_shuffle_ids(bundle.panoptic, seed=3)
-        b = corrupt_shuffle_ids(bundle.panoptic, seed=3)
+        a = list(corrupt_shuffle_ids(bundle.panoptic, seed=3))
+        b = list(corrupt_shuffle_ids(bundle.panoptic, seed=3))
         for x, y in zip(a, b):
             assert x.instances.values.tobytes() == y.instances.values.tobytes()
 
 
 class TestCorruptBoxes:
     def make_bundle(self):
-        return generate(
+        return generate_scene(
             scene(width=12, height=10, frames=4, actors=[rect(size=3), rect(class_id=11, start=(7, 5), size=3)])
         )
 
     def test_identity_when_no_jitter_no_drop(self):
         bundle = self.make_bundle()
-        assert corrupt_boxes(bundle.boxes, jitter=0, drop_rate=0.0, seed=1) == bundle.boxes
+        assert list(corrupt_boxes(bundle.boxes, jitter=0, drop_rate=0.0, seed=1)) == bundle.boxes
 
     def test_drop_rate_one_empties_everything(self):
         bundle = self.make_bundle()
-        assert corrupt_boxes(bundle.boxes, jitter=0, drop_rate=1.0, seed=1) == []
+        assert list(corrupt_boxes(bundle.boxes, jitter=0, drop_rate=1.0, seed=1)) == []
 
     def test_jitter_offsets_replay(self):
         bundle = self.make_bundle()
-        a = corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42)
-        b = corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42)
+        a = list(corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42))
+        b = list(corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42))
         assert a == b
         assert any(x != y for x, y in zip(a, bundle.boxes))  # seed 42 moves something
 
     def test_jitter_bounded(self):
         bundle = self.make_bundle()
-        jittered = corrupt_boxes(bundle.boxes, jitter=2, drop_rate=0.0, seed=7)
+        jittered = list(corrupt_boxes(bundle.boxes, jitter=2, drop_rate=0.0, seed=7))
         by_key = {(b.frame, b.track_id): b for b in bundle.boxes}
         for box in jittered:
             orig = by_key[box.frame, box.track_id]
             for attr in ("x0", "y0", "x1", "y1"):
                 assert abs(getattr(box, attr) - getattr(orig, attr)) <= 2
+
+    def test_flags_are_checked_at_the_call_and_boxes_read_as_pulled(self):
+        bundle = self.make_bundle()
+        boxes = []
+        jittered = corrupt_boxes(boxes, jitter=1, drop_rate=0.0, seed=42)
+        boxes.extend(bundle.boxes)  # filled after the call, before the first pull
+        assert list(jittered) == list(corrupt_boxes(bundle.boxes, jitter=1, drop_rate=0.0, seed=42))
 
     def test_parameter_validation(self):
         bundle = self.make_bundle()
@@ -345,18 +375,18 @@ class TestCorruptBoxes:
 
 class TestCorruptMasks:
     def test_zero_erosion_is_identity(self):
-        bundle = generate(scene(actors=[rect()]))
-        assert corrupt_masks(bundle.panoptic, bundle.background_classes, erode=0) == bundle.panoptic
+        bundle = generate_scene(scene(actors=[rect()]))
+        assert list(corrupt_masks(bundle.panoptic, bundle.background_classes, erode=0)) == bundle.panoptic
 
     def test_small_actor_vanishes(self):
-        bundle = generate(scene(actors=[rect(size=2)]))
-        eroded = corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1)
+        bundle = generate_scene(scene(actors=[rect(size=2)]))
+        eroded = list(corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1))
         assert not eroded[0].instances.values.any()
         assert (eroded[0].classes.values == 1).all()  # back to the band class
 
     def test_large_actor_loses_boundary_ring(self):
-        bundle = generate(scene(width=12, height=12, actors=[rect(size=6, start=(3, 3))]))
-        eroded = corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1)
+        bundle = generate_scene(scene(width=12, height=12, actors=[rect(size=6, start=(3, 3))]))
+        eroded = list(corrupt_masks(bundle.panoptic, bundle.background_classes, erode=1))
         before = int((bundle.panoptic[0].instances.values == 1).sum())
         after = int((eroded[0].instances.values == 1).sum())
         assert before == 36
@@ -365,16 +395,16 @@ class TestCorruptMasks:
         assert kept[4:8, 4:8].all()
 
     def test_radius_far_beyond_the_frame_costs_no_more_than_the_frame(self):
-        bundle = generate(scene(actors=[rect(size=4)]))
+        bundle = generate_scene(scene(actors=[rect(size=4)]))
         background = bundle.background_classes
         tracemalloc.start()
         try:
-            far = corrupt_masks(bundle.panoptic, background, erode=2000)
+            far = list(corrupt_masks(bundle.panoptic, background, erode=2000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"erode 2000 on a 6x6 frame peaked at {peak} bytes"
-        assert far == corrupt_masks(bundle.panoptic, background, erode=6)
+        assert far == list(corrupt_masks(bundle.panoptic, background, erode=6))
         assert not any(m.instances.values.any() for m in far)
 
     @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 9), st.data())
@@ -388,5 +418,5 @@ class TestCorruptMasks:
         background = np.where(np.arange(h * w).reshape(h, w) < h * w // 2, 1, 2)
         classes = np.where(instances != 0, 10, background)
         frame = PanopticMap(LabelGrid(classes), LabelGrid(instances))
-        eroded = corrupt_masks([frame], LabelGrid(background), erode)
+        eroded = list(corrupt_masks([frame], LabelGrid(background), erode))
         assert eroded == oracle_corrupt_masks([frame], background, erode)

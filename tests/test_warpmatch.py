@@ -9,6 +9,7 @@ from helpers import (
     oracle_invert_flow,
     oracle_match_greedy,
     oracle_warp_backward,
+    warpmatch_all,
     zero_flow,
 )
 from vpskit import warpmatch
@@ -391,7 +392,7 @@ def static_scene(frames=3, permutes=None, seed=0xBEEF):
 class TestSequence:
     def test_single_frame_passthrough(self):
         seq = static_scene(frames=1)
-        out = run_warpmatch_sequence(seq, [], TAX)
+        out = warpmatch_all(seq, [], TAX)
         assert out[0] == seq[0]
 
     @pytest.mark.parametrize("frame", [0, 1, 2])
@@ -402,14 +403,14 @@ class TestSequence:
         seq[frame] = PanopticMap(LabelGrid(classes), seq[frame].instances)
         flows = [constant_flow(8, 6, 1.0, 0.0) for _ in range(2)]
         with pytest.raises(UnknownClass, match=r"^class 99 at pixel \(7, 5\) not in taxonomy$"):
-            run_warpmatch_sequence(seq, flows, TAX)
+            warpmatch_all(seq, flows, TAX)
 
     def test_unknown_class_in_single_frame_is_rejected(self):
         seq = static_scene(frames=1)
         classes = seq[0].classes.values.copy()
         classes[0, 0] = 99
         with pytest.raises(UnknownClass):
-            run_warpmatch_sequence([PanopticMap(LabelGrid(classes), seq[0].instances)], [], TAX)
+            warpmatch_all([PanopticMap(LabelGrid(classes), seq[0].instances)], [], TAX)
 
     @pytest.mark.parametrize(
         "kwargs", [{"threshold": 5.0}, {"threshold": float("nan")}, {"matcher": "best"}]
@@ -423,32 +424,67 @@ class TestSequence:
     def test_flow_count_mismatch(self):
         seq = static_scene(frames=3)
         with pytest.raises(SequenceLengthMismatch):
-            run_warpmatch_sequence(seq, [zero_flow(8, 6)], TAX)
+            warpmatch_all(seq, [zero_flow(8, 6)], TAX)
+
+    def test_each_output_frame_waits_for_the_next_input_frame(self):
+        seq = static_scene(frames=3, permutes={1})
+        pulled = []
+
+        def frames():
+            for t, pmap in enumerate(seq):
+                pulled.append(t)
+                yield pmap
+
+        out = run_warpmatch_sequence(frames(), [zero_flow(8, 6)] * 2, TAX)
+        assert pulled == []
+        assert next(out) == seq[0]
+        assert pulled == [0, 1]  # frame 1 was read and checked before frame 0 went out
+        assert next(out).instances == seq[0].instances
+        assert pulled == [0, 1, 2]
+        assert next(out).instances == seq[0].instances
+        assert next(out, None) is None
+
+    def test_a_bad_second_frame_fails_before_any_frame_is_yielded(self):
+        seq = static_scene(frames=2)
+        classes = seq[1].classes.values.copy()
+        classes[0, 0] = 99
+        seq[1] = PanopticMap(LabelGrid(classes), seq[1].instances)
+        out = run_warpmatch_sequence(iter(seq), [zero_flow(8, 6)], TAX)
+        with pytest.raises(UnknownClass):
+            next(out)
+
+    @pytest.mark.parametrize("frames, flows", [(0, 1), (1, 1), (3, 1), (3, 3)])
+    def test_flow_count_mismatch_fails_before_the_last_frame(self, frames, flows):
+        seq = static_scene(frames=frames) if frames else []
+        out = run_warpmatch_sequence(seq, [zero_flow(8, 6)] * flows, TAX)
+        with pytest.raises(SequenceLengthMismatch):
+            for _ in range(max(frames, 1)):  # frames - 1 of them go out
+                next(out)
 
     def test_static_permuted_frame_restored(self):
         seq = static_scene(frames=2, permutes={1})
         flows = [zero_flow(8, 6)]
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         assert out[1].instances == out[0].instances
 
     def test_transitive_consistency_over_many_frames(self):
         seq = static_scene(frames=6, permutes={1, 2, 4})
         flows = [zero_flow(8, 6) for _ in range(5)]
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         for frame in out[1:]:
             assert frame.instances == out[0].instances
 
     def test_class_channel_identity(self):
         seq = static_scene(frames=4, permutes={2})
         flows = [zero_flow(8, 6) for _ in range(3)]
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         for inp, q in zip(seq, out):
             assert q.classes == inp.classes
 
     def test_support_preservation(self):
         seq = static_scene(frames=3, permutes={1, 2})
         flows = [zero_flow(8, 6) for _ in range(2)]
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         for inp, q in zip(seq, out):
             assert np.array_equal(q.instances.values != 0, inp.instances.values != 0)
 
@@ -464,7 +500,7 @@ class TestSequence:
         inst1[3, 3] = 3 - 2  # reuses a low id for the newcomer
         inst1[0, 0] = 9
         seq = [pmap(classes0, inst0), pmap(classes1, inst1)]
-        out = run_warpmatch_sequence(seq, [zero_flow(4, 4)], TAX)
+        out = warpmatch_all(seq, [zero_flow(4, 4)], TAX)
         assert out[1].instances.values[0, 0] == 3  # matched to the old actor
         newcomer = int(out[1].instances.values[3, 3])
         assert newcomer == 4  # fresh id allocated after frame-0 max (3)
@@ -483,7 +519,7 @@ class TestSequence:
         warped = warp_backward(curr, flow, TAX.void_class_id)
         assert build_iou_matrix(warped, prev, TAX).current_ids == (5, 7)
 
-        out = run_warpmatch_sequence([prev, curr], [flow], TAX)
+        out = warpmatch_all([prev, curr], [flow], TAX)
         # fresh ids from 5 (frame 0's max is 4), ascending in the original id: 2, 3, 5
         assert out[1].instances.values.tolist() == [[6, 0, 7, 0, 4, 4, 0, 5]] * 2
 
@@ -495,7 +531,7 @@ class TestSequence:
         inst[0, 0] = 1
         empty = pmap(np.full((4, 4), 1, dtype=np.int64), np.zeros((4, 4), dtype=np.int64))
         seq = [pmap(classes, inst), empty, pmap(classes, inst)]
-        out = run_warpmatch_sequence(seq, [zero_flow(4, 4)] * 2, TAX)
+        out = warpmatch_all(seq, [zero_flow(4, 4)] * 2, TAX)
         assert int(out[2].instances.values[0, 0]) != 1  # memory horizon is one frame
 
     def test_top_id_in_first_frame_then_fresh_id_is_overflow(self):
@@ -503,7 +539,7 @@ class TestSequence:
         first = pmap([[10, 1, 1]], [[top, 0, 0]])
         second = pmap([[1, 1, 10]], [[0, 0, 5]])  # disjoint from the first mask
         with pytest.raises(Overflow):
-            run_warpmatch_sequence([first, second], [zero_flow(3, 1)], TAX)
+            warpmatch_all([first, second], [zero_flow(3, 1)], TAX)
 
     @pytest.mark.parametrize("frames", [2, 5])
     def test_one_id_assignment_per_frame(self, frames, monkeypatch):
@@ -515,14 +551,14 @@ class TestSequence:
 
         monkeypatch.setattr(warpmatch, "IdAssignment", counting)
         seq = static_scene(frames=frames, permutes={1, 3})
-        run_warpmatch_sequence(seq, [zero_flow(8, 6)] * (frames - 1), TAX)
+        warpmatch_all(seq, [zero_flow(8, 6)] * (frames - 1), TAX)
         assert len(built) == frames - 1
 
     def test_determinism_byte_identical(self):
         seq = static_scene(frames=5, permutes={1, 3})
         flows = [zero_flow(8, 6) for _ in range(4)]
-        a = run_warpmatch_sequence(seq, flows, TAX)
-        b = run_warpmatch_sequence(seq, flows, TAX)
+        a = warpmatch_all(seq, flows, TAX)
+        b = warpmatch_all(seq, flows, TAX)
         for x, y in zip(a, b):
             assert x.instances.values.tobytes() == y.instances.values.tobytes()
             assert x.classes.values.tobytes() == y.classes.values.tobytes()
@@ -546,7 +582,7 @@ class TestSequence:
             prev_inst = seq[t - 1].instances.values
             vec[prev_inst == 1, 0] = -2.0
             flows.append(FlowField(vec))
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         assert int(out[1].instances.values.max()) == 1  # still matched while visible
         assert not out[3].instances.values.any()  # fully gone
 
@@ -565,7 +601,7 @@ class TestSequence:
             vec = np.zeros((5, 10, 2), dtype=np.float32)
             vec[1:3, t : 2 + t, 0] = 1.0  # actor pixels at t-1 move +1 in x
             flows.append(FlowField(vec))
-        out = run_warpmatch_sequence(seq, flows, TAX)
+        out = warpmatch_all(seq, flows, TAX)
         first_id = int(out[0].instances.values[1, 1])
         for t, frame in enumerate(out):
             actor_ids = set(np.unique(frame.instances.values)) - {0}
