@@ -13,11 +13,18 @@ import numpy as np
 import pytest
 
 import vpskit
-from helpers import constant_flow, scene_to_dict, small_taxonomy, warpmatch_all, zero_flow
+from helpers import (
+    constant_flow,
+    generate_scene,
+    scene_to_dict,
+    small_taxonomy,
+    warpmatch_all,
+    zero_flow,
+)
 from vpskit import io as vio
 from vpskit.cli import main
 from vpskit.core import LabelGrid, PanopticMap
-from vpskit.synth import Actor, Band, SceneConfig
+from vpskit.synth import Actor, Band, SceneConfig, corrupt_boxes, corrupt_masks, corrupt_shuffle_ids
 from vpskit.warpmatch import invert_flow
 
 TAX = small_taxonomy()
@@ -616,9 +623,6 @@ class TestStreamedRuns:
 
     def test_synth_writes_the_bytes_of_its_parts(self, tmp_path, capsys):
         """Each directory holds what the package's streams give, the flows in both."""
-        from helpers import generate_scene
-        from vpskit.synth import corrupt_boxes, corrupt_masks, corrupt_shuffle_ids
-
         config = write_config(tmp_path)
         argv = ["synth", "--config", str(config), "--out", str(tmp_path / "o"), "--shuffle-ids",
                 "--erode", "1", "--box-jitter", "1", "--corrupt-seed", "5"]
