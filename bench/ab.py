@@ -12,8 +12,9 @@ seed, perfbench's scene goes once through the base revision's pipeline; its
 outputs are the fixed inputs of every timed run. A pair runs one command as
 ``python -m vpskit.cli`` on both revisions, alternating which goes first,
 each into an output path of its own that is hashed against the base
-pipeline's output and then removed. Wall time and the child's own peak RSS
-(``wait4``) come from perfbench's ``run_subprocess``.
+pipeline's output and then removed; each row records that output's digest,
+so records made at different commits check one another. Wall time and the
+child's own peak RSS (``wait4``) come from perfbench's ``run_subprocess``.
 
 The optional Cityscapes-size rows time every command of ``--commands`` on a
 2048x1024x30 scene (40 actors, big-frames flags, seed 1), with
@@ -153,6 +154,7 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             and wins >= 0.9 * pairs
             and base["median"] - change["median"] > base["q3"] - base["q1"],
             "outputs_identical": identical,
+            "output_sha256": want,
             "runs_s": {name: runs[name]["s"] for name in sides},
             "runs_peak_rss_mb": {name: runs[name]["rss"] for name in sides},
         }

@@ -114,16 +114,20 @@ def _cmd_synth(args) -> int:
 
 def _cmd_fillfuse(args) -> int:
     from . import io as vio
+    from .fillfuse import check_track_frames
 
-    semantic, manifest_tax = vio.load_semantic_sequence(args.semantic)
-    taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy else manifest_tax
+    manifest = vio.read_manifest(args.semantic)
+    taxonomy = vio.read_taxonomy(args.taxonomy) if args.taxonomy else manifest.taxonomy
     if taxonomy is None:
         raise ParseError("no taxonomy: pass --taxonomy or embed one in the manifest")
     tracks = vio.read_tracks(args.tracks)
     binding = _binding_pairs(args.binding) if args.binding else None
-    maps = _cli.run_fillfuse_sequence(semantic, tracks, taxonomy, binding)
-    manifest = vio.write_panoptic_sequence(args.out, maps, taxonomy)
-    return _emit({"frames": len(maps), "manifest": str(manifest)})
+    vio.check_grid_sizes(Path(args.semantic).parent / f.classes for f in manifest.frames)
+    check_track_frames((box.frame for box in tracks), len(manifest.frames))
+    grids = vio.iter_class_grids(args.semantic, manifest)
+    maps = _cli.run_fillfuse_sequence(grids, tracks, taxonomy, binding)
+    out = vio.write_panoptic_sequence(args.out, maps, taxonomy, count=len(manifest.frames))
+    return _emit({"frames": len(manifest.frames), "manifest": str(out)})
 
 
 def _binding_pairs(path: str) -> dict[int, int]:

@@ -9,7 +9,7 @@ because they come straight from the tracker.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,31 +76,40 @@ def fill_and_fuse(
 
 
 def run_fillfuse_sequence(
-    semantic_seq: Sequence[LabelGrid],
+    semantic_seq: Iterable[LabelGrid],
     tracks: Iterable[TrackedBox],
     taxonomy: ClassTaxonomy,
     binding: Mapping[int, int] | None = None,
-) -> list[PanopticMap]:
-    """Apply fill_and_fuse frame by frame; instance ids are the track ids.
+) -> Iterator[PanopticMap]:
+    """Apply fill_and_fuse frame by frame, yielding each frame; instance ids are the track ids.
 
     ``binding`` maps tracker categories to thing class ids; by default each
-    thing class binds to itself, as synthetic tracks need.
+    thing class binds to itself, as synthetic tracks need. A frame is yielded
+    once the next is fused, and a box past the last frame fails at the end.
     """
     if binding is None:
         binding = {c: c for c in taxonomy.thing_class_ids().tolist()}
     per_frame: dict[int, list[TrackedBox]] = {}
     for box in tracks:
-        if box.frame >= len(semantic_seq):
-            raise ValueError(
-                f"track box references frame {box.frame} beyond sequence of {len(semantic_seq)}"
-            )
         per_frame.setdefault(box.frame, []).append(box)
-    out = []
-    for t, semantic in enumerate(semantic_seq):
-        if semantic.values.shape != semantic_seq[0].values.shape:
+    frames, prev = 0, None
+    for semantic in semantic_seq:
+        if frames and semantic.values.shape != prev.classes.values.shape:
             raise DimensionMismatch(
-                f"frame {t} is {semantic.width}x{semantic.height}, "
-                f"frame 0 is {semantic_seq[0].width}x{semantic_seq[0].height}"
+                f"frame {frames} is {semantic.width}x{semantic.height}, "
+                f"frame 0 is {prev.classes.width}x{prev.classes.height}"
             )
-        out.append(fill_and_fuse(semantic, per_frame.get(t, []), taxonomy, binding))
-    return out
+        fused = fill_and_fuse(semantic, per_frame.get(frames, []), taxonomy, binding)
+        if frames:
+            yield prev
+        frames, prev = frames + 1, fused
+    check_track_frames(per_frame, frames)
+    if frames:
+        yield prev
+
+
+def check_track_frames(box_frames: Iterable[int], frames: int) -> None:
+    """Refuse a track box whose frame lies past a sequence of ``frames`` frames."""
+    for frame in box_frames:
+        if frame >= frames:
+            raise ValueError(f"track box references frame {frame} beyond sequence of {frames}")

@@ -382,8 +382,8 @@ class SequenceWriter:
     """Writes one sequence directory frame by frame, and its manifest last.
 
     ``count``, the number of frames to come, sets the zero-padded file
-    names; ``close`` checks that exactly that many frames (and, with
-    ``flows``, one flow field fewer) were written before it writes the
+    names. A frame or flow field past that count is refused before it is
+    written; ``close`` checks that none is missing before it writes the
     manifest. The directory is made with the first file, so a run that
     fails before its first frame leaves no directory, and one that fails
     later leaves frame files but no manifest.
@@ -411,6 +411,8 @@ class SequenceWriter:
 
     def write_frame(self, classes: LabelGrid, instances: LabelGrid | None = None) -> None:
         """Write the next frame: its class grid, and its instance grid unless semantic-only."""
+        if len(self._frames) == self._count:
+            raise SequenceLengthMismatch(f"{self.out_dir}: {self._count} frames announced, got more")
         stem = _frame_stem(len(self._frames), self._count)
         grids = (classes,) if instances is None else (classes, instances)
         names = [f"{layer}_{stem}.lmap" for layer in ("classes", "instances")[: len(grids)]]
@@ -420,6 +422,12 @@ class SequenceWriter:
 
     def write_flow(self, data: bytes) -> None:
         """Write the next flow field, as ``encode_flow`` bytes: one encoding serves every copy."""
+        if self._flows is None:
+            raise ValueError(f"{self.out_dir}: a sequence without flows gets no flow field")
+        if len(self._flows) == max(self._count - 1, 0):
+            raise SequenceLengthMismatch(
+                f"{self.out_dir}: {self._count} frames need {len(self._flows)} flow fields, got more"
+            )
         name = f"flow_{_frame_stem(len(self._flows), self._count)}.flo"
         _atomic_write_bytes(self._path(name), data)
         self._flows.append(name)
@@ -465,23 +473,11 @@ def write_panoptic_sequence(
     return writer.close()
 
 
-def write_semantic_sequence(
-    out_dir: str | Path,
-    grids: Sequence[LabelGrid],
-    taxonomy: ClassTaxonomy | None = None,
-) -> Path:
-    """Write a classes-only sequence (no instance grids)."""
-    writer = SequenceWriter(out_dir, len(grids), taxonomy)
-    for grid in grids:
-        writer.write_frame(grid)
-    return writer.close()
-
-
 def load_panoptic_sequence(
     manifest_path: str | Path,
 ) -> tuple[list[PanopticMap], ClassTaxonomy | None]:
     manifest = read_manifest(manifest_path)
-    return read_panoptic_frames(manifest_path, manifest), manifest.taxonomy
+    return list(iter_panoptic_frames(manifest_path, manifest)), manifest.taxonomy
 
 
 def iter_panoptic_frames(
@@ -504,19 +500,10 @@ def iter_panoptic_frames(
     )
 
 
-def read_panoptic_frames(
-    manifest_path: str | Path, manifest: SequenceManifest
-) -> list[PanopticMap]:
-    """The panoptic maps of an already parsed manifest read from manifest_path."""
-    return list(iter_panoptic_frames(manifest_path, manifest))
-
-
-def load_semantic_sequence(
-    manifest_path: str | Path,
-) -> tuple[list[LabelGrid], ClassTaxonomy | None]:
+def iter_class_grids(manifest_path: str | Path, manifest: SequenceManifest) -> Iterator[LabelGrid]:
+    """The class grids of an already parsed manifest, each read as it is pulled."""
     base = Path(manifest_path).parent
-    manifest = read_manifest(manifest_path)
-    return [read_label_grid(base / f.classes) for f in manifest.frames], manifest.taxonomy
+    return (read_label_grid(base / f.classes) for f in manifest.frames)
 
 
 def iter_flow_fields(manifest_path: str | Path, manifest: SequenceManifest) -> Iterator[FlowField]:
@@ -527,12 +514,17 @@ def iter_flow_fields(manifest_path: str | Path, manifest: SequenceManifest) -> I
     return (read_flow(base / p) for p in manifest.flows.paths)
 
 
-def read_flow_fields(
-    manifest_path: str | Path, manifest: SequenceManifest
-) -> tuple[list[FlowField], str]:
-    """The flow fields and their direction of an already parsed manifest."""
-    flows = list(iter_flow_fields(manifest_path, manifest))
-    return flows, manifest.flows.direction
+def check_grid_sizes(paths: Iterable[Path]) -> tuple[int, int] | None:
+    """The one size of the LMAP files at ``paths`` (None if none), read before any payload."""
+    size = None
+    for path in paths:
+        grid = _read_header(path, LMAP_MAGIC, "<II", 4, "LMAP")
+        size = size or grid
+        if grid != size:
+            raise DimensionMismatch(
+                f"{path}: grid is {grid[0]}x{grid[1]}, frame 0 is {size[0]}x{size[1]}"
+            )
+    return size
 
 
 def check_flow_sequence(
@@ -555,15 +547,9 @@ def check_flow_sequence(
             f"{frames} frames need {max(frames - 1, 0)} flow fields, got {flows}"
         )
     base, flow_base = Path(manifest_path).parent, Path(flows_path).parent
-    size = None
-    for frame in manifest.frames:
-        for name in filter(None, (frame.classes, frame.instances)):
-            grid = _read_header(base / name, LMAP_MAGIC, "<II", 4, "LMAP")
-            size = size or grid
-            if grid != size:
-                raise DimensionMismatch(
-                    f"{base / name}: grid is {grid[0]}x{grid[1]}, frame 0 is {size[0]}x{size[1]}"
-                )
+    size = check_grid_sizes(
+        base / name for f in manifest.frames for name in filter(None, (f.classes, f.instances))
+    )
     for name in flows_manifest.flows.paths:
         flow = _read_header(flow_base / name, _FLO_MAGIC, "<ii", 8, "flow file")
         if flow != size:

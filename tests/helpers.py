@@ -8,8 +8,8 @@ full-grid backward warp and flow inversion that the package's lean ones
 must match bit for bit, the scene generator's full-frame gathers, the
 ``np.unique`` overlap table and the label grid's full range scan. The
 scene config's JSON writer lives here too, since only tests write scene files,
-and so do the collectors that turn the package's frame streams into the
-whole sequences tests compare.
+and so does the classes-only sequence writer, and so do the collectors that
+turn the package's frame streams into the whole sequences tests compare.
 """
 
 from dataclasses import dataclass
@@ -99,6 +99,16 @@ def warpmatch_all(*args, **kwargs) -> list[PanopticMap]:
     from vpskit.warpmatch import run_warpmatch_sequence
 
     return list(run_warpmatch_sequence(*args, **kwargs))
+
+
+def write_semantic_sequence(out_dir, grids, taxonomy=None):
+    """Write a classes-only sequence through ``io.SequenceWriter``; returns the manifest's path."""
+    from vpskit.io import SequenceWriter
+
+    writer = SequenceWriter(out_dir, len(grids), taxonomy)
+    for grid in grids:
+        writer.write_frame(grid)
+    return writer.close()
 
 
 def filled_grid(width: int, height: int, value: int = 0) -> LabelGrid:

@@ -19,11 +19,12 @@ from helpers import (
     scene_to_dict,
     small_taxonomy,
     warpmatch_all,
+    write_semantic_sequence,
     zero_flow,
 )
 from vpskit import io as vio
 from vpskit.cli import main
-from vpskit.core import LabelGrid, PanopticMap
+from vpskit.core import LabelGrid, PanopticMap, TrackedBox
 from vpskit.synth import Actor, Band, SceneConfig, corrupt_boxes, corrupt_masks, corrupt_shuffle_ids
 from vpskit.warpmatch import invert_flow
 
@@ -211,7 +212,7 @@ class TestPipelines:
         )
         corrupt = Path(json.loads(out)["corrupt_manifest"])
         maps, taxonomy = vio.load_panoptic_sequence(corrupt)
-        flows, _ = vio.read_flow_fields(corrupt, vio.read_manifest(corrupt))
+        flows = list(vio.iter_flow_fields(corrupt, vio.read_manifest(corrupt)))
         backward = [invert_flow(f) for f in flows]
         seq = vio.write_panoptic_sequence(tmp_path / "back", maps, taxonomy, backward)
         manifest = vio.read_manifest(seq)
@@ -580,7 +581,7 @@ class TestErrors:
 
 
 class TestStreamedRuns:
-    """synth and warpmatch write each frame as they make it, and the manifest last."""
+    """synth, warpmatch and fillfuse write each frame as they make it, and the manifest last."""
 
     def sequence(self, tmp_path, unknown_frame=None, flow_sizes=((4, 4), (4, 4))):
         classes = np.ones((3, 4, 4), dtype=np.uint32)
@@ -594,6 +595,17 @@ class TestStreamedRuns:
 
     def warpmatch(self, capsys, seq, out):
         argv = ["warpmatch", "--panoptic", seq, "--flows", seq, "--out", str(out)]
+        return self.failure(capsys, argv)
+
+    def fillfuse(self, tmp_path, out, unknown_frame=None, box_frame=2):
+        """The fillfuse command over the class grids of ``sequence``, one box on ``box_frame``."""
+        maps, _ = vio.load_panoptic_sequence(self.sequence(tmp_path, unknown_frame))
+        semantic = write_semantic_sequence(tmp_path / "sem", [m.classes for m in maps], TAX)
+        tracks = tmp_path / "tracks.jsonl"
+        vio.write_tracks([TrackedBox(box_frame, 7, 10, 2.0, 2.0, 4.0, 4.0)], tracks)
+        return ["fillfuse", "--semantic", str(semantic), "--tracks", str(tracks), "--out", str(out)]
+
+    def failure(self, capsys, argv):
         code, stdout, err = run(capsys, argv)
         assert code == 1 and not stdout
         assert err.count("\n") == 1
@@ -621,6 +633,49 @@ class TestStreamedRuns:
         assert "flow is" in error["message"] and "grids are 4x4" in error["message"]
         assert not out.exists()
 
+    def test_fillfuse_unknown_class_in_the_last_frame_leaves_frames_but_no_manifest(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "ff"
+        error = self.failure(capsys, self.fillfuse(tmp_path, out, unknown_frame=2))
+        assert error == {"error": "UnknownClass", "message": "class 99 at pixel (3, 1) not in taxonomy"}
+        # frame 1 goes out only once frame 2 is fused
+        assert sorted(p.name for p in out.iterdir()) == ["classes_0000.lmap", "instances_0000.lmap"]
+
+    def test_fillfuse_unknown_class_in_the_second_frame_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "ff"
+        error = self.failure(capsys, self.fillfuse(tmp_path, out, unknown_frame=1))
+        assert error["error"] == "UnknownClass"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (lambda data: data[:-1], "Truncated", "LMAP payload needs 76 bytes, got 75"),
+            (lambda data: data[:4] + struct.pack("<II", 2, 8) + data[12:], "DimensionMismatch",
+             "classes_0002.lmap: grid is 2x8, frame 0 is 4x4"),
+        ],
+    )
+    def test_fillfuse_reads_every_grid_header_before_the_first_frame(
+        self, corrupt, error, message, tmp_path, capsys
+    ):
+        out = tmp_path / "ff"
+        argv = self.fillfuse(tmp_path, out)
+        victim = tmp_path / "sem" / "classes_0002.lmap"
+        victim.write_bytes(corrupt(victim.read_bytes()))
+        got = self.failure(capsys, argv)
+        assert got["error"] == error and message in got["message"]
+        assert not out.exists()
+
+    def test_fillfuse_track_past_the_sequence_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "ff"
+        error = self.failure(capsys, self.fillfuse(tmp_path, out, box_frame=3))
+        assert error == {
+            "error": "ValueError",
+            "message": "track box references frame 3 beyond sequence of 3",
+        }
+        assert not out.exists()
+
     def test_synth_writes_the_bytes_of_its_parts(self, tmp_path, capsys):
         """Each directory holds what the package's streams give, the flows in both."""
         config = write_config(tmp_path)
@@ -635,7 +690,7 @@ class TestStreamedRuns:
         assert corrupted == list(corrupt_shuffle_ids(eroded, 5))
         for name in ("gt_manifest", "corrupt_manifest"):
             manifest = vio.read_manifest(summary[name])
-            assert vio.read_flow_fields(summary[name], manifest)[0] == bundle.flows
+            assert list(vio.iter_flow_fields(summary[name], manifest)) == bundle.flows
         assert vio.read_tracks(summary["tracks"]) == bundle.boxes
         assert vio.read_tracks(summary["corrupt_tracks"]) == list(corrupt_boxes(bundle.boxes, 1, 0.0, 5))
 
@@ -673,7 +728,7 @@ class TestUnknownClassSweep:
         maps = [PanopticMap(LabelGrid(c), LabelGrid(i)) for c, i in zip(classes, instances)]
         flows = [constant_flow(4, 4, 1.0, 0.0)] * 2
         panoptic = vio.write_panoptic_sequence(tmp_path / "seq", maps, TAX, flows)
-        semantic = vio.write_semantic_sequence(tmp_path / "sem", [m.classes for m in maps], TAX)
+        semantic = write_semantic_sequence(tmp_path / "sem", [m.classes for m in maps], TAX)
         tracks = tmp_path / "tracks.jsonl"
         tracks.write_text("")
         return {"panoptic": str(panoptic), "semantic": str(semantic), "tracks": str(tracks)}

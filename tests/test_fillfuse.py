@@ -224,24 +224,24 @@ class TestSequence:
     def test_per_frame_independence_and_track_persistence(self):
         semantic = semantic_4x4_with_person_block()
         tracks = [box(5, 1, 1, 3, 3, frame=0), box(5, 1, 1, 3, 3, frame=1)]
-        out = run_fillfuse_sequence([semantic, semantic], tracks, TAX, BINDING)
+        out = list(run_fillfuse_sequence([semantic, semantic], tracks, TAX, BINDING))
         assert len(out) == 2
         assert np.array_equal(out[0].instances.values, out[1].instances.values)
         assert out[0].instances.values[1, 1] == 5
 
     def test_empty_tracks(self):
         semantic = semantic_4x4_with_person_block()
-        out = run_fillfuse_sequence([semantic] * 3, [], TAX, BINDING)
+        out = list(run_fillfuse_sequence([semantic] * 3, [], TAX, BINDING))
         assert all(not m.instances.values.any() for m in out)
 
     def test_track_frame_out_of_range(self):
         semantic = semantic_4x4_with_person_block()
         with pytest.raises(ValueError, match="frame 5"):
-            run_fillfuse_sequence([semantic], [box(1, 0, 0, 1, 1, frame=5)], TAX, BINDING)
+            list(run_fillfuse_sequence([semantic], [box(1, 0, 0, 1, 1, frame=5)], TAX, BINDING))
 
     def test_box_order_does_not_change_output(self):
         semantic = semantic_4x4_with_person_block()
         tracks = [box(5, 0, 0, 3, 3), box(2, 1, 1, 4, 4), box(9, 2, 0, 4, 3)]
-        a = run_fillfuse_sequence([semantic], tracks, TAX, BINDING)
-        b = run_fillfuse_sequence([semantic], tracks[::-1], TAX, BINDING)
+        a = list(run_fillfuse_sequence([semantic], tracks, TAX, BINDING))
+        b = list(run_fillfuse_sequence([semantic], tracks[::-1], TAX, BINDING))
         assert np.array_equal(a[0].instances.values, b[0].instances.values)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import zero_flow
+from helpers import write_semantic_sequence, zero_flow
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import BadMagic, DimensionMismatch, FormatError, NonFinite, Overflow
 from vpskit.errors import ParseError, SequenceLengthMismatch, Truncated
@@ -290,19 +291,17 @@ class TestManifests:
         loaded, loaded_tax = vio.load_panoptic_sequence(manifest_path)
         assert loaded == maps
         assert loaded_tax == taxonomy
-        loaded_flows, direction = vio.read_flow_fields(
-            manifest_path, vio.read_manifest(manifest_path)
-        )
-        assert direction == vio.FLOW_PREV_TO_CURR
-        assert loaded_flows == flows
+        manifest = vio.read_manifest(manifest_path)
+        assert manifest.flows.direction == vio.FLOW_PREV_TO_CURR
+        assert list(vio.iter_flow_fields(manifest_path, manifest)) == flows
 
     def test_semantic_sequence_round_trip(self, tmp_path):
         taxonomy = make_taxonomy()
         grids = [m.classes for m in make_maps()]
-        manifest_path = vio.write_semantic_sequence(tmp_path / "sem", grids, taxonomy)
-        loaded, loaded_tax = vio.load_semantic_sequence(manifest_path)
-        assert loaded == grids
-        assert loaded_tax == taxonomy
+        manifest_path = write_semantic_sequence(tmp_path / "sem", grids, taxonomy)
+        manifest = vio.read_manifest(manifest_path)
+        assert list(vio.iter_class_grids(manifest_path, manifest)) == grids
+        assert manifest.taxonomy == taxonomy
 
     def test_missing_referenced_file(self, tmp_path):
         taxonomy = make_taxonomy()
@@ -344,7 +343,7 @@ class TestManifests:
         taxonomy = make_taxonomy()
         vio.write_taxonomy(taxonomy, tmp_path / "tax.json")
         grids = [m.classes for m in make_maps(1)]
-        manifest_path = vio.write_semantic_sequence(tmp_path, grids, taxonomy=None)
+        manifest_path = write_semantic_sequence(tmp_path, grids, taxonomy=None)
         doc = json.loads(manifest_path.read_text())
         doc["taxonomy"] = "tax.json"
         manifest_path.write_text(json.dumps(doc))
@@ -412,7 +411,7 @@ class TestManifests:
     def test_semantic_only_refused_as_panoptic(self, tmp_path):
         taxonomy = make_taxonomy()
         grids = [m.classes for m in make_maps()]
-        manifest_path = vio.write_semantic_sequence(tmp_path / "sem", grids, taxonomy)
+        manifest_path = write_semantic_sequence(tmp_path / "sem", grids, taxonomy)
         with pytest.raises(ParseError, match="semantic-only"):
             vio.load_panoptic_sequence(manifest_path)
 
@@ -481,13 +480,34 @@ class TestStreams:
     @pytest.mark.parametrize("frames, flows", [(1, 0), (3, 0), (2, 0), (2, 2)])
     def test_a_short_or_long_sequence_gets_no_manifest(self, tmp_path, frames, flows):
         writer = vio.SequenceWriter(tmp_path / "seq", 2, make_taxonomy(), flows=True)
-        for pmap in make_maps(frames):
-            writer.write_frame(pmap.classes, pmap.instances)
-        for _ in range(flows):
-            writer.write_flow(vio.encode_flow(zero_flow(4, 3)))
-        with pytest.raises(SequenceLengthMismatch):
+        with pytest.raises(SequenceLengthMismatch):  # a long one fails at its extra frame or flow
+            for pmap in make_maps(frames):
+                writer.write_frame(pmap.classes, pmap.instances)
+            for _ in range(flows):
+                writer.write_flow(vio.encode_flow(zero_flow(4, 3)))
             writer.close()
         assert not (tmp_path / "seq" / "manifest.json").exists()
+
+    def test_a_frame_or_flow_past_the_count_is_refused_before_it_is_written(self, tmp_path):
+        writer = vio.SequenceWriter(tmp_path / "seq", 1, make_taxonomy(), flows=True)
+        pmap = make_maps(1)[0]
+        writer.write_frame(pmap.classes, pmap.instances)
+        written = sorted(p.name for p in (tmp_path / "seq").iterdir())
+        with pytest.raises(SequenceLengthMismatch, match="1 frames announced, got more"):
+            writer.write_frame(pmap.classes, pmap.instances)
+        with pytest.raises(SequenceLengthMismatch, match="1 frames need 0 flow fields, got more"):
+            writer.write_flow(vio.encode_flow(zero_flow(4, 3)))
+        assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == written
+        writer.close()  # the refused writes left the writer as it was
+        assert vio.read_manifest(tmp_path / "seq" / "manifest.json").frames == (
+            vio.FrameRef("classes_0000.lmap", "instances_0000.lmap"),
+        )
+
+    def test_a_flow_on_a_writer_without_flows_is_refused_before_it_is_written(self, tmp_path):
+        writer = vio.SequenceWriter(tmp_path / "seq", 2, make_taxonomy())
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'seq'}: a sequence without flows")):
+            writer.write_flow(vio.encode_flow(zero_flow(4, 3)))
+        assert not (tmp_path / "seq").exists()
 
     def test_a_failing_stream_leaves_frames_but_no_manifest(self, tmp_path):
         def maps():
@@ -514,7 +534,7 @@ class TestStreams:
 
     def test_a_semantic_only_sequence_is_refused_before_any_read(self, tmp_path, monkeypatch):
         grids = [m.classes for m in make_maps()]
-        path = vio.write_semantic_sequence(tmp_path / "sem", grids, make_taxonomy())
+        path = write_semantic_sequence(tmp_path / "sem", grids, make_taxonomy())
         monkeypatch.setattr(vio, "read_label_grid", None)  # a read would fail as TypeError
         with pytest.raises(ParseError, match="semantic-only"):
             vio.iter_panoptic_frames(path, vio.read_manifest(path))

@@ -132,7 +132,7 @@ def test_encoders_copy_the_payload_once(scene):
     assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"
 
 
-def test_synth_and_warpmatch_peak_alike_at_4_and_16_frames(scene_config, tmp_path):
+def test_streamed_commands_peak_alike_at_4_and_16_frames(scene_config, tmp_path):
     """In-process ``cli.main`` peaks of 16 frames stay within 10% of those of 4 frames."""
 
     def run(argv: list[str]) -> None:
@@ -144,15 +144,18 @@ def test_synth_and_warpmatch_peak_alike_at_4_and_16_frames(scene_config, tmp_pat
         root.mkdir()
         config = root / "scene.json"
         config.write_text(json.dumps(scene_to_dict(replace(scene_config, frames=frames))))
-        corrupt = str(root / "data" / "corrupt" / "manifest.json")
+        data = root / "data"
+        corrupt = str(data / "corrupt" / "manifest.json")
         return [
-            ["synth", "--config", str(config), "--out", str(root / "data"), "--shuffle-ids",
+            ["synth", "--config", str(config), "--out", str(data), "--shuffle-ids",
              "--erode", "1", "--box-jitter", "1", "--box-drop", "0.1"],
             ["warpmatch", "--panoptic", corrupt, "--flows", corrupt, "--out", str(root / "wm")],
+            ["fillfuse", "--semantic", str(data / "semantic" / "manifest.json"),
+             "--tracks", str(data / "tracks_corrupt.jsonl"), "--out", str(root / "ff")],
         ]
 
     for argv in commands(2):  # imports and first-use caches, outside the measured runs
         run(argv)
     peaks = {n: [peak_grids(lambda: run(argv)) for argv in commands(n)] for n in (4, 16)}
-    for name, four, sixteen in zip(("synth", "warpmatch"), peaks[4], peaks[16]):
+    for name, four, sixteen in zip(("synth", "warpmatch", "fillfuse"), peaks[4], peaks[16]):
         assert sixteen <= 1.1 * four, f"{name}: {four:.2f} grids at 4 frames, {sixteen:.2f} at 16"
