@@ -7,9 +7,9 @@ sorted-tuple greedy matcher that the package's table lookups replaced, the
 full-grid backward warp and flow inversion that the package's lean ones
 must match bit for bit, the scene generator's full-frame gathers, the
 ``np.unique`` overlap table and the label grid's full range scan. The
-scene config's JSON writer lives here too, since only tests write scene files,
-and so does the classes-only sequence writer, and so do the collectors that
-turn the package's frame streams into the whole sequences tests compare.
+scene config's JSON writer and the classes-only sequence writer live here
+too, since only tests write those files, and so do the collectors that turn
+the package's frame streams into the whole sequences tests compare.
 """
 
 from dataclasses import dataclass

@@ -144,14 +144,13 @@ def test_streamed_commands_peak_alike_at_4_and_16_frames(scene_config, tmp_path)
         root.mkdir()
         config = root / "scene.json"
         config.write_text(json.dumps(scene_to_dict(replace(scene_config, frames=frames))))
-        data = root / "data"
-        corrupt = str(data / "corrupt" / "manifest.json")
+        corrupt = str(root / "data" / "corrupt" / "manifest.json")
         return [
-            ["synth", "--config", str(config), "--out", str(data), "--shuffle-ids",
+            ["synth", "--config", str(config), "--out", str(root / "data"), "--shuffle-ids",
              "--erode", "1", "--box-jitter", "1", "--box-drop", "0.1"],
             ["warpmatch", "--panoptic", corrupt, "--flows", corrupt, "--out", str(root / "wm")],
-            ["fillfuse", "--semantic", str(data / "semantic" / "manifest.json"),
-             "--tracks", str(data / "tracks_corrupt.jsonl"), "--out", str(root / "ff")],
+            ["fillfuse", "--semantic", str(root / "data" / "semantic" / "manifest.json"),
+             "--tracks", str(root / "data" / "tracks_corrupt.jsonl"), "--out", str(root / "ff")],
         ]
 
     for argv in commands(2):  # imports and first-use caches, outside the measured runs
