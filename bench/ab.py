@@ -13,8 +13,10 @@ outputs are the fixed inputs of every timed run. A pair runs one command as
 ``python -m vpskit.cli`` on both revisions, alternating which goes first,
 each into an output path of its own that is hashed against the base
 pipeline's output and then removed; each row records that output's digest,
-so records made at different commits check one another. Wall time and the
-child's own peak RSS (``wait4``) come from perfbench's ``run_subprocess``.
+so records made at different commits check one another. Wall time, the
+child's own peak RSS and its minor page faults come from this script's own
+``wait4`` call on the child (perfbench's ``run_subprocess`` returns the peak
+alone).
 
 The optional Cityscapes-size rows time every command of ``--commands`` on a
 2048x1024x30 scene (40 actors, big-frames flags, seed 1), with
@@ -22,10 +24,10 @@ The optional Cityscapes-size rows time every command of ``--commands`` on a
 command up to about 1.5 GB of memory on the side that holds whole sequences.
 
 perfbench's files are imported, not changed. The result is one JSON file:
-per row the medians, quartiles, peak RSS medians, the pairs each side won,
-and whether the change's gain meets the claim rule (at least ten pairs, nine
-tenths of them won, and a median gap wider than the base's interquartile
-range).
+per row the medians, quartiles, peak RSS and minor page fault medians,
+every run's figures, the pairs each side won, and whether the change's gain
+meets the claim rule (at least ten pairs, nine tenths of them won, and a
+median gap wider than the base's interquartile range).
 """
 
 from __future__ import annotations
@@ -37,17 +39,20 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
+import time
 from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from pipeline import COMMANDS, OUTPUTS, command_argv, run_subprocess, vpskit_env  # noqa: E402
+from pipeline import COMMAND_TIMEOUT_S, COMMANDS, OUTPUTS, command_argv, vpskit_env  # noqa: E402
 from scenes import WORKLOADS, make_scene  # noqa: E402
 
 CITYSCAPES = dataclasses.replace(
@@ -90,6 +95,28 @@ def remove(path: Path) -> None:
         path.unlink()
 
 
+def run_child(argv: list[str], cwd: Path, env: dict) -> tuple[float, int, float, int, str]:
+    """Run one command; returns (wall seconds, exit code, peak RSS MB, minor page faults, stderr).
+
+    Both figures come from this child's own rusage via wait4 (ru_maxrss is in KiB on Linux).
+    """
+    err_path = cwd / ".stderr"
+    with open(err_path, "wb") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        timer = threading.Timer(COMMAND_TIMEOUT_S, os.kill, (proc.pid, signal.SIGKILL))
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    stderr = err_path.read_text(errors="replace")
+    err_path.unlink()
+    return seconds, proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt, stderr
+
+
 def prepare(workload, seed: int, pass_dir: Path, env: dict, commands) -> int:
     """Run the base pipeline up to the last of ``commands``; returns the corrupt seed."""
     scene, corrupt_seed = make_scene(workload, seed)
@@ -97,7 +124,7 @@ def prepare(workload, seed: int, pass_dir: Path, env: dict, commands) -> int:
     (pass_dir / "scene.json").write_text(json.dumps(scene, indent=1, sort_keys=True) + "\n")
     for command in COMMANDS[: max(COMMANDS.index(c) for c in commands) + 1]:
         argv = [sys.executable, "-m", "vpskit.cli", *command_argv(workload, command, corrupt_seed)]
-        _, code, _, stderr = run_subprocess(argv, pass_dir, env)
+        _, code, _, _, stderr = run_child(argv, pass_dir, env)
         if code != 0:
             raise RuntimeError(f"{workload.name} seed {seed} {command}: {stderr}")
     return corrupt_seed
@@ -122,18 +149,19 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
     for command in commands:
         argv, out = timed_argv(workload, command, corrupt_seed)
         want = tree_digest(pass_dir / OUTPUTS[command])
-        runs = {name: {"s": [], "rss": []} for name in sides}
+        runs = {name: {"s": [], "rss": [], "minflt": []} for name in sides}
         identical = True
         for pair in range(pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for name in order:
-                seconds, code, rss, stderr = run_subprocess(argv, pass_dir, sides[name]["env"])
+                seconds, code, rss, minflt, stderr = run_child(argv, pass_dir, sides[name]["env"])
                 if code != 0:
                     raise RuntimeError(f"{name} {workload.name} seed {seed} {command}: {stderr}")
                 identical &= tree_digest(pass_dir / out) == want
                 remove(pass_dir / out)
                 runs[name]["s"].append(seconds)
                 runs[name]["rss"].append(rss)
+                runs[name]["minflt"].append(minflt)
         base, change = stats(runs["base"]["s"]), stats(runs["change"]["s"])
         wins = sum(c < b for b, c in zip(runs["base"]["s"], runs["change"]["s"]))
         losses = sum(c > b for b, c in zip(runs["base"]["s"], runs["change"]["s"]))
@@ -147,6 +175,8 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             "change_s": change,
             "base_peak_rss_mb_median": median(runs["base"]["rss"]),
             "change_peak_rss_mb_median": median(runs["change"]["rss"]),
+            "base_minflt_median": median(runs["base"]["minflt"]),
+            "change_minflt_median": median(runs["change"]["minflt"]),
             "change_faster_pairs": wins,
             "change_slower_pairs": losses,
             "median_change_pct": 100.0 * (change["median"] / base["median"] - 1.0),
@@ -157,6 +187,7 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             "output_sha256": want,
             "runs_s": {name: runs[name]["s"] for name in sides},
             "runs_peak_rss_mb": {name: runs[name]["rss"] for name in sides},
+            "runs_minflt": {name: runs[name]["minflt"] for name in sides},
         }
         if command == "eval":
             row["vpq_mean"] = json.loads((pass_dir / OUTPUTS["eval"]).read_text())["vpq"]["mean"]
@@ -167,7 +198,8 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             f"{workload.name:10s} seed {seed} {command:9s} base {base['median']:.3f} s "
             f"change {change['median']:.3f} s ({row['median_change_pct']:+.1f}%), "
             f"faster {wins}/{pairs}, rss {row['base_peak_rss_mb_median']:.2f} -> "
-            f"{row['change_peak_rss_mb_median']:.2f} MB, identical {identical}",
+            f"{row['change_peak_rss_mb_median']:.2f} MB, minflt {row['base_minflt_median']:.0f} -> "
+            f"{row['change_minflt_median']:.0f}, identical {identical}",
             flush=True,
         )
     shutil.rmtree(pass_dir)
@@ -226,8 +258,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
     doc = {
-        "what": "wall time and peak RSS of each vpskit command, base against change, "
-        "alternated pair by pair on fixed inputs",
+        "what": "wall time, peak RSS and minor page faults of each vpskit command, base against "
+        "change, alternated pair by pair on fixed inputs",
         "command": (
             f"python3 bench/ab.py --base {args.base} --change {args.change} --workloads "
             f"{' '.join(args.workloads)} --seeds {' '.join(map(str, args.seeds))} --commands "

@@ -188,8 +188,11 @@ def _cmd_warpmatch(args) -> int:
 def _cmd_eval(args) -> int:
     from . import io as vio
 
+    # a list, as perfbench's span tracer iterates vpq's first argument again after the call
     pred, pred_tax = vio.load_panoptic_sequence(args.pred)
-    gt, gt_tax = vio.load_panoptic_sequence(args.gt)
+    gt_manifest = vio.read_manifest(args.gt)
+    gt = vio.iter_panoptic_frames(args.gt, gt_manifest)  # read frame by frame as vpq pulls it
+    gt_tax = gt_manifest.taxonomy
     if pred_tax is not None and gt_tax is not None and pred_tax != gt_tax:
         raise ParseError("pred and gt manifests embed different taxonomies")
     taxonomy = gt_tax or pred_tax

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import zip_longest
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -222,8 +223,8 @@ def _accumulate(tables: Sequence[tuple[Counter, Counter, Counter]], k: int) -> P
 
 
 def vpq(
-    pred_seq: Sequence[PanopticMap],
-    gt_seq: Sequence[PanopticMap],
+    pred_seq: Iterable[PanopticMap],
+    gt_seq: Iterable[PanopticMap],
     taxonomy: ClassTaxonomy,
     window_sizes: Sequence[int] = DEFAULT_WINDOW_SIZES,
 ) -> MetricReport:
@@ -234,18 +235,29 @@ def vpq(
     exceeding the sequence length are skipped. The report's per-class PQ
     section accumulates single-frame stats over all frames: the k=1 window
     stats, from the same frame tables as every other window size.
+
+    Both sequences may be any iterables, each pulled once: a frame pair's
+    table is built as the pair is pulled, and only the tables are kept. If
+    one sequence ends before the other, the rest of the longer is counted
+    for the error message.
     """
-    if len(pred_seq) != len(gt_seq):
-        raise SequenceLengthMismatch(
-            f"{len(pred_seq)} predicted frames vs {len(gt_seq)} ground-truth frames"
-        )
-    if not pred_seq:
-        raise ValueError("empty sequences cannot be evaluated")
     sizes = sorted(set(int(k) for k in window_sizes))
     if not sizes or sizes[0] < 1:
         raise ValueError(f"window sizes must be >= 1, got {list(window_sizes)}")
 
-    tables = [_frame_table(pred, gt, taxonomy) for pred, gt in zip(pred_seq, gt_seq)]
+    tables = []
+    pred_count = gt_count = 0
+    for pred, gt in zip_longest(pred_seq, gt_seq):
+        pred_count += pred is not None
+        gt_count += gt is not None
+        if pred_count == gt_count:  # once the sequences part, the counts never meet again
+            tables.append(_frame_table(pred, gt, taxonomy))
+    if pred_count != gt_count:
+        raise SequenceLengthMismatch(
+            f"{pred_count} predicted frames vs {gt_count} ground-truth frames"
+        )
+    if not tables:
+        raise ValueError("empty sequences cannot be evaluated")
 
     # The PQ section is the k=1 accumulation: every frame is one window.
     frame_stats = _accumulate(tables, 1)

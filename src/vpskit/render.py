@@ -59,7 +59,7 @@ def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     rows = zip(classes.tolist(), instances.tolist(), things.tolist())
     for n, (class_id, instance_id, thing) in enumerate(rows, 1):
         palette[n] = instance_color(class_id, instance_id) if thing else stuff_color(class_id)
-    return palette[rank][code]
+    return np.take(palette[rank], code, axis=0)
 
 
 def encode_ppm(image: np.ndarray) -> bytes:

@@ -16,9 +16,9 @@ import pytest
 
 from helpers import generate_scene, scene_to_dict
 from vpskit import cli
-from vpskit.core import ClassEntry, ClassTaxonomy, present_ids, remap
+from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, present_ids, remap
 from vpskit.io import decode_flow, encode_flow, encode_label_grid
-from vpskit.metrics import _frame_table
+from vpskit.metrics import _frame_table, vpq
 from vpskit.render import colorize
 from vpskit.synth import Actor, Band, SceneConfig, corrupt_masks, generate
 from vpskit.warpmatch import invert_flow, warp_backward
@@ -130,6 +130,16 @@ def test_encoders_copy_the_payload_once(scene):
     assert grids <= 1.5, f"encode_label_grid peaked at {grids:.2f} grids"
     grids = peak_grids(lambda: encode_flow(flow))
     assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"
+
+
+def test_vpq_of_streams_peaks_alike_at_4_and_16_frames(scene):
+    def frames(count: int, shift: int):  # each frame a fresh copy, dropped once vpq is done with it
+        for i in range(count):
+            pmap = scene.panoptic[(i + shift) % 2]
+            yield PanopticMap(LabelGrid(pmap.classes.values), LabelGrid(pmap.instances.values))
+
+    peaks = {n: peak_grids(lambda: vpq(frames(n, 0), frames(n, 1), TAX)) for n in (4, 16)}
+    assert peaks[16] <= 1.1 * peaks[4], f"{peaks[4]:.2f} grids at 4 frames, {peaks[16]:.2f} at 16"
 
 
 def test_streamed_commands_peak_alike_at_4_and_16_frames(scene_config, tmp_path):

@@ -221,6 +221,18 @@ class TestVpq:
         with pytest.raises(SequenceLengthMismatch):
             vpq([x], [x, x], TAX)
 
+    # the rest of the longer stream is counted, whichever side it is
+    @pytest.mark.parametrize("pred_frames, gt_frames", [(2, 3), (3, 2), (0, 2), (2, 0)])
+    def test_length_mismatch_of_streams_names_both_counts(self, pred_frames, gt_frames):
+        x = pmap([[1]], [[0]])
+        message = rf"^{pred_frames} predicted frames vs {gt_frames} ground-truth frames$"
+        with pytest.raises(SequenceLengthMismatch, match=message):
+            vpq((x for _ in range(pred_frames)), (x for _ in range(gt_frames)), TAX)
+
+    def test_empty_streams(self):
+        with pytest.raises(ValueError, match=r"^empty sequences cannot be evaluated$"):
+            vpq(iter(()), iter(()), TAX)
+
     def test_bad_window_sizes(self):
         x = pmap([[1]], [[0]])
         with pytest.raises(ValueError):
@@ -275,6 +287,7 @@ class TestEngineAgainstOracle:
             gt.append(with_ignore_regions(random_panoptic_map(rng, w, h), rng, void=True))
         tables = [_frame_table(p, g, TAX) for p, g in zip(pred, gt)]
         report = vpq(pred, gt, TAX, window_sizes=range(1, frames + 1))
+        assert vpq(iter(pred), iter(gt), TAX, window_sizes=range(1, frames + 1)) == report
         for k in range(1, frames + 1):
             stats = PqStats()
             for start in range(frames - k + 1):
