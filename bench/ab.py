@@ -27,7 +27,10 @@ perfbench's files are imported, not changed. The result is one JSON file:
 per row the medians, quartiles, peak RSS and minor page fault medians,
 every run's figures, the pairs each side won, and whether the change's gain
 meets the claim rule (at least ten pairs, nine tenths of them won, and a
-median gap wider than the base's interquartile range).
+median gap wider than the base's interquartile range). When all five
+commands run, ``pass_peak_rss_mb`` holds, per workload and seed, each
+pair's largest peak over the five commands on each side: the quantity that
+perfbench reports as ``peak_rss_mb``, the largest child of a pass.
 """
 
 from __future__ import annotations
@@ -142,6 +145,21 @@ def stats(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
+def pass_peaks(rows: list[dict]) -> dict:
+    """Per side, each pair's largest peak RSS over the rows (one per command) of one workload and seed."""
+    runs = {
+        name: [max(run) for run in zip(*(row["runs_peak_rss_mb"][name] for row in rows))]
+        for name in ("base", "change")
+    }
+    return {
+        **{key: rows[0][key] for key in ("workload", "size", "seed", "pairs")},
+        "base_median": median(runs["base"]),
+        "change_median": median(runs["change"]),
+        "change_lower_pairs": sum(c < b for b, c in zip(runs["base"], runs["change"])),
+        "runs": runs,
+    }
+
+
 def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) -> list[dict]:
     pass_dir = work / f"{workload.name}-seed{seed}"
     corrupt_seed = prepare(workload, seed, pass_dir, sides["base"]["env"], commands)
@@ -248,12 +266,14 @@ def main(argv: list[str] | None = None) -> int:
             tree = work / name
             revs[name] = unpack(getattr(args, name), tree)
             sides[name] = {"env": vpskit_env(tree / "src")}
-        rows = []
-        for workload in args.workloads:
-            for seed in args.seeds:
-                rows += measure(WORKLOADS[workload], seed, args.commands, args.pairs, work, sides)
+        groups = [
+            measure(WORKLOADS[workload], seed, args.commands, args.pairs, work, sides)
+            for workload in args.workloads
+            for seed in args.seeds
+        ]
         if args.cityscapes_pairs:
-            rows += measure(CITYSCAPES, CITYSCAPES_SEED, args.commands, args.cityscapes_pairs, work, sides)
+            cityscapes = measure(CITYSCAPES, CITYSCAPES_SEED, args.commands, args.cityscapes_pairs, work, sides)
+            groups.append(cityscapes)
     finally:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
@@ -269,10 +289,18 @@ def main(argv: list[str] | None = None) -> int:
         "change": revs["change"],
         "env": {"PYTHONDONTWRITEBYTECODE": "1"},
         "machine": machine(),
-        "rows": rows,
+        "rows": [row for rows in groups for row in rows],
     }
+    if set(args.commands) == set(COMMANDS):
+        doc["pass_peak_rss_mb"] = [pass_peaks(rows) for rows in groups]
+        for peak in doc["pass_peak_rss_mb"]:
+            print(
+                f"{peak['workload']:10s} seed {peak['seed']} pass peak rss {peak['base_median']:.2f} -> "
+                f"{peak['change_median']:.2f} MB, lower {peak['change_lower_pairs']}/{peak['pairs']}",
+                flush=True,
+            )
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return 0 if all(row["outputs_identical"] for row in rows) else 1
+    return 0 if all(row["outputs_identical"] for row in doc["rows"]) else 1
 
 
 if __name__ == "__main__":

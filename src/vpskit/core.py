@@ -36,6 +36,10 @@ _KIND_TABLE_SIZE = 1 << 16
 # bound (at most 256 KB for a uint32 grid); other grids search the sorted keys.
 _REMAP_TABLE_SIZE = 1 << 16
 
+# gather's band, in elements of the index: np.take casts its whole index to
+# intp first, so a band at a time that copy stays at 512 KB.
+_GATHER_BAND = 1 << 16
+
 
 @dataclass(frozen=True)
 class ClassEntry:
@@ -142,7 +146,7 @@ class ClassTaxonomy:
         """Per element, its uint8 kind code (_KIND_UNKNOWN where the id is not in the taxonomy)."""
         if self._kind_table is not None and classes.dtype.kind == "u":
             # ids past the table clip onto its last entry, which is unknown
-            return np.take(self._kind_table, classes, mode="clip")
+            return gather(self._kind_table, classes, mode="clip")
         return _lookup(self._class_ids, self._kinds, classes, np.uint8(_KIND_UNKNOWN))
 
     def to_dict(self) -> dict:
@@ -218,6 +222,18 @@ class LabelGrid:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_label_array(self.values))
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "LabelGrid":
+        """A grid that keeps ``values`` itself, marked read-only: no check, no copy.
+
+        For arrays made inside the package: a fresh 2-D native uint32 array,
+        at least 1x1, that nobody else holds.
+        """
+        values.setflags(write=False)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "values", values)
+        return grid
+
     @property
     def height(self) -> int:
         return self.values.shape[0]
@@ -272,11 +288,23 @@ class FlowField:
             raise ValueError(f"flow field must have shape (h, w, 2), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"flow field must be at least 1x1, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFinite("flow field contains NaN or infinite components")
+        _check_finite(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
+
+    @classmethod
+    def _adopt(cls, vectors: np.ndarray) -> "FlowField":
+        """A flow field that keeps ``vectors`` itself, marked read-only, once it is checked finite.
+
+        For arrays made inside the package: a fresh (h, w, 2) native float32
+        array, at least 1x1, that nobody else holds.
+        """
+        _check_finite(vectors)
+        vectors.setflags(write=False)
+        flow = object.__new__(cls)
+        object.__setattr__(flow, "vectors", vectors)
+        return flow
 
     @property
     def height(self) -> int:
@@ -295,6 +323,11 @@ class FlowField:
 
     def __hash__(self):
         return hash((self.vectors.shape, self.vectors.tobytes()))
+
+
+def _check_finite(vectors: np.ndarray) -> None:
+    if not np.isfinite(vectors).all():
+        raise NonFinite("flow field contains NaN or infinite components")
 
 
 @dataclass(frozen=True)
@@ -398,32 +431,32 @@ def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.nd
 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
     labelled by pack_keys; a mask of None counts all of a side's pixels. A
-    pixel is shared when valid on both sides. Each side's pixels are coded
-    (_label_codes), and one scan finds the runs along which both codes stay
-    equal; the codes at their ends rank each side's labels (_ranked), and
-    one count of ``a_rank * (n_b + 1) + b_rank`` (COCO panopticapi's
-    pq_compute trick) per joint run gives both sides' areas and every pair:
-    ``np.bincount`` while the label counts multiplied are at most the pixel
-    count, ``np.unique`` beyond.
+    pixel is shared when valid on both sides. One scan of the grids and
+    masks finds the runs along which none of them changes, and only the
+    run ends are coded (_label_codes): the codes rank each side's labels
+    (_ranked), and one count of ``a_rank * (n_b + 1) + b_rank`` (COCO
+    panopticapi's pq_compute trick) per joint run gives both sides' areas
+    and every pair: ``np.bincount`` while the label counts multiplied are at
+    most the pixel count, ``np.unique`` beyond.
     """
     if a_valid is not None and b_valid is not None:
         counted = a_valid | b_valid
         if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
             a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
             b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
-    a_side, b_side = _label_codes(a, a_valid), _label_codes(b, b_valid)
-    a_code, b_code = a_side.code.ravel(), b_side.code.ravel()
-    # every run of one side's codes ends where a joint run ends, so one scan serves all three
-    ends = _run_ends(a_code, b_code)
+    pixels = a[0].size
+    # every pixel of a run shares its end's labels and validity on both sides
+    ends = _run_ends(*(arr.ravel() for arr in (*a, a_valid, *b, b_valid) if arr is not None))
     lengths = np.diff(ends, prepend=-1)
-    a_code, b_code = a_code[ends], b_code[ends]
-    a_labels, a_rank = _ranked(a_side, a_code)
-    b_labels, b_rank = _ranked(b_side, b_code)
+    a_side = _label_codes(tuple(grid.ravel()[ends] for grid in a), _at(a_valid, ends), pixels)
+    b_side = _label_codes(tuple(grid.ravel()[ends] for grid in b), _at(b_valid, ends), pixels)
+    a_labels, a_rank = _ranked(a_side, a_side.code)
+    b_labels, b_rank = _ranked(b_side, b_side.code)
     n_a, n_b = a_labels.size, b_labels.size
-    joint = a_rank[a_code].astype(np.intp)
+    joint = a_rank[a_side.code].astype(np.intp)
     joint *= n_b + 1
-    joint += b_rank[b_code]
-    if n_a * n_b <= a_side.code.size:
+    joint += b_rank[b_side.code]
+    if n_a * n_b <= pixels:
         table = np.bincount(joint, lengths, (n_a + 1) * (n_b + 1))
         codes = np.flatnonzero(table)
         counts = table[codes]
@@ -438,29 +471,34 @@ def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.nd
     return Overlap(a_labels, a_areas, b_labels, b_areas, rows[pairs] - 1, cols[pairs] - 1, counts[pairs])
 
 
+def _at(mask: np.ndarray | None, index: np.ndarray) -> np.ndarray | None:
+    return None if mask is None else mask.ravel()[index]
+
+
 class _Codes(NamedTuple):
-    """One side of an overlap table: a uint32 code per pixel, and how to rank the codes."""
+    """One side of an overlap table: a uint32 code per element, and how to rank the codes."""
 
     code: np.ndarray
     radix: int  # code - 1 == high * radix + low
     span: int  # the largest code
     dtype: np.dtype  # of the low grid, and so of unpacked labels
     packed: bool  # labels are pack_keys(high, low), not low alone
-    ranked: tuple | None  # (labels, rank), already known where factorize coded the pixels
+    ranked: tuple | None  # (labels, rank), already known where factorize coded the elements
 
 
-def _label_codes(grids: tuple, valid: np.ndarray | None = None) -> _Codes:
-    """A side's uint32 code per pixel; code 0 marks pixels that are not valid.
+def _label_codes(grids: tuple, valid: np.ndarray | None, pixels: int) -> _Codes:
+    """A side's uint32 code per element; code 0 marks elements that are not valid.
 
-    While the code range ``(max high + 1) * (max low + 1)`` is at most the
-    pixel count, a code is ``high * radix + low + 1`` and a presence table
-    over the range ranks the codes (_ranked); wider ranges sort the labels
-    with factorize, and each code is its rank.
+    ``grids`` hold every label of the side's ``pixels`` pixels, once per
+    pixel or once per run. While the code range ``(max high + 1) * (max low
+    + 1)`` is at most the pixel count, a code is ``high * radix + low + 1``
+    and a presence table over the range ranks the codes (_ranked); wider
+    ranges sort the labels with factorize, and each code is its rank.
     """
     low = grids[-1]
     radix = int(low.max(initial=0)) + 1
     span = radix * (int(grids[0].max(initial=0)) + 1 if len(grids) == 2 else 1)
-    if span > min(low.size, _MAX_LABEL):
+    if span > min(pixels, _MAX_LABEL):
         where = ... if valid is None else valid
         keys = low[where] if len(grids) == 1 else pack_keys(grids[0][where], low[where])
         labels, _, index = factorize(keys)
@@ -494,9 +532,9 @@ def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.cumsum(present, dtype=np.uint32)
 
 
-def _rank_labels(grids: tuple, valid: np.ndarray | None = None) -> tuple:
+def _rank_labels(grids: tuple) -> tuple:
     """A side's sorted labels, a uint32 code per pixel, and per code its 1-based rank (_label_codes)."""
-    side = _label_codes(grids, valid)
+    side = _label_codes(grids, None, grids[-1].size)
     flat = side.code.ravel()
     labels, rank = _ranked(side, flat[_run_ends(flat)])
     return labels, side.code, rank
@@ -515,12 +553,30 @@ def _run_ends(*arrays: np.ndarray) -> np.ndarray:
     return np.flatnonzero(change)
 
 
+def gather(table: np.ndarray, index: np.ndarray, mode: str = "raise") -> np.ndarray:
+    """``np.take(table, index, axis=0, mode=mode)``, taken one band of ``index`` at a time.
+
+    The result has ``index``'s shape followed by a table row's. np.take casts
+    its index to intp (8 bytes an element) before it gathers; band by band,
+    that copy stays at _GATHER_BAND elements whatever the index's size. With
+    ``mode="raise"`` np.take also buffers each band's result, so a caller
+    whose indices all lie in the table passes ``mode="clip"``.
+    """
+    table, index = np.asarray(table), np.asarray(index)
+    out = np.empty(index.shape + table.shape[1:], dtype=table.dtype)
+    flat_index, flat_out = index.reshape(-1), out.reshape(-1, *table.shape[1:])
+    for start in range(0, flat_index.size, _GATHER_BAND):
+        stop = start + _GATHER_BAND
+        np.take(table, flat_index[start:stop], axis=0, out=flat_out[start:stop], mode=mode)
+    return out
+
+
 def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:
     """A copy of ``values`` with each key of ``mapping`` replaced by its value.
 
     Other values pass through; keys and values must fit the dtype of
     ``values``. An unsigned grid whose values all lie below
-    ``_REMAP_TABLE_SIZE`` is one ``np.take`` from a table indexed by value;
+    ``_REMAP_TABLE_SIZE`` is one ``gather`` from a table indexed by value;
     any other grid takes one sorted-key ``np.searchsorted``.
     """
     values = np.asarray(values)
@@ -532,7 +588,7 @@ def remap(values: np.ndarray, mapping: Mapping[int, int]) -> np.ndarray:
         table = np.arange(top + 1, dtype=values.dtype)
         present = old <= top  # keys above the largest value occur nowhere in the grid
         table[old[present]] = new[present]
-        return np.take(table, values)
+        return gather(table, values, mode="clip")  # no value lies past the table: clip is exact
     order = np.argsort(old)
     return _lookup(old[order], new[order], values, values)
 

@@ -34,7 +34,7 @@ def rasterize_ownership(
         x_lo, x_hi = pixel_span(box.x0, box.x1, width)
         y_lo, y_hi = pixel_span(box.y0, box.y1, height)
         owner[y_lo:y_hi, x_lo:x_hi] = box.track_id
-    return LabelGrid(owner)
+    return LabelGrid._adopt(owner)
 
 
 def fill_and_fuse(
@@ -72,7 +72,7 @@ def fill_and_fuse(
     # unowned pixels map 0 -> 0, so a hit there writes the instance 0 it already has
     hit = remap(owner, bound_class) == semantic.values
     instances = np.where(hit, owner, np.uint32(0))
-    return PanopticMap(classes=semantic, instances=LabelGrid(instances))
+    return PanopticMap(classes=semantic, instances=LabelGrid._adopt(instances))
 
 
 def run_fillfuse_sequence(

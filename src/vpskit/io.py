@@ -10,10 +10,12 @@ JSON documents tying per-frame files, optional flow files (with an
 explicit direction tag) and the taxonomy together.
 
 Readers never crash on malformed input; they raise the structured errors
-from vpskit.errors. Every reader opens its file through ``_read_bytes``, and
+from vpskit.errors. Every reader opens its file through ``_open``, and
 every JSON input is strict UTF-8 holding one JSON object, parsed by
 ``_parse_object``; ``_read_header`` reads a binary file's 12-byte header
-alone, to check sizes before any payload is read. Every JSON document is
+alone, to check sizes before any payload is read, and ``_read_payload``
+checks the same header and reads the payload straight into the array that
+the LabelGrid or FlowField keeps. Every JSON document is
 written by ``write_json``. All writers go through a temp file and an atomic
 rename. Sequences are read and written one frame at a time: the frame
 iterators read each file as it is pulled, and ``SequenceWriter`` writes
@@ -25,9 +27,10 @@ from __future__ import annotations
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,12 +73,18 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _read_bytes(path: str | Path) -> bytes:
-    """The bytes of an input file: a missing file is a ParseError, other OSErrors propagate."""
+def _open(path: str | Path) -> BinaryIO:
+    """An input file, open for binary reads: a missing file is a ParseError, other OSErrors propagate."""
     try:
-        return Path(path).read_bytes()
+        return open(path, "rb")
     except FileNotFoundError:
         raise ParseError(f"{path} does not exist") from None
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file."""
+    with _open(path) as fh:
+        return fh.read()
 
 
 def _read_text(path: str | Path) -> str:
@@ -137,13 +146,28 @@ def _read_header(
     path: str | Path, magic: bytes, dims: str, size: int, kind: str
 ) -> tuple[int, int]:
     """_decode_header of a file's first 12 bytes and its length: the payload stays unread."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(12)
-            length = os.fstat(fh.fileno()).st_size
-    except FileNotFoundError:
-        raise ParseError(f"{path} does not exist") from None
-    return _decode_header(head, magic, dims, size, kind, length)
+    with _open(path) as fh:
+        return _decode_header(fh.read(12), magic, dims, size, kind, os.fstat(fh.fileno()).st_size)
+
+
+def _read_payload(
+    path: str | Path, magic: bytes, dims: str, size: int, kind: str, dtype: type, depth: tuple = ()
+) -> np.ndarray:
+    """A binary file's payload, checked as _read_header checks it, read straight into a fresh array.
+
+    The array is native ``dtype``, of shape ``(height, width, *depth)``;
+    the file's little-endian values are swapped only on a big-endian host.
+    A payload that comes up shorter than the checked length is Truncated.
+    """
+    with _open(path) as fh:
+        width, height = _decode_header(fh.read(12), magic, dims, size, kind, os.fstat(fh.fileno()).st_size)
+        out = np.empty((height, width, *depth), dtype=dtype)
+        got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
+        raise Truncated(f"{kind} payload needs {12 + out.nbytes} bytes, got {12 + got}")
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
+    return out
 
 
 # ---------------------------------------------------------------- label grids
@@ -165,7 +189,7 @@ def write_label_grid(grid: LabelGrid, path: str | Path) -> None:
 
 
 def read_label_grid(path: str | Path) -> LabelGrid:
-    return decode_label_grid(_read_bytes(path))
+    return LabelGrid._adopt(_read_payload(path, LMAP_MAGIC, "<II", 4, "LMAP", np.uint32))
 
 
 # ---------------------------------------------------------------- flow fields
@@ -187,7 +211,7 @@ def write_flow(flow: FlowField, path: str | Path) -> None:
 
 
 def read_flow(path: str | Path) -> FlowField:
-    return decode_flow(_read_bytes(path))
+    return FlowField._adopt(_read_payload(path, _FLO_MAGIC, "<ii", 8, "flow file", np.float32, (2,)))
 
 
 # --------------------------------------------------------------------- tracks

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -246,13 +245,18 @@ def vpq(
         raise ValueError(f"window sizes must be >= 1, got {list(window_sizes)}")
 
     tables = []
-    pred_count = gt_count = 0
-    for pred, gt in zip_longest(pred_seq, gt_seq):
-        pred_count += pred is not None
-        gt_count += gt is not None
-        if pred_count == gt_count:  # once the sequences part, the counts never meet again
-            tables.append(_frame_table(pred, gt, taxonomy))
-    if pred_count != gt_count:
+    preds, gts = iter(pred_seq), iter(gt_seq)
+    while True:
+        # each pair is dropped before the next is pulled; zip_longest would keep the last one
+        pred, gt = next(preds, None), next(gts, None)
+        if pred is None or gt is None:
+            break
+        tables.append(_frame_table(pred, gt, taxonomy))
+        del pred, gt
+    if pred is not None or gt is not None:  # the sequences parted: count the rest of the longer
+        rest = 1 + sum(1 for _ in (gts if pred is None else preds))
+        pred_count = len(tables) + (0 if pred is None else rest)
+        gt_count = len(tables) + (rest if pred is None else 0)
         raise SequenceLengthMismatch(
             f"{pred_count} predicted frames vs {gt_count} ground-truth frames"
         )

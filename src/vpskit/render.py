@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassTaxonomy, PanopticMap, _rank_labels, unpack_keys
+from .core import ClassTaxonomy, PanopticMap, _rank_labels, gather, unpack_keys
 from .io import _atomic_write_bytes, _frame_stem
 from .rng import splitmix64
 
@@ -59,8 +59,8 @@ def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     rows = zip(classes.tolist(), instances.tolist(), things.tolist())
     for n, (class_id, instance_id, thing) in enumerate(rows, 1):
         palette[n] = instance_color(class_id, instance_id) if thing else stuff_color(class_id)
-    # a row gather about 3x faster than palette[rank][code], at the cost of an intp copy of code
-    return np.take(palette[rank], code, axis=0)
+    # a row gather about 3x faster than palette[rank][code]; every code has a row, so clip is exact
+    return gather(palette[rank], code, mode="clip")
 
 
 def encode_ppm(image: np.ndarray) -> bytes:

@@ -177,7 +177,7 @@ def background_classes(config: SceneConfig) -> LabelGrid:
     )
     bands = config.background
     if not bands:
-        return LabelGrid(grid)
+        return LabelGrid._adopt(grid)
     free = config.height - sum(b.height for b in bands if b.height is not None)
     flexible = sum(1 for b in bands if b.height is None)
     share = free // flexible if flexible else 0
@@ -190,7 +190,7 @@ def background_classes(config: SceneConfig) -> LabelGrid:
         y += h
         if y >= config.height:
             break
-    return LabelGrid(grid)
+    return LabelGrid._adopt(grid)
 
 
 def _actor_mask(
@@ -268,9 +268,8 @@ def _frame(
                 y1=float(rows.start + ys[-1] + 1),
             )
         )
-    panoptic = PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances))
-    del classes, instances  # copied: free them before the flow is copied
-    return SceneFrame(panoptic, tuple(boxes), FlowField(flow) if t + 1 < config.frames else None)
+    panoptic = PanopticMap(classes=LabelGrid._adopt(classes), instances=LabelGrid._adopt(instances))
+    return SceneFrame(panoptic, tuple(boxes), FlowField._adopt(flow) if t + 1 < config.frames else None)
 
 
 def corrupt_shuffle_ids(panoptic: Iterable[PanopticMap], seed: int) -> Iterator[PanopticMap]:
@@ -288,7 +287,7 @@ def _shuffle_frame(rng: Xoshiro256StarStar, pmap: PanopticMap) -> PanopticMap:
     permuted = list(ids)
     rng.shuffle(permuted)
     values = remap(pmap.instances.values, dict(zip(ids, permuted)))
-    return PanopticMap(classes=pmap.classes, instances=LabelGrid(values))
+    return PanopticMap(classes=pmap.classes, instances=LabelGrid._adopt(values))
 
 
 def corrupt_boxes(
@@ -375,4 +374,4 @@ def _erode_frame(pmap: PanopticMap, background: LabelGrid, erode: int) -> Panopt
     removed = (instances != 0) & ~kept
     classes = np.where(removed, background.values, pmap.classes.values)
     instances = np.where(removed, np.uint32(0), instances)
-    return PanopticMap(classes=LabelGrid(classes), instances=LabelGrid(instances))
+    return PanopticMap(classes=LabelGrid._adopt(classes), instances=LabelGrid._adopt(instances))

@@ -21,6 +21,10 @@ from .core import overlap_table, pack_keys, present_ids, remap, unpack_keys
 from .defaults import DEFAULT_IOU_THRESHOLD
 from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 
+# warp_backward's band, in pixels: its float64 positions and intp indices are made
+# for whole rows of at most this many pixels at a time (one row if wider).
+_WARP_BAND = 1 << 14
+
 
 @dataclass(frozen=True)
 class IoUMatrix:
@@ -78,26 +82,37 @@ def warp_backward(
             f"flow is {flow_prev_to_curr.width}x{flow_prev_to_curr.height}, "
             f"grids are {w}x{h}"
         )
-    flat, outside = _nearest_pixel(flow_prev_to_curr.vectors)
-    warped_inst = curr.instances.values.ravel()[flat].reshape(h, w)
-    warped_inst[outside] = 0
-    warped_class = curr.classes.values.ravel()[flat].reshape(h, w)
-    warped_class[outside] = void_class_id
-    del flat, outside
-    return PanopticMap(classes=LabelGrid(warped_class), instances=LabelGrid(warped_inst))
+    instances, classes = curr.instances.values.ravel(), curr.classes.values.ravel()
+    warped_inst = np.empty((h, w), dtype=np.uint32)
+    warped_class = np.empty((h, w), dtype=np.uint32)
+    rows = max(1, _WARP_BAND // w)
+    for top in range(0, h, rows):
+        band = slice(top, top + rows)
+        flat, outside = _nearest_pixel(flow_prev_to_curr.vectors[band], top, h)
+        # clipped indices all lie in the grid, so "clip" gathers straight into the result
+        np.take(instances, flat, out=warped_inst[band], mode="clip")
+        warped_inst[band][outside] = 0
+        np.take(classes, flat, out=warped_class[band], mode="clip")
+        warped_class[band][outside] = void_class_id
+    return PanopticMap(classes=LabelGrid._adopt(warped_class), instances=LabelGrid._adopt(warped_inst))
 
 
-def _nearest_pixel(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_pixel(
+    vectors: np.ndarray, top: int = 0, height: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per pixel p of a flow grid, the flat index of round(p + flow(p)), and where it is outside.
 
-    Rounding is floor(s + 0.5) per axis on float64 positions, exact for
-    integer sums below 2**53; outside positions are clipped into the grid.
+    ``vectors`` may be the rows from ``top`` on of a grid ``height`` rows
+    tall (by default, the whole grid). Rounding is floor(s + 0.5) per axis
+    on float64 positions, exact for integer sums below 2**53; outside
+    positions are clipped into the grid.
     """
-    h, w = vectors.shape[:2]
+    rows, w = vectors.shape[:2]
+    h = rows if height is None else height
     sx = vectors[..., 0] + np.arange(w, dtype=np.float64)
     sx += 0.5
     np.floor(sx, out=sx)
-    sy = vectors[..., 1] + np.arange(h, dtype=np.float64)[:, None]
+    sy = vectors[..., 1] + np.arange(top, top + rows, dtype=np.float64)[:, None]
     sy += 0.5
     np.floor(sy, out=sy)
     outside = (sx < 0) | (sx >= w) | (sy < 0) | (sy >= h)
@@ -132,7 +147,7 @@ def invert_flow(flow: FlowField) -> FlowField:
         order = np.argsort(dx * dx + dy * dy, kind="stable")[::-1]
     out = np.zeros_like(vectors)
     out[target[order]] = -vectors[src[order]]
-    return FlowField(out.reshape(flow.vectors.shape))
+    return FlowField._adopt(out.reshape(flow.vectors.shape))
 
 
 def _dominant_class(pmap: PanopticMap, mask: np.ndarray) -> np.ndarray:
@@ -257,7 +272,7 @@ def relabel(
     mapping.update(zip(fresh, range(next_fresh_id, next_id)))
     out = remap(curr.instances.values, mapping)
     emitted = max(mapping.values(), default=0)
-    return PanopticMap(classes=curr.classes, instances=LabelGrid(out)), max(next_id, emitted + 1)
+    return PanopticMap(classes=curr.classes, instances=LabelGrid._adopt(out)), max(next_id, emitted + 1)
 
 
 def run_warpmatch_sequence(

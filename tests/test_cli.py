@@ -856,6 +856,34 @@ class TestBinarySweep:
         assert set(json.loads(err)) == {"error", "message"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", _BINARY_INPUTS)
+    def test_a_payload_short_after_the_header_check_is_truncated(
+        self, name, scene, tmp_path, capsys, monkeypatch
+    ):
+        # the file loses its last value once its length is checked: fstat still gives the old length
+        path, command = _BINARY_INPUTS[name]
+        copy = tmp_path / "s"
+        shutil.copytree(scene, copy)
+        victim = copy / path
+        data = victim.read_bytes()
+        victim.write_bytes(data[:-4])
+        inode, real = os.stat(victim).st_ino, os.fstat
+
+        def fstat(fd):
+            st = real(fd)
+            return st if st.st_ino != inode else os.stat_result((*st[:6], len(data), *st[7:10]))
+
+        monkeypatch.setattr(vio.os, "fstat", fstat)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command.format(s=copy, out=out).split())
+        kind = "LMAP" if path.endswith(".lmap") else "flow file"
+        assert code == 1 and not stdout and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "Truncated",
+            "message": f"{kind} payload needs {len(data)} bytes, got {len(data) - 4}",
+        }
+        assert not out.exists()
+
 
 @pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")
 def test_runs_through_runpy_as_cprofile_does(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from unittest import mock
 
@@ -198,6 +199,15 @@ class TestGrids:
     def test_panoptic_map_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             PanopticMap(filled_grid(3, 2), filled_grid(2, 3))
+
+    def test_public_constructors_copy_their_source(self):
+        labels = np.arange(6, dtype=np.uint32).reshape(2, 3)
+        vectors = np.ones((2, 3, 2), dtype=np.float32)
+        grid, flow = LabelGrid(labels), FlowField(vectors)
+        labels[0, 0], vectors[0, 0, 0] = 9, 5.0
+        assert grid.values.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert (flow.vectors == 1.0).all()
+        assert not grid.values.flags.writeable and not flow.vectors.flags.writeable
 
     def test_flow_field_rejects_non_finite(self):
         vec = np.zeros((2, 2, 2), dtype=np.float32)
@@ -627,3 +637,100 @@ class TestOverlapPaths:
         assert not spy.called
         every = np.ones((h, w), dtype=bool)
         _assert_same_overlap(got, oracle_overlap_table(a, every, b, every))
+
+
+@st.composite
+def _run_side(draw, h, w, pool):
+    """A side whose grids hold a few runs per row, and a mask that changes inside those runs."""
+    grids = []
+    for _ in range(draw(st.integers(1, 2))):
+        grid = np.empty((h, w), dtype=np.uint32)
+        for y in range(h):
+            cuts = sorted(draw(st.sets(st.integers(1, w - 1), max_size=3)))
+            for lo, hi in zip([0, *cuts], [*cuts, w]):
+                grid[y, lo:hi] = draw(st.sampled_from(pool))
+        grids.append(grid)
+    share = draw(st.sampled_from([None, 0.2, 0.5, 0.9]))
+    if share is None:
+        return tuple(grids), None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(grids), rng.random((h, w)) < share
+
+
+class TestOverlapRuns:
+    """overlap_table codes only the ends of the runs along which no grid and no mask changes."""
+
+    @pytest.mark.parametrize("ranking", ["presence", "factorize"])
+    @given(st.integers(2, 6), st.integers(6, 24), st.data())
+    @settings(max_examples=150)
+    def test_masks_changing_inside_label_runs_match_the_oracle(self, ranking, h, w, data):
+        pool = [0, 1, 2] if ranking == "presence" else [0, 1, _TOP]
+        a, a_valid = data.draw(_run_side(h, w, pool))
+        b, b_valid = data.draw(_run_side(h, w, pool))
+        if ranking == "factorize":
+            a[-1][-1, -1] = _TOP  # a code range past any pixel count
+            if a_valid is not None:
+                a_valid[-1, -1] = True
+        with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
+            got = overlap_table(a, a_valid, b, b_valid)
+        every = np.ones((h, w), dtype=bool)
+        counted = every
+        if a_valid is not None and b_valid is not None and 2 * np.count_nonzero(a_valid | b_valid) < h * w:
+            counted = a_valid | b_valid  # sparse: only pixels valid on some side are counted
+        spans = [math.prod(int(g[counted].max(initial=0)) + 1 for g in side) for side in (a, b)]
+        assert spy.called == (max(spans) > np.count_nonzero(counted))
+        if ranking == "factorize":
+            assert spy.called
+        a_valid, b_valid = (every if mask is None else mask for mask in (a_valid, b_valid))
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+    def test_validity_changing_inside_one_label_run(self):
+        # one label over the row on both sides; each mask turns off and on inside it
+        a = b = (np.full((1, 8), 3, dtype=np.uint32),)
+        a_valid = np.array([[1, 1, 0, 0, 1, 1, 1, 1]], dtype=bool)
+        b_valid = np.array([[1, 0, 0, 1, 1, 0, 1, 1]], dtype=bool)
+        got = overlap_table(a, a_valid, b, b_valid)
+        assert (got.a_areas.tolist(), got.b_areas.tolist(), got.shared.tolist()) == ([6], [5], [4])
+        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+
+
+_BAND = core._GATHER_BAND
+
+
+class TestGather:
+    """core.gather gives np.take's result, band by band."""
+
+    SHAPES = [(_BAND - 1,), (255, 257), (_BAND,), (256, 256), (_BAND + 1,), (1, _BAND + 1), (0,), (3, 5)]
+
+    @given(
+        st.sampled_from(SHAPES), st.sampled_from([(), (3,)]), st.integers(1, 300), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_np_take(self, shape, row, rows, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 256, (rows, *row), dtype=np.uint8)
+        index = rng.integers(0, rows, shape, dtype=np.uint32)
+        got = core.gather(table, index)
+        want = np.take(table, index, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @given(st.sampled_from(SHAPES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_clip_sends_ids_past_the_kind_table_to_its_unknown_last_entry(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        table = TAX._kind_table
+        near = rng.integers(0, 2 * table.size, shape, dtype=np.uint32)
+        far = rng.integers(0, 1 << 32, shape, dtype=np.uint64).astype(np.uint32)
+        classes = np.where(rng.random(shape) < 0.5, near, far)
+        got = core.gather(table, classes, mode="clip")
+        assert np.array_equal(got, np.take(table, classes, mode="clip"))
+        assert (got[classes >= table.size - 1] == core._KIND_UNKNOWN).all()
+
+    def test_an_index_past_the_table_raises_as_np_take_does(self):
+        index = np.zeros(_BAND + 1, dtype=np.uint32)
+        index[-1] = 5  # in the second band
+        with pytest.raises(IndexError):
+            np.take(np.arange(5), index)
+        with pytest.raises(IndexError):
+            core.gather(np.arange(5), index)

@@ -17,11 +17,14 @@ import pytest
 from helpers import generate_scene, scene_to_dict
 from vpskit import cli
 from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, present_ids, remap
-from vpskit.io import decode_flow, encode_flow, encode_label_grid
+from vpskit.fillfuse import fill_and_fuse, rasterize_ownership
+from vpskit.io import decode_flow, encode_flow, encode_label_grid, read_flow, read_label_grid
+from vpskit.io import write_flow, write_label_grid
 from vpskit.metrics import _frame_table, vpq
 from vpskit.render import colorize
-from vpskit.synth import Actor, Band, SceneConfig, corrupt_masks, generate
-from vpskit.warpmatch import invert_flow, warp_backward
+from vpskit.synth import Actor, Band, SceneConfig, background_classes, corrupt_masks
+from vpskit.synth import corrupt_shuffle_ids, generate
+from vpskit.warpmatch import IdAssignment, invert_flow, relabel, warp_backward
 
 TAX = ClassTaxonomy(
     entries=(
@@ -73,16 +76,22 @@ def peak_grids(call) -> float:
     return peak / (640 * 320 * 4)
 
 
-def test_warp_backward_peaks_at_most_8_grids(scene):
-    curr, flow = scene.panoptic[1], scene.flows[0]
+def test_warp_backward_peaks_at_most_3_grids(scene):
+    curr, flow = scene.panoptic[1], scene.flows[0]  # the result alone is 2 grids
     grids = peak_grids(lambda: warp_backward(curr, flow))
-    assert grids <= 8, f"warp_backward peaked at {grids:.2f} grids"
+    assert grids <= 3, f"warp_backward peaked at {grids:.2f} grids"
 
 
-def test_frame_table_peaks_at_most_12_grids(scene):
-    pred, gt = scene.panoptic
+def test_frame_table_peaks_at_most_1_grid(scene):
+    pred, gt = scene.panoptic  # run ends alone are coded: the run scan's masks are 0.5 grids
     grids = peak_grids(lambda: _frame_table(pred, gt, TAX))
-    assert grids <= 12, f"_frame_table peaked at {grids:.2f} grids"
+    assert grids <= 1, f"_frame_table peaked at {grids:.2f} grids"
+
+
+def test_thing_mask_peaks_at_most_1_grid(scene):
+    classes = scene.panoptic[0].classes.values  # the kind codes and the result are 0.25 grids each
+    grids = peak_grids(lambda: TAX.thing_mask(classes))
+    assert grids <= 1, f"thing_mask peaked at {grids:.2f} grids"
 
 
 def test_decode_flow_peaks_at_most_3_grids(scene):
@@ -91,10 +100,10 @@ def test_decode_flow_peaks_at_most_3_grids(scene):
     assert grids <= 3, f"decode_flow peaked at {grids:.2f} grids"
 
 
-def test_colorize_peaks_at_most_6_grids(scene):
+def test_colorize_peaks_at_most_3_grids(scene):
     pmap = scene.panoptic[0]  # the RGB result alone is 0.75 grids
     grids = peak_grids(lambda: colorize(pmap, TAX))
-    assert grids <= 6, f"colorize peaked at {grids:.2f} grids"
+    assert grids <= 3, f"colorize peaked at {grids:.2f} grids"
 
 
 def test_invert_flow_peaks_at_most_8_grids(scene):
@@ -103,10 +112,15 @@ def test_invert_flow_peaks_at_most_8_grids(scene):
     assert grids <= 8, f"invert_flow peaked at {grids:.2f} grids"
 
 
-def test_generate_peaks_at_most_7_grids_per_frame(scene_config):
-    # the collected scene alone holds up to 4 grids per frame: classes, instances and a 2-grid flow
-    grids = peak_grids(lambda: generate_scene(scene_config)) / scene_config.frames
-    assert grids <= 7, f"generate peaked at {grids:.2f} grids per frame"
+def test_generate_peaks_at_most_6_grids_pulling_frame_by_frame(scene_config):
+    # one frame's classes, instances and 2-grid flow, beside the background grid generate keeps
+    def pull_each_frame():
+        frames = generate(scene_config)
+        for _ in range(scene_config.frames):
+            next(frames)  # dropped at once, as a streamed command drops it
+
+    grids = peak_grids(pull_each_frame)
+    assert grids <= 6, f"generate peaked at {grids:.2f} grids"
 
 
 def test_corrupt_masks_peaks_at_most_8_grids(scene):
@@ -115,12 +129,12 @@ def test_corrupt_masks_peaks_at_most_8_grids(scene):
     assert grids <= 8, f"corrupt_masks peaked at {grids:.2f} grids"
 
 
-def test_remap_table_path_peaks_at_most_4_grids(scene):
+def test_remap_table_path_peaks_at_most_2_grids(scene):
     values = scene.panoptic[0].instances.values  # ids below the table bound
     ids = present_ids(values)
     mapping = dict(zip(ids, reversed(ids)))
     grids = peak_grids(lambda: remap(values, mapping))
-    assert grids <= 4, f"remap peaked at {grids:.2f} grids"
+    assert grids <= 2, f"remap peaked at {grids:.2f} grids"
 
 
 def test_encoders_copy_the_payload_once(scene):
@@ -130,6 +144,47 @@ def test_encoders_copy_the_payload_once(scene):
     assert grids <= 1.5, f"encode_label_grid peaked at {grids:.2f} grids"
     grids = peak_grids(lambda: encode_flow(flow))
     assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"
+
+
+def test_readers_read_the_payload_into_the_result(scene, tmp_path):
+    # the result alone is 1 grid for a label grid and 2 for a flow, whose finiteness check adds 0.5
+    lmap, flo = tmp_path / "grid.lmap", tmp_path / "flow.flo"
+    write_label_grid(scene.panoptic[0].instances, lmap)
+    write_flow(scene.flows[0], flo)
+    grids = peak_grids(lambda: read_label_grid(lmap))
+    assert grids <= 1.5, f"read_label_grid peaked at {grids:.2f} grids"
+    grids = peak_grids(lambda: read_flow(flo))
+    assert grids <= 3, f"read_flow peaked at {grids:.2f} grids"
+
+
+def test_arrays_from_readers_and_kernels_are_read_only(scene, scene_config, tmp_path):
+    pmap, flow = scene.panoptic[1], scene.flows[0]
+    write_label_grid(pmap.instances, tmp_path / "grid.lmap")
+    write_flow(flow, tmp_path / "flow.flo")
+    frame = next(generate(scene_config))
+    warped = warp_backward(pmap, flow)
+    ids = present_ids(pmap.instances.values)
+    relabeled, _ = relabel(pmap, IdAssignment({}, frozenset(ids)), 1)
+    boxes = [replace(box, frame=0) for box in frame.boxes]
+    fused = fill_and_fuse(pmap.classes, boxes, TAX, {10: 10, 11: 11})
+    arrays = {
+        "read_label_grid": read_label_grid(tmp_path / "grid.lmap").values,
+        "read_flow": read_flow(tmp_path / "flow.flo").vectors,
+        "generate classes": frame.panoptic.classes.values,
+        "generate instances": frame.panoptic.instances.values,
+        "generate flow": frame.flow.vectors,
+        "background_classes": background_classes(scene_config).values,
+        "corrupt_shuffle_ids": next(corrupt_shuffle_ids([pmap], 3)).instances.values,
+        "corrupt_masks": next(corrupt_masks([pmap], scene.background_classes, 2)).instances.values,
+        "warp_backward classes": warped.classes.values,
+        "warp_backward instances": warped.instances.values,
+        "invert_flow": invert_flow(flow).vectors,
+        "relabel": relabeled.instances.values,
+        "rasterize_ownership": rasterize_ownership(boxes, pmap.width, pmap.height).values,
+        "fill_and_fuse": fused.instances.values,
+    }
+    writeable = [name for name, arr in arrays.items() if arr.flags.writeable]
+    assert writeable == []
 
 
 def test_vpq_of_streams_peaks_alike_at_4_and_16_frames(scene):
