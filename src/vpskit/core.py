@@ -532,12 +532,14 @@ def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.cumsum(present, dtype=np.uint32)
 
 
-def _rank_labels(grids: tuple) -> tuple:
-    """A side's sorted labels, a uint32 code per pixel, and per code its 1-based rank (_label_codes)."""
-    side = _label_codes(grids, None, grids[-1].size)
-    flat = side.code.ravel()
-    labels, rank = _ranked(side, flat[_run_ends(flat)])
-    return labels, side.code, rank
+def _rank_runs(grids: tuple) -> tuple:
+    """A side's sorted labels, and per run of pixels along which its grids stay equal, in row-major
+    order, the 1-based rank of the run's label among them and the run's length (_label_codes)."""
+    flat = tuple(grid.ravel() for grid in grids)
+    ends = _run_ends(*flat)
+    side = _label_codes(tuple(grid[ends] for grid in flat), None, flat[0].size)
+    labels, rank = _ranked(side, side.code)
+    return labels, rank[side.code], np.diff(ends, prepend=-1)
 
 
 def _run_ends(*arrays: np.ndarray) -> np.ndarray:

@@ -100,10 +100,10 @@ def test_decode_flow_peaks_at_most_3_grids(scene):
     assert grids <= 3, f"decode_flow peaked at {grids:.2f} grids"
 
 
-def test_colorize_peaks_at_most_3_grids(scene):
+def test_colorize_peaks_at_most_1_grid(scene):
     pmap = scene.panoptic[0]  # the RGB result alone is 0.75 grids
     grids = peak_grids(lambda: colorize(pmap, TAX))
-    assert grids <= 3, f"colorize peaked at {grids:.2f} grids"
+    assert grids <= 1, f"colorize peaked at {grids:.2f} grids"
 
 
 def test_invert_flow_peaks_at_most_8_grids(scene):
