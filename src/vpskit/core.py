@@ -533,8 +533,10 @@ def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_runs(grids: tuple) -> tuple:
-    """A side's sorted labels, and per run of pixels along which its grids stay equal, in row-major
-    order, the 1-based rank of the run's label among them and the run's length (_label_codes)."""
+    """A side's sorted labels, and per run of equal labels in row-major order, its rank and length.
+
+    Ranks are 1-based, as _ranked gives them; only the run ends are coded (_label_codes).
+    """
     flat = tuple(grid.ravel() for grid in grids)
     ends = _run_ends(*flat)
     side = _label_codes(tuple(grid[ends] for grid in flat), None, flat[0].size)

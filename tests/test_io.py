@@ -543,7 +543,8 @@ class TestStreams:
 
     def test_the_flow_sequence_check_reads_headers_alone(self, tmp_path, monkeypatch):
         path, manifest = self.write(tmp_path)
-        monkeypatch.setattr(vio, "_read_bytes", None)  # a payload read would fail as TypeError
+        for reader in ("_read_bytes", "_read_payload"):  # a payload read would fail as TypeError
+            monkeypatch.setattr(vio, reader, None)
         vio.check_flow_sequence(path, manifest, path, manifest)
 
     @pytest.mark.parametrize(
