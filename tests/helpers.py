@@ -377,6 +377,36 @@ def oracle_match_greedy(matrix, threshold: float) -> list[tuple[int, int]]:
     return list(matches.items())
 
 
+def oracle_iou_matrix(warped: PanopticMap, prev: PanopticMap, taxonomy: ClassTaxonomy, class_strict=True):
+    """build_iou_matrix per pixel: thing masks, np.unique overlap counts, a pixel-sort dominant class."""
+    from vpskit.warpmatch import IoUMatrix
+
+    maps = (warped, prev)
+    masks = [taxonomy.thing_mask(m.classes.values) & (m.instances.values != 0) for m in maps]
+    (cur_ids, cur_areas), (prev_ids, prev_areas) = (
+        np.unique(m.instances.values[mask], return_counts=True) for m, mask in zip(maps, masks)
+    )
+    both = masks[0] & masks[1]
+    inter = np.zeros((cur_ids.size, prev_ids.size), dtype=np.int64)
+    rows = np.searchsorted(cur_ids, warped.instances.values[both])
+    cols = np.searchsorted(prev_ids, prev.instances.values[both])
+    np.add.at(inter, (rows, cols), 1)
+    values = inter / (cur_areas[:, None] + prev_areas[None, :] - inter)
+
+    def dominant(pmap, mask):  # per id ascending, its most frequent class, ties to the lower class
+        pixels = np.stack([pmap.instances.values[mask], pmap.classes.values[mask]], axis=1)
+        pairs, counts = np.unique(pixels, axis=0, return_counts=True)
+        best: dict[int, tuple[int, int]] = {}
+        for (instance_id, class_id), count in zip(pairs.tolist(), counts.tolist()):
+            if instance_id not in best or count > best[instance_id][0]:
+                best[instance_id] = (count, class_id)
+        return np.array([best[i][1] for i in sorted(best)], dtype=np.int64)
+
+    if class_strict and values.size:
+        values[dominant(warped, masks[0])[:, None] != dominant(prev, masks[1])[None, :]] = 0.0
+    return IoUMatrix(tuple(cur_ids.tolist()), tuple(prev_ids.tolist()), values)
+
+
 def oracle_warp_backward(curr: PanopticMap, flow_prev_to_curr, void_class_id: int = 0):
     """Backward warp over full int64 pixel grids: round(p + flow(p)), outside -> 0 / void."""
     h, w = curr.instances.values.shape

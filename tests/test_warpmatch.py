@@ -7,6 +7,7 @@ from helpers import (
     constant_flow,
     filled_grid,
     oracle_invert_flow,
+    oracle_iou_matrix,
     oracle_match_greedy,
     oracle_warp_backward,
     warpmatch_all,
@@ -224,6 +225,34 @@ class TestBuildIoUMatrix:
         matrix = build_iou_matrix(warped, prev, TAX)
         assert matrix.current_ids == ()
         assert matrix.previous_ids == ()
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.booleans(), st.data())
+    @settings(max_examples=300)
+    def test_matches_the_per_pixel_oracle(self, h, w, class_strict, data):
+        # void, stuff pixels that carry ids, id-0 thing pixels, and now and then an unknown class
+        ids = data.draw(st.sampled_from([[0, 1, 2, 3], [0, 5, _TOP], [0, 1, 2, _TOP - 1, _TOP]]))
+
+        def side():
+            classes = data.draw(st.lists(st.sampled_from([0, 1, 10, 11]), min_size=h * w, max_size=h * w))
+            instances = data.draw(st.lists(st.sampled_from(ids), min_size=h * w, max_size=h * w))
+            return np.array(classes, dtype=np.uint32).reshape(h, w), np.array(instances).reshape(h, w)
+
+        (warped_cls, warped_inst), (prev_cls, prev_inst) = side(), side()
+        for unknown in data.draw(st.lists(st.sampled_from([99, _TOP]), max_size=2)):
+            grid = data.draw(st.sampled_from([warped_cls, prev_cls]))
+            grid.flat[data.draw(st.integers(0, h * w - 1))] = unknown
+        warped, prev = pmap(warped_cls, warped_inst), pmap(prev_cls, prev_inst)
+        try:
+            want = oracle_iou_matrix(warped, prev, TAX, class_strict)
+        except UnknownClass as exc:
+            with pytest.raises(UnknownClass) as got:
+                build_iou_matrix(warped, prev, TAX, class_strict)
+            assert str(got.value) == str(exc)
+            return
+        got = build_iou_matrix(warped, prev, TAX, class_strict)
+        assert (got.current_ids, got.previous_ids) == (want.current_ids, want.previous_ids)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
 
 
 class TestMatchIds:
