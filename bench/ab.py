@@ -14,9 +14,10 @@ outputs are the fixed inputs of every timed run. A pair runs one command as
 each into an output path of its own that is hashed against the base
 pipeline's output and then removed; each row records that output's digest,
 so records made at different commits check one another. Wall time, the
-child's own peak RSS and its minor page faults come from this script's own
-``wait4`` call on the child (perfbench's ``run_subprocess`` returns the peak
-alone).
+child's own peak RSS, its minor page faults and its CPU time (user plus
+system, which counts what numpy's BLAS threads spin as well) come from this
+script's own ``wait4`` call on the child (perfbench's ``run_subprocess``
+returns the peak alone).
 
 The optional Cityscapes-size rows time every command of ``--commands`` on a
 2048x1024x30 scene (40 actors, big-frames flags, seed 1), with
@@ -24,7 +25,7 @@ The optional Cityscapes-size rows time every command of ``--commands`` on a
 command up to about 1.5 GB of memory on the side that holds whole sequences.
 
 perfbench's files are imported, not changed. The result is one JSON file:
-per row the medians, quartiles, peak RSS and minor page fault medians,
+per row the medians, quartiles, peak RSS, minor page fault and CPU time medians,
 every run's figures, the pairs each side won, and whether the change's gain
 meets the claim rule (at least ten pairs, nine tenths of them won, and a
 median gap wider than the base's interquartile range). When all five
@@ -98,10 +99,11 @@ def remove(path: Path) -> None:
         path.unlink()
 
 
-def run_child(argv: list[str], cwd: Path, env: dict) -> tuple[float, int, float, int, str]:
-    """Run one command; returns (wall seconds, exit code, peak RSS MB, minor page faults, stderr).
+def run_child(argv: list[str], cwd: Path, env: dict) -> tuple[float, int, float, int, float, str]:
+    """Run one command; returns (wall s, exit code, peak RSS MB, minor page faults, CPU s, stderr).
 
-    Both figures come from this child's own rusage via wait4 (ru_maxrss is in KiB on Linux).
+    The last three figures come from this child's own rusage via wait4 (ru_maxrss is in KiB on
+    Linux); CPU is user plus system time.
     """
     err_path = cwd / ".stderr"
     with open(err_path, "wb") as err:
@@ -117,7 +119,8 @@ def run_child(argv: list[str], cwd: Path, env: dict) -> tuple[float, int, float,
     proc.returncode = os.waitstatus_to_exitcode(status)
     stderr = err_path.read_text(errors="replace")
     err_path.unlink()
-    return seconds, proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt, stderr
+    cpu = usage.ru_utime + usage.ru_stime
+    return seconds, proc.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt, cpu, stderr
 
 
 def prepare(workload, seed: int, pass_dir: Path, env: dict, commands) -> int:
@@ -127,7 +130,7 @@ def prepare(workload, seed: int, pass_dir: Path, env: dict, commands) -> int:
     (pass_dir / "scene.json").write_text(json.dumps(scene, indent=1, sort_keys=True) + "\n")
     for command in COMMANDS[: max(COMMANDS.index(c) for c in commands) + 1]:
         argv = [sys.executable, "-m", "vpskit.cli", *command_argv(workload, command, corrupt_seed)]
-        _, code, _, _, stderr = run_child(argv, pass_dir, env)
+        _, code, _, _, _, stderr = run_child(argv, pass_dir, env)
         if code != 0:
             raise RuntimeError(f"{workload.name} seed {seed} {command}: {stderr}")
     return corrupt_seed
@@ -167,12 +170,12 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
     for command in commands:
         argv, out = timed_argv(workload, command, corrupt_seed)
         want = tree_digest(pass_dir / OUTPUTS[command])
-        runs = {name: {"s": [], "rss": [], "minflt": []} for name in sides}
+        runs = {name: {"s": [], "rss": [], "minflt": [], "cpu": []} for name in sides}
         identical = True
         for pair in range(pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for name in order:
-                seconds, code, rss, minflt, stderr = run_child(argv, pass_dir, sides[name]["env"])
+                seconds, code, rss, minflt, cpu, stderr = run_child(argv, pass_dir, sides[name]["env"])
                 if code != 0:
                     raise RuntimeError(f"{name} {workload.name} seed {seed} {command}: {stderr}")
                 identical &= tree_digest(pass_dir / out) == want
@@ -180,6 +183,7 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
                 runs[name]["s"].append(seconds)
                 runs[name]["rss"].append(rss)
                 runs[name]["minflt"].append(minflt)
+                runs[name]["cpu"].append(cpu)
         base, change = stats(runs["base"]["s"]), stats(runs["change"]["s"])
         wins = sum(c < b for b, c in zip(runs["base"]["s"], runs["change"]["s"]))
         losses = sum(c > b for b, c in zip(runs["base"]["s"], runs["change"]["s"]))
@@ -195,6 +199,8 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             "change_peak_rss_mb_median": median(runs["change"]["rss"]),
             "base_minflt_median": median(runs["base"]["minflt"]),
             "change_minflt_median": median(runs["change"]["minflt"]),
+            "base_cpu_s_median": median(runs["base"]["cpu"]),
+            "change_cpu_s_median": median(runs["change"]["cpu"]),
             "change_faster_pairs": wins,
             "change_slower_pairs": losses,
             "median_change_pct": 100.0 * (change["median"] / base["median"] - 1.0),
@@ -206,6 +212,7 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             "runs_s": {name: runs[name]["s"] for name in sides},
             "runs_peak_rss_mb": {name: runs[name]["rss"] for name in sides},
             "runs_minflt": {name: runs[name]["minflt"] for name in sides},
+            "runs_cpu_s": {name: runs[name]["cpu"] for name in sides},
         }
         if command == "eval":
             row["vpq_mean"] = json.loads((pass_dir / OUTPUTS["eval"]).read_text())["vpq"]["mean"]
@@ -217,7 +224,8 @@ def measure(workload, seed: int, commands, pairs: int, work: Path, sides: dict) 
             f"change {change['median']:.3f} s ({row['median_change_pct']:+.1f}%), "
             f"faster {wins}/{pairs}, rss {row['base_peak_rss_mb_median']:.2f} -> "
             f"{row['change_peak_rss_mb_median']:.2f} MB, minflt {row['base_minflt_median']:.0f} -> "
-            f"{row['change_minflt_median']:.0f}, identical {identical}",
+            f"{row['change_minflt_median']:.0f}, cpu {row['base_cpu_s_median']:.3f} -> "
+            f"{row['change_cpu_s_median']:.3f} s, identical {identical}",
             flush=True,
         )
     shutil.rmtree(pass_dir)
@@ -278,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.work is None:
             shutil.rmtree(work, ignore_errors=True)
     doc = {
-        "what": "wall time, peak RSS and minor page faults of each vpskit command, base against "
-        "change, alternated pair by pair on fixed inputs",
+        "what": "wall time, peak RSS, minor page faults and CPU time of each vpskit command, base "
+        "against change, alternated pair by pair on fixed inputs",
         "command": (
             f"python3 bench/ab.py --base {args.base} --change {args.change} --workloads "
             f"{' '.join(args.workloads)} --seeds {' '.join(map(str, args.seeds))} --commands "

@@ -326,7 +326,8 @@ class FlowField:
 
 
 def _check_finite(vectors: np.ndarray) -> None:
-    if not np.isfinite(vectors).all():
+    # min and max both propagate NaN and reach an infinity, so no bool grid is made
+    if not (np.isfinite(vectors.min()) and np.isfinite(vectors.max())):
         raise NonFinite("flow field contains NaN or infinite components")
 
 
@@ -426,120 +427,107 @@ class Overlap(NamedTuple):
     shared: np.ndarray
 
 
-def overlap_table(a: tuple, a_valid: np.ndarray | None, b: tuple, b_valid: np.ndarray | None) -> Overlap:
-    """Label areas and pairwise overlaps of the valid pixels of two same-shape segmentations.
+def overlap_table(a: tuple, b: tuple) -> Overlap:
+    """Label areas and pairwise overlaps of two same-shape segmentations, over every pixel.
 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
-    labelled by pack_keys; a mask of None counts all of a side's pixels. A
-    pixel is shared when valid on both sides. One scan of the grids and
-    masks finds the runs along which none of them changes, and only the
-    run ends are coded (_label_codes): the codes rank each side's labels
-    (_ranked), and one count of ``a_rank * (n_b + 1) + b_rank`` (COCO
-    panopticapi's pq_compute trick) per joint run gives both sides' areas
-    and every pair: ``np.bincount`` while the label counts multiplied are at
-    most the pixel count, ``np.unique`` beyond.
+    labelled by pack_keys. One scan of the grids finds the runs along which
+    none of them changes, and only the run ends are coded (_label_codes):
+    the codes rank each side's labels (_ranked), and one count of
+    ``a_rank * n_b + b_rank`` (COCO panopticapi's pq_compute trick) per
+    joint run gives both sides' areas and every pair: ``np.bincount`` while
+    the label counts multiplied are at most the pixel count, ``np.unique``
+    beyond. Callers decide which labels count, per label, from the table.
     """
-    if a_valid is not None and b_valid is not None:
-        counted = a_valid | b_valid
-        if 2 * np.count_nonzero(counted) < counted.size:  # sparse: skip pixels valid nowhere
-            a, a_valid = tuple(grid[counted] for grid in a), a_valid[counted]
-            b, b_valid = tuple(grid[counted] for grid in b), b_valid[counted]
     pixels = a[0].size
-    # every pixel of a run shares its end's labels and validity on both sides
-    ends = _run_ends(*(arr.ravel() for arr in (*a, a_valid, *b, b_valid) if arr is not None))
+    # every pixel of a run shares its end's labels on both sides
+    ends = _run_ends(*(grid.ravel() for grid in (*a, *b)))
     lengths = np.diff(ends, prepend=-1)
-    a_side = _label_codes(tuple(grid.ravel()[ends] for grid in a), _at(a_valid, ends), pixels)
-    b_side = _label_codes(tuple(grid.ravel()[ends] for grid in b), _at(b_valid, ends), pixels)
+    a_side = _label_codes(tuple(grid.ravel()[ends] for grid in a), pixels)
+    b_side = _label_codes(tuple(grid.ravel()[ends] for grid in b), pixels)
     a_labels, a_rank = _ranked(a_side, a_side.code)
     b_labels, b_rank = _ranked(b_side, b_side.code)
     n_a, n_b = a_labels.size, b_labels.size
     joint = a_rank[a_side.code].astype(np.intp)
-    joint *= n_b + 1
+    joint *= n_b
     joint += b_rank[b_side.code]
     if n_a * n_b <= pixels:
-        table = np.bincount(joint, lengths, (n_a + 1) * (n_b + 1))
+        table = np.bincount(joint, lengths, n_a * n_b)
         codes = np.flatnonzero(table)
         counts = table[codes]
     else:
         codes, inverse = np.unique(joint, return_inverse=True)
         counts = np.bincount(inverse, lengths)
     counts = counts.astype(np.intp)
-    rows, cols = np.divmod(codes, n_b + 1)  # a rank, b rank; codes ascend, so pairs ascend by (a, b)
-    a_areas = np.bincount(rows, counts, n_a + 1)[1:].astype(np.intp)
-    b_areas = np.bincount(cols, counts, n_b + 1)[1:].astype(np.intp)
-    pairs = (rows > 0) & (cols > 0)
-    return Overlap(a_labels, a_areas, b_labels, b_areas, rows[pairs] - 1, cols[pairs] - 1, counts[pairs])
-
-
-def _at(mask: np.ndarray | None, index: np.ndarray) -> np.ndarray | None:
-    return None if mask is None else mask.ravel()[index]
+    rows, cols = np.divmod(codes, n_b)  # a rank, b rank; codes ascend, so pairs ascend by (a, b)
+    a_areas = np.bincount(rows, counts, n_a).astype(np.intp)
+    b_areas = np.bincount(cols, counts, n_b).astype(np.intp)
+    return Overlap(a_labels, a_areas, b_labels, b_areas, rows, cols, counts)
 
 
 class _Codes(NamedTuple):
-    """One side of an overlap table: a uint32 code per element, and how to rank the codes."""
+    """One side of an overlap table: an integer code per element, and how to rank the codes."""
 
     code: np.ndarray
-    radix: int  # code - 1 == high * radix + low
-    span: int  # the largest code
+    radix: int  # code == high * radix + low
+    span: int  # one past the largest code
     dtype: np.dtype  # of the low grid, and so of unpacked labels
     packed: bool  # labels are pack_keys(high, low), not low alone
     ranked: tuple | None  # (labels, rank), already known where factorize coded the elements
 
 
-def _label_codes(grids: tuple, valid: np.ndarray | None, pixels: int) -> _Codes:
-    """A side's uint32 code per element; code 0 marks elements that are not valid.
+def _label_codes(grids: tuple, pixels: int) -> _Codes:
+    """A side's integer code per element.
 
     ``grids`` hold every label of the side's ``pixels`` pixels, once per
     pixel or once per run. While the code range ``(max high + 1) * (max low
-    + 1)`` is at most the pixel count, a code is ``high * radix + low + 1``
-    and a presence table over the range ranks the codes (_ranked); wider
-    ranges sort the labels with factorize, and each code is its rank.
+    + 1)`` is at most the pixel count, a code is ``high * radix + low`` and
+    a presence table over the range ranks the codes (_ranked); wider ranges
+    sort the labels with factorize, and each code is its rank.
     """
     low = grids[-1]
     radix = int(low.max(initial=0)) + 1
     span = radix * (int(grids[0].max(initial=0)) + 1 if len(grids) == 2 else 1)
     if span > min(pixels, _MAX_LABEL):
-        where = ... if valid is None else valid
-        keys = low[where] if len(grids) == 1 else pack_keys(grids[0][where], low[where])
+        keys = low if len(grids) == 1 else pack_keys(grids[0], low)
         labels, _, index = factorize(keys)
-        code = np.zeros(low.shape, dtype=np.uint32)
-        code[where] = index + 1
-        ranked = labels, np.arange(labels.size + 1, dtype=np.uint32)
-        return _Codes(code, radix, span, low.dtype, len(grids) == 2, ranked)
-    code = low + np.uint32(1)
-    if len(grids) == 2:
-        code += grids[0] * np.uint32(radix)
-    if valid is not None:
-        code *= valid
-    return _Codes(code, radix, span, low.dtype, len(grids) == 2, None)
+        ranked = labels, np.arange(labels.size, dtype=np.uint32)
+        return _Codes(index, radix, span, low.dtype, len(grids) == 2, ranked)
+    if len(grids) == 1:
+        return _Codes(low, radix, span, low.dtype, False, None)
+    code = grids[0] * np.uint32(radix)
+    code += low
+    return _Codes(code, radix, span, low.dtype, True, None)
 
 
 def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A side's sorted labels, and per code its 1-based rank among them (0 for code 0).
+    """A side's sorted labels, and per code its 0-based rank among them.
 
     ``seen`` holds the side's code at the last pixel of each of its runs, or
     at more pixels: every code present, and no other.
     """
     if side.ranked is not None:
         return side.ranked
-    present = np.zeros(side.span + 1, dtype=bool)
+    present = np.zeros(side.span, dtype=bool)
     present[seen] = True
-    present[0] = False
-    high, rest = np.divmod(np.flatnonzero(present) - 1, side.radix)
+    codes = np.flatnonzero(present)
+    high, rest = np.divmod(codes, side.radix)
     labels = rest.astype(side.dtype)
     if side.packed:
         labels = pack_keys(high.astype(np.uint32), labels)
-    return labels, np.cumsum(present, dtype=np.uint32)
+    rank = np.zeros(side.span, dtype=np.uint32)
+    rank[codes] = np.arange(codes.size, dtype=np.uint32)
+    return labels, rank
 
 
 def _rank_runs(grids: tuple) -> tuple:
     """A side's sorted labels, and per run of equal labels in row-major order, its rank and length.
 
-    Ranks are 1-based, as _ranked gives them; only the run ends are coded (_label_codes).
+    Ranks are 0-based, as _ranked gives them; only the run ends are coded (_label_codes).
     """
     flat = tuple(grid.ravel() for grid in grids)
     ends = _run_ends(*flat)
-    side = _label_codes(tuple(grid[ends] for grid in flat), None, flat[0].size)
+    side = _label_codes(tuple(grid[ends] for grid in flat), flat[0].size)
     labels, rank = _ranked(side, side.code)
     return labels, rank[side.code], np.diff(ends, prepend=-1)
 
@@ -604,8 +592,9 @@ def _lookup(keys: np.ndarray, found: np.ndarray, values: np.ndarray, default) ->
 
 
 def present_ids(grid: np.ndarray) -> list[int]:
-    """The nonzero ids of a label grid, ascending; np.unique sorts, as in factorize."""
-    ids = np.unique(grid, return_counts=True)[0].tolist()
+    """The nonzero ids of a label grid, ascending: every id ends a run, so only run ends are sorted."""
+    flat = np.asarray(grid).ravel()
+    ids = np.unique(flat[_run_ends(flat)]).tolist()
     return ids[1:] if ids and ids[0] == 0 else ids
 
 

@@ -492,6 +492,7 @@ def write_panoptic_sequence(
     writer = SequenceWriter(out_dir, count, taxonomy, flows is not None)
     for pmap in maps:
         writer.write_frame(pmap.classes, pmap.instances)
+        del pmap  # dropped before the next frame is made
     for flow in flows or ():
         writer.write_flow(encode_flow(flow))
     return writer.close()

@@ -155,8 +155,7 @@ def _frame_table(
             f"pred {pred.width}x{pred.height} vs gt {gt.width}x{gt.height}"
         )
     table = overlap_table(
-        (pred.classes.values, pred.instances.values), None,
-        (gt.classes.values, gt.instances.values), None,
+        (pred.classes.values, pred.instances.values), (gt.classes.values, gt.instances.values)
     )
     pred_classes, pred_ids = unpack_keys(table.a_labels)
     gt_classes, gt_ids = unpack_keys(table.b_labels)

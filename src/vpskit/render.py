@@ -55,9 +55,9 @@ def colorize(pmap: PanopticMap, taxonomy: ClassTaxonomy) -> np.ndarray:
     labels, ranks, lengths = _rank_runs((pmap.classes.values, pmap.instances.values))
     classes, instances = unpack_keys(labels)
     things = taxonomy._label_things(classes, pmap.classes.values)
-    palette = np.empty((labels.size + 1, 3), dtype=np.uint8)  # ranks are 1-based: row 0 goes unused
+    palette = np.empty((labels.size, 3), dtype=np.uint8)
     rows = zip(classes.tolist(), instances.tolist(), things.tolist())
-    for n, (class_id, instance_id, thing) in enumerate(rows, 1):
+    for n, (class_id, instance_id, thing) in enumerate(rows):
         palette[n] = instance_color(class_id, instance_id) if thing else stuff_color(class_id)
     # each run's colour, repeated along it: no per-pixel index is made
     return np.repeat(palette[ranks], lengths, axis=0).reshape(pmap.height, pmap.width, 3)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import _MAX_LABEL, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
-from .core import overlap_table, pack_keys, present_ids, remap, unpack_keys
+from .core import overlap_table, present_ids, remap, unpack_keys
 from .defaults import DEFAULT_IOU_THRESHOLD
 from .errors import DimensionMismatch, IncompleteAssignment, Overflow, SequenceLengthMismatch
 
@@ -150,14 +150,24 @@ def invert_flow(flow: FlowField) -> FlowField:
     return FlowField._adopt(out.reshape(flow.vectors.shape))
 
 
-def _dominant_class(pmap: PanopticMap, mask: np.ndarray) -> np.ndarray:
-    """Per masked instance id in ascending order, its most frequent class (ties: lower id)."""
-    keys = pack_keys(pmap.instances.values[mask], pmap.classes.values[mask])
-    pairs, counts = np.unique(keys, return_counts=True)
-    inst, cls = unpack_keys(pairs)
-    order = np.lexsort((cls, -counts, inst))
-    _, first = np.unique(inst[order], return_index=True)
-    return cls[order][first]
+def _thing_instances(pmap: PanopticMap, labels: np.ndarray, areas: np.ndarray, taxonomy: ClassTaxonomy):
+    """One side's instances, from its overlap-table labels and areas.
+
+    A (class, instance) label counts when its class is a thing and its id is
+    nonzero. Returns the ascending instance ids; per label, its instance's
+    index among them (-1 where the label does not count); and per instance,
+    its area and its dominant class (most pixels, ties to the lower class id).
+    """
+    classes, ids = unpack_keys(labels)
+    kept = taxonomy._label_things(classes, pmap.classes.values) & (ids != 0)
+    instance_ids, slot = np.unique(ids[kept], return_inverse=True)
+    classes, areas = classes[kept], areas[kept]
+    order = np.lexsort((classes, -areas, slot))  # each instance's largest label first
+    first = np.flatnonzero(np.diff(slot[order], prepend=-1))
+    slots = np.full(labels.size, -1, dtype=np.intp)
+    slots[kept] = slot
+    totals = np.bincount(slot, areas, instance_ids.size).astype(np.intp)
+    return instance_ids, slots, totals, classes[order][first]
 
 
 def build_iou_matrix(
@@ -169,25 +179,24 @@ def build_iou_matrix(
     """IoU confusion matrix between warped current and previous instance masks.
 
     Only thing-class pixels with nonzero instance ids participate. With
-    class_strict, pairs whose dominant classes differ score 0.
+    class_strict, pairs whose dominant classes differ score 0. One overlap
+    table of both maps' (class, instance) labels is counted, and validity is
+    decided per label, as in the metric engine's frame table.
     """
     if warped.instances.values.shape != prev.instances.values.shape:
         raise DimensionMismatch("warped grids and previous map differ in size")
-
-    cur_mask, prev_mask = (
-        taxonomy.thing_mask(m.classes.values) & (m.instances.values != 0) for m in (warped, prev)
-    )
-    table = overlap_table((warped.instances.values,), cur_mask, (prev.instances.values,), prev_mask)
-    row, col, inter = table.a_index, table.b_index, table.shared
-    values = np.zeros((table.a_labels.size, table.b_labels.size), dtype=np.float64)
-    values[row, col] = inter / (table.a_areas[row] + table.b_areas[col] - inter)
-
-    if class_strict and values.size:
-        cur_cls = _dominant_class(warped, cur_mask)
-        prev_cls = _dominant_class(prev, prev_mask)
+    table = overlap_table(*((m.classes.values, m.instances.values) for m in (warped, prev)))
+    # warped before prev, so an unknown class in both is named in warped
+    cur_ids, cur_slot, cur_area, cur_cls = _thing_instances(warped, table.a_labels, table.a_areas, taxonomy)
+    prev_ids, prev_slot, prev_area, prev_cls = _thing_instances(prev, table.b_labels, table.b_areas, taxonomy)
+    row, col = cur_slot[table.a_index], prev_slot[table.b_index]
+    pairs = (row >= 0) & (col >= 0)
+    inter = np.zeros((cur_ids.size, prev_ids.size), dtype=np.intp)
+    np.add.at(inter, (row[pairs], col[pairs]), table.shared[pairs])
+    values = inter / (cur_area[:, None] + prev_area[None, :] - inter)
+    if class_strict:
         values[cur_cls[:, None] != prev_cls[None, :]] = 0.0
-
-    return IoUMatrix(tuple(table.a_labels.tolist()), tuple(table.b_labels.tolist()), values)
+    return IoUMatrix(tuple(cur_ids.tolist()), tuple(prev_ids.tolist()), values)
 
 
 def _match_greedy(matrix: IoUMatrix, threshold: float) -> dict[int, int]:

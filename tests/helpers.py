@@ -150,18 +150,15 @@ def random_panoptic_map(rng: Xoshiro256StarStar, width: int, height: int) -> Pan
     return PanopticMap(LabelGrid(classes), LabelGrid(instances))
 
 
-def oracle_overlap_table(a: tuple, a_valid, b: tuple, b_valid) -> Overlap:
+def oracle_overlap_table(a: tuple, b: tuple) -> Overlap:
     """core.overlap_table's arrays from np.unique over each side's labels and over the label pairs."""
 
-    def labels(grids, mask):
-        return grids[0][mask] if len(grids) == 1 else pack_keys(grids[0][mask], grids[1][mask])
+    def labels(grids):
+        return grids[0].ravel() if len(grids) == 1 else pack_keys(grids[0].ravel(), grids[1].ravel())
 
-    a_labels, a_areas = np.unique(labels(a, a_valid), return_counts=True)
-    b_labels, b_areas = np.unique(labels(b, b_valid), return_counts=True)
-    both = a_valid & b_valid
-    rows = np.searchsorted(a_labels, labels(a, both))
-    cols = np.searchsorted(b_labels, labels(b, both))
-    pairs, shared = np.unique(np.stack([rows, cols], axis=1), axis=0, return_counts=True)
+    a_labels, a_rows, a_areas = np.unique(labels(a), return_inverse=True, return_counts=True)
+    b_labels, b_cols, b_areas = np.unique(labels(b), return_inverse=True, return_counts=True)
+    pairs, shared = np.unique(np.stack([a_rows, b_cols], axis=1), axis=0, return_counts=True)
     return Overlap(a_labels, a_areas, b_labels, b_areas, pairs[:, 0], pairs[:, 1], shared)
 
 

@@ -476,42 +476,40 @@ class TestOverlapTable:
     @settings(max_examples=200)
     def test_matches_pixel_loop(self, h, w, a_packed, b_packed, data):
         def side(packed):
-            grids = tuple(
+            return tuple(
                 np.array(
                     data.draw(st.lists(_LABELS, min_size=h * w, max_size=h * w)), dtype=np.uint32
                 ).reshape(h, w)
                 for _ in range(1 + packed)
             )
-            valid = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
-            return grids, np.array(valid).reshape(h, w)
 
         def labels(keys, grids):
             if len(grids) == 1:
                 return [(k,) for k in keys.tolist()]
             return list(zip(*(part.tolist() for part in unpack_keys(keys))))
 
-        (a, a_valid), (b, b_valid) = side(a_packed), side(b_packed)
+        a, b = side(a_packed), side(b_packed)
         a_area, b_area, shared = Counter(), Counter(), Counter()
         for y in range(h):
             for x in range(w):
                 la = tuple(int(g[y, x]) for g in a)
                 lb = tuple(int(g[y, x]) for g in b)
-                a_area[la] += bool(a_valid[y, x])
-                b_area[lb] += bool(b_valid[y, x])
-                shared[la, lb] += bool(a_valid[y, x] and b_valid[y, x])
+                a_area[la] += 1
+                b_area[lb] += 1
+                shared[la, lb] += 1
 
-        table = overlap_table(a, a_valid, b, b_valid)
+        table = overlap_table(a, b)
         a_labels, b_labels = labels(table.a_labels, a), labels(table.b_labels, b)
-        assert a_labels == sorted(k for k, n in a_area.items() if n)
-        assert b_labels == sorted(k for k, n in b_area.items() if n)
-        assert dict(zip(a_labels, table.a_areas.tolist())) == +a_area
-        assert dict(zip(b_labels, table.b_areas.tolist())) == +b_area
+        assert a_labels == sorted(a_area)
+        assert b_labels == sorted(b_area)
+        assert dict(zip(a_labels, table.a_areas.tolist())) == a_area
+        assert dict(zip(b_labels, table.b_areas.tolist())) == b_area
         pairs = [
             (a_labels[i], b_labels[j])
             for i, j in zip(table.a_index.tolist(), table.b_index.tolist())
         ]
-        assert pairs == sorted(k for k, n in shared.items() if n)
-        assert dict(zip(pairs, table.shared.tolist())) == +shared
+        assert pairs == sorted(shared)
+        assert dict(zip(pairs, table.shared.tolist())) == shared
 
 
 def _assert_same_overlap(got, want):
@@ -523,19 +521,11 @@ def _assert_same_overlap(got, want):
 @st.composite
 def _overlap_side(draw, h, w):
     pool = draw(st.sampled_from([[0], [0, 1, 2, 7], [0, 1, _TOP], [_TOP - 1, _TOP]]))
-    grids = tuple(
+    return tuple(
         np.array(draw(st.lists(st.sampled_from(pool), min_size=h * w, max_size=h * w)), dtype=np.uint32)
         .reshape(h, w)
         for _ in range(draw(st.integers(1, 2)))
     )
-    kind = draw(st.sampled_from(["empty", "one pixel", "full", "random"]))
-    if kind == "random":
-        valid = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w)))
-    else:
-        valid = np.full(h * w, kind == "full")
-        if kind == "one pixel":
-            valid[draw(st.integers(0, h * w - 1))] = True
-    return grids, valid.reshape(h, w)
 
 
 class TestOverlapPaths:
@@ -550,72 +540,49 @@ class TestOverlapPaths:
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=300)
     def test_each_path_matches_the_unique_oracle(self, h, w, data):
-        a, a_valid = data.draw(_overlap_side(h, w))
-        b, b_valid = data.draw(_overlap_side(h, w))
-        got = overlap_table(a, a_valid, b, b_valid)
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+        a, b = data.draw(_overlap_side(h, w)), data.draw(_overlap_side(h, w))
+        _assert_same_overlap(overlap_table(a, b), oracle_overlap_table(a, b))
 
     # A side's presence table has one bin per code of its range. Here a's range lands one step
-    # below, at and one step above the 32 counted pixels: all of a 4x8 grid, or the first 32 of
-    # an 8x9 grid, where only the pixels valid on some side are gathered.
+    # below, at and one step above the 32 pixels of a 4x8 grid. The bound is the pixel count
+    # whatever the run count: a's labels change at every pixel ("full") or at few ("sparse").
     @pytest.mark.parametrize(
         "a_max, ranked",
         [((30,), True), ((31,), True), ((32,), False),
          ((1, 14), True), ((1, 15), True), ((1, 16), False)],
     )
-    @pytest.mark.parametrize("valid", ["full", "sparse"])
-    def test_bin_bound(self, a_max, ranked, valid):
-        h, w = (4, 8) if valid == "full" else (8, 9)
-        pixels = np.arange(h * w).reshape(h, w)
+    @pytest.mark.parametrize("runs", ["full", "sparse"])
+    def test_bin_bound(self, a_max, ranked, runs):
+        pixels = np.arange(32).reshape(4, 8) if runs == "full" else np.zeros((4, 8), dtype=np.int64)
         a = tuple((pixels % (top + 1)).astype(np.uint32) for top in a_max)
         for grid, top in zip(a, a_max):
             grid.flat[31] = top
         b = ((pixels % 3).astype(np.uint32),)
-        a_valid = pixels < 32
-        b_valid = a_valid & (pixels != 0)
         with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
-            got = overlap_table(a, a_valid, b, b_valid)
+            got = overlap_table(a, b)
         assert spy.called != ranked
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
     # 4x8 grids: a's 2 labels times b's 15, 16 or 17 land one step below, at and above 32 pixels
     @pytest.mark.parametrize("n_b", [15, 16, 17])
     def test_label_count_bound(self, n_b):
         pixels = np.arange(32).reshape(4, 8)
         a, b = ((pixels % 2).astype(np.uint32),), ((pixels % n_b).astype(np.uint32),)
-        a_valid, b_valid = np.ones((4, 8), dtype=bool), pixels != 0  # b keeps label 0 at pixel n_b
         with mock.patch.object(np, "unique", wraps=np.unique) as spy:
-            got = overlap_table(a, a_valid, b, b_valid)
+            got = overlap_table(a, b)
         assert spy.called == (2 * n_b > 32)
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
-
-    @pytest.mark.parametrize("masks", ["a", "b", "both"])
-    @pytest.mark.parametrize("packed", [False, True])
-    def test_a_none_mask_counts_every_pixel(self, masks, packed):
-        rng = np.random.default_rng(3)
-        a = tuple(rng.integers(0, 5, (6, 9), dtype=np.uint32) for _ in range(1 + packed))
-        b = (rng.integers(0, 40, (6, 9), dtype=np.uint32),)
-        a_valid, b_valid = rng.random((6, 9)) < 0.5, rng.random((6, 9)) < 0.5
-        got = overlap_table(
-            a, None if masks in ("a", "both") else a_valid, b, None if masks in ("b", "both") else b_valid
-        )
-        if masks in ("a", "both"):
-            a_valid = np.ones((6, 9), dtype=bool)
-        if masks in ("b", "both"):
-            b_valid = np.ones((6, 9), dtype=bool)
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
     def test_frame_size_grids_take_the_bincount_path(self):
         # big-frames-sized: 640x320 pixels, 14 classes and 20 ids on each side
         rng = np.random.default_rng(5)
         a = (rng.integers(0, 14, (320, 640), dtype=np.uint32), rng.integers(0, 20, (320, 640), dtype=np.uint32))
         b = (a[0].copy(), rng.integers(0, 20, (320, 640), dtype=np.uint32))
-        a_valid, b_valid = a[0] != 0, rng.random((320, 640)) < 0.9
         with mock.patch.object(core, "factorize", wraps=core.factorize) as ranks:
             with mock.patch.object(np, "unique", wraps=np.unique) as pairs:
-                got = overlap_table(a, a_valid, b, b_valid)
+                got = overlap_table(a, b)
         assert not ranks.called and not pairs.called
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
     def test_crowd_sized_frame_tables_do_not_sort(self):
         # the crowd scene's frame: 512x256, classes below 13 and 120 actor ids on each side
@@ -633,15 +600,14 @@ class TestOverlapPaths:
 
         a, b = side(), side()
         with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
-            got = overlap_table(a, None, b, None)  # as the metric frame table calls it
+            got = overlap_table(a, b)
         assert not spy.called
-        every = np.ones((h, w), dtype=bool)
-        _assert_same_overlap(got, oracle_overlap_table(a, every, b, every))
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
 
 @st.composite
 def _run_side(draw, h, w, pool):
-    """A side whose grids hold a few runs per row, and a mask that changes inside those runs."""
+    """A side whose grids hold a few runs per row."""
     grids = []
     for _ in range(draw(st.integers(1, 2))):
         grid = np.empty((h, w), dtype=np.uint32)
@@ -650,48 +616,35 @@ def _run_side(draw, h, w, pool):
             for lo, hi in zip([0, *cuts], [*cuts, w]):
                 grid[y, lo:hi] = draw(st.sampled_from(pool))
         grids.append(grid)
-    share = draw(st.sampled_from([None, 0.2, 0.5, 0.9]))
-    if share is None:
-        return tuple(grids), None
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return tuple(grids), rng.random((h, w)) < share
+    return tuple(grids)
 
 
 class TestOverlapRuns:
-    """overlap_table codes only the ends of the runs along which no grid and no mask changes."""
+    """overlap_table codes only the ends of the runs along which no grid of either side changes."""
 
     @pytest.mark.parametrize("ranking", ["presence", "factorize"])
     @given(st.integers(2, 6), st.integers(6, 24), st.data())
     @settings(max_examples=150)
-    def test_masks_changing_inside_label_runs_match_the_oracle(self, ranking, h, w, data):
+    def test_label_runs_match_the_oracle(self, ranking, h, w, data):
         pool = [0, 1, 2] if ranking == "presence" else [0, 1, _TOP]
-        a, a_valid = data.draw(_run_side(h, w, pool))
-        b, b_valid = data.draw(_run_side(h, w, pool))
+        a, b = data.draw(_run_side(h, w, pool)), data.draw(_run_side(h, w, pool))
         if ranking == "factorize":
             a[-1][-1, -1] = _TOP  # a code range past any pixel count
-            if a_valid is not None:
-                a_valid[-1, -1] = True
         with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
-            got = overlap_table(a, a_valid, b, b_valid)
-        every = np.ones((h, w), dtype=bool)
-        counted = every
-        if a_valid is not None and b_valid is not None and 2 * np.count_nonzero(a_valid | b_valid) < h * w:
-            counted = a_valid | b_valid  # sparse: only pixels valid on some side are counted
-        spans = [math.prod(int(g[counted].max(initial=0)) + 1 for g in side) for side in (a, b)]
-        assert spy.called == (max(spans) > np.count_nonzero(counted))
+            got = overlap_table(a, b)
+        spans = [math.prod(int(g.max()) + 1 for g in side) for side in (a, b)]
+        assert spy.called == (max(spans) > h * w)
         if ranking == "factorize":
             assert spy.called
-        a_valid, b_valid = (every if mask is None else mask for mask in (a_valid, b_valid))
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
-    def test_validity_changing_inside_one_label_run(self):
-        # one label over the row on both sides; each mask turns off and on inside it
-        a = b = (np.full((1, 8), 3, dtype=np.uint32),)
-        a_valid = np.array([[1, 1, 0, 0, 1, 1, 1, 1]], dtype=bool)
-        b_valid = np.array([[1, 0, 0, 1, 1, 0, 1, 1]], dtype=bool)
-        got = overlap_table(a, a_valid, b, b_valid)
-        assert (got.a_areas.tolist(), got.b_areas.tolist(), got.shared.tolist()) == ([6], [5], [4])
-        _assert_same_overlap(got, oracle_overlap_table(a, a_valid, b, b_valid))
+    def test_one_side_changing_inside_a_label_run_of_the_other(self):
+        # one label over the row on a; b's labels change twice inside it and come back
+        a = (np.full((1, 8), 3, dtype=np.uint32),)
+        b = (np.array([[4, 4, 0, 0, 4, 4, 4, 4]], dtype=np.uint32),)
+        got = overlap_table(a, b)
+        assert (got.a_areas.tolist(), got.b_areas.tolist(), got.shared.tolist()) == ([8], [2, 6], [2, 6])
+        _assert_same_overlap(got, oracle_overlap_table(a, b))
 
 
 _BAND = core._GATHER_BAND

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,19 @@ class TestManifests:
         manifest = vio.read_manifest(manifest_path)
         assert manifest.flows.direction == vio.FLOW_PREV_TO_CURR
         assert list(vio.iter_flow_fields(manifest_path, manifest)) == flows
+
+    def test_each_frame_is_dropped_before_the_next_is_made(self, tmp_path):
+        def frames():  # fresh copies, so only the writer can keep one alive
+            last = None
+            for pmap in make_maps():
+                assert last is None or last() is None, "the frame written last is still held"
+                frame = PanopticMap(LabelGrid(pmap.classes.values), LabelGrid(pmap.instances.values))
+                last = weakref.ref(frame)
+                yield frame
+                del frame
+
+        manifest_path = vio.write_panoptic_sequence(tmp_path / "seq", frames(), make_taxonomy(), count=3)
+        assert vio.load_panoptic_sequence(manifest_path)[0] == make_maps()
 
     def test_semantic_sequence_round_trip(self, tmp_path):
         taxonomy = make_taxonomy()

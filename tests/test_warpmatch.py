@@ -583,6 +583,20 @@ class TestSequence:
         warpmatch_all(seq, [zero_flow(8, 6)] * (frames - 1), TAX)
         assert len(built) == frames - 1
 
+    @pytest.mark.parametrize("frames", [1, 2, 5])
+    def test_one_class_lookup_per_frame(self, frames, monkeypatch):
+        looked_up = []
+        thing_mask = ClassTaxonomy.thing_mask
+
+        def counting(self, classes):
+            looked_up.append(classes.shape)
+            return thing_mask(self, classes)
+
+        monkeypatch.setattr(ClassTaxonomy, "thing_mask", counting)
+        seq = static_scene(frames=frames, permutes={1, 3})
+        warpmatch_all(seq, [constant_flow(8, 6, 1.0, 0.0)] * (frames - 1), TAX)
+        assert len(looked_up) == frames  # the read check alone: matching decides per label
+
     def test_determinism_byte_identical(self):
         seq = static_scene(frames=5, permutes={1, 3})
         flows = [zero_flow(8, 6) for _ in range(4)]
