@@ -144,3 +144,16 @@ def test_unknown_names_raise_attribute_error():
     for module in (vpskit, vpskit.cli):
         with pytest.raises(AttributeError):
             module.no_such_name  # noqa: B018
+
+
+def test_present_ids_loads_no_numpy_ma():
+    """np.unique's hash path imports numpy.ma on a command's first call; present_ids avoids it."""
+    script = (
+        "import sys, numpy as np\n"
+        "from vpskit.core import present_ids\n"
+        "present_ids(np.arange(6, dtype=np.uint32).reshape(2, 3))\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
