@@ -493,11 +493,8 @@ def _label_codes(grids: tuple, pixels: int) -> _Codes:
         labels, _, index = factorize(keys)
         ranked = labels, np.arange(labels.size, dtype=np.uint32)
         return _Codes(index, radix, span, low.dtype, len(grids) == 2, ranked)
-    if len(grids) == 1:
-        return _Codes(low, radix, span, low.dtype, False, None)
-    code = grids[0] * np.uint32(radix)
-    code += low
-    return _Codes(code, radix, span, low.dtype, True, None)
+    code = low if len(grids) == 1 else grids[0] * np.uint32(radix) + low
+    return _Codes(code, radix, span, low.dtype, len(grids) == 2, None)
 
 
 def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -592,12 +589,9 @@ def _lookup(keys: np.ndarray, found: np.ndarray, values: np.ndarray, default) ->
 
 
 def present_ids(grid: np.ndarray) -> list[int]:
-    """The nonzero ids of a label grid, ascending: every id ends a run, so only run ends are sorted.
-
-    With counts asked for, np.unique sorts, as in factorize; without, it takes
-    a hash path that imports numpy.ma, about 30 ms on a command's first call.
-    """
+    """The nonzero ids of a label grid, ascending: every id ends a run, so only run ends are sorted."""
     flat = np.asarray(grid).ravel()
+    # with counts np.unique sorts, as in factorize; its hash path would import numpy.ma (~30 ms)
     ids = np.unique(flat[_run_ends(flat)], return_counts=True)[0].tolist()
     return ids[1:] if ids and ids[0] == 0 else ids
 
