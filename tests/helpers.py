@@ -6,7 +6,8 @@ metric engine is checked against. So do the per-instance erosion and the
 sorted-tuple greedy matcher that the package's table lookups replaced, the
 full-grid backward warp and flow inversion that the package's lean ones
 must match bit for bit, the scene generator's full-frame gathers, the
-``np.unique`` overlap table and the label grid's full range scan. The
+``np.unique`` overlap table, the per-pixel IoU matrix that Warp & Match's
+label table must match, and the label grid's full range scan. The
 scene config's JSON writer and the classes-only sequence writer live here
 too, since only tests write those files, and so do the collectors that turn
 the package's frame streams into the whole sequences tests compare.
