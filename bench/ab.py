@@ -5,9 +5,13 @@ Usage (from the repository root; git must know both revisions):
     python3 bench/ab.py --base HEAD~1 --change HEAD --out BENCH_change.json
     python3 bench/ab.py --base HEAD~1 --change HEAD --pairs 3 --seeds 1 --cityscapes-pairs 0 --out ab.json
 
-Each revision is unpacked with ``git archive`` into the work directory, so
-neither tree holds bytecode, and every child runs with
-PYTHONDONTWRITEBYTECODE=1, so neither writes any. For each workload and
+Each revision is unpacked with ``git archive`` into the work directory, and
+``python -m compileall -q`` compiles its ``src/`` with this interpreter, so
+both sides start from bytecode, as an installed package does; every child
+runs with PYTHONDONTWRITEBYTECODE=1, so none writes more. ``--uncompiled
+base`` (or ``change``) leaves that side's tree as unpacked, so that every
+run of it compiles vpskit from source: with the same revision on both
+sides, that times the compile step. For each workload and
 seed, perfbench's scene goes once through the base revision's pipeline; its
 outputs are the fixed inputs of every timed run. A pair runs one command as
 ``python -m vpskit.cli`` on both revisions, alternating which goes first,
@@ -67,8 +71,8 @@ CITYSCAPES_EVAL_TARGET_S = 4.0
 CLAIM_MIN_PAIRS = 10
 
 
-def unpack(rev: str, dest: Path) -> str:
-    """Extract ``rev`` into dest with git archive; returns its full commit hash."""
+def unpack(rev: str, dest: Path, compiled: bool) -> str:
+    """Extract ``rev`` into dest with git archive, compiling its src/ if asked; returns its commit hash."""
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
         cwd=ROOT, capture_output=True, text=True, check=True,
@@ -79,6 +83,8 @@ def unpack(rev: str, dest: Path) -> str:
         tar.extractall(dest, filter="data")
     if archive.wait() != 0:
         raise RuntimeError(f"git archive {rev} failed")
+    if compiled:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest / "src")], check=True)
     return sha
 
 
@@ -261,18 +267,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cityscapes-pairs", type=int, default=5, help="pairs per command at 2048x1024x30; 0 skips"
     )
+    parser.add_argument(
+        "--uncompiled", choices=("base", "change"), default=None,
+        help="leave this side's src/ uncompiled, so that its runs compile vpskit from source",
+    )
     parser.add_argument("--work", default=None, help="work directory (default: a temporary one)")
     parser.add_argument("--out", required=True, help="the JSON file to write; an existing one is overwritten")
     args = parser.parse_args(argv)
 
-    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # both sides start from source, as unpacked
+    os.environ["PYTHONDONTWRITEBYTECODE"] = "1"  # no run adds bytecode to either tree
     work = Path(args.work or tempfile.mkdtemp(prefix="vpskit-ab-"))
     work.mkdir(parents=True, exist_ok=True)
     sides, revs = {}, {}
     try:
         for name in ("base", "change"):
             tree = work / name
-            revs[name] = unpack(getattr(args, name), tree)
+            revs[name] = unpack(getattr(args, name), tree, name != args.uncompiled)
             sides[name] = {"env": vpskit_env(tree / "src")}
         groups = [
             measure(WORKLOADS[workload], seed, args.commands, args.pairs, work, sides)
@@ -292,10 +302,17 @@ def main(argv: list[str] | None = None) -> int:
             f"python3 bench/ab.py --base {args.base} --change {args.change} --workloads "
             f"{' '.join(args.workloads)} --seeds {' '.join(map(str, args.seeds))} --commands "
             f"{' '.join(args.commands)} --pairs {args.pairs} --cityscapes-pairs {args.cityscapes_pairs}"
+            + (f" --uncompiled {args.uncompiled}" if args.uncompiled else "")
         ),
         "base": revs["base"],
         "change": revs["change"],
-        "env": {"PYTHONDONTWRITEBYTECODE": "1"},
+        "env": {
+            "PYTHONDONTWRITEBYTECODE": "1",
+            # per side, how its src/ was compiled after unpacking (None: not at all)
+            "compileall": {
+                name: None if name == args.uncompiled else "python -m compileall -q src" for name in revs
+            },
+        },
         "machine": machine(),
         "rows": [row for rows in groups for row in rows],
     }

@@ -9,8 +9,9 @@ Output files are written atomically.
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +40,8 @@ _cli = sys.modules[__name__]  # this module, also when run as __main__
 
 
 def _emit(summary: dict) -> int:
-    print(json.dumps(summary, sort_keys=True))
+    # Flushed here, so a write that fails is main's OSError and not a message at exit.
+    print(json.dumps(summary, sort_keys=True), flush=True)
     return 0
 
 
@@ -338,17 +340,26 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry, of the ``vpskit`` script and ``python -m vpskit.cli``: main, then exit.
 
-    Before the interpreter exits, every object moves to the collector's
-    permanent generation, which its collections at shutdown skip: there they
-    visited numpy's tracked objects one by one, about 30 ms a command on a
-    2-core x86 VM. atexit handlers and the stdio flush still run. main alone
-    freezes nothing, so a caller's heap stays as it was.
+    OpenBLAS, which numpy loads and no vpskit module calls, runs one thread
+    unless OPENBLAS_NUM_THREADS is set: its idle worker cost CPU at every
+    start. After main returns, the atexit handlers run and stdout and stderr
+    are flushed; then the process leaves through ``os._exit``, without the
+    interpreter's teardown of numpy's modules and objects. As at a normal
+    exit, a flush that fails turns exit code 0 into 120. --help, usage
+    errors and any exception main raises leave through the interpreter's
+    usual exit. main alone does none of this, so a caller's environment and
+    exit stay as they were.
     """
-    try:
-        code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads, after this line
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with that descriptor closed
+            try:
+                stream.flush()
+            except OSError:  # still holding a write that main has reported as failed, or another
+                code = code or 120
+    os._exit(code)
 
 
 if __name__ == "__main__":
@@ -357,7 +368,7 @@ if __name__ == "__main__":
     else:
         # runpy.run_module (the route of `python -m cProfile -m vpskit.cli`) runs this code
         # outside sys.modules, where _cli names the caller's module: use the real one, and
-        # leave the caller's heap unfrozen.
+        # leave the caller's environment and exit as they are.
         from vpskit.cli import main
 
         sys.exit(main())

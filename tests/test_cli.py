@@ -24,7 +24,7 @@ from helpers import (
 )
 from vpskit import io as vio
 from vpskit.cli import main
-from vpskit.core import LabelGrid, PanopticMap, TrackedBox
+from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, TrackedBox
 from vpskit.synth import Actor, Band, SceneConfig, corrupt_boxes, corrupt_masks, corrupt_shuffle_ids
 from vpskit.warpmatch import invert_flow
 
@@ -1048,8 +1048,32 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _entry(root: Path, setup: str = "", argv=None, stdout=subprocess.PIPE, threads=None):
+    """Run ``setup``, then vpskit.cli.run() on ``argv``, in a child whose stdout is buffered.
+
+    With no argv the child inverts a 4x4 flow into root/g.flo. The child's
+    OPENBLAS_NUM_THREADS is ``threads``, or unset.
+    """
+    if argv is None:
+        vio.write_flow(constant_flow(4, 4, 1.0, 0.0), root / "f.flo")
+        argv = ["invert-flow", "--in", "f.flo", "--out", "g.flo"]
+    env = dict(os.environ, PYTHONPATH=str(Path(vpskit.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # it would make stdout unbuffered, which hides a late flush
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    script = "\n".join(
+        ["import atexit, os, sys", setup, f"sys.argv = {['vpskit', *argv]!r}"]
+        + ["from vpskit.cli import run", "run()"]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+
+
 class TestProcessEntry:
-    """``python -m vpskit.cli`` runs main, then freezes the collector before it exits."""
+    """``python -m vpskit.cli`` runs main and the atexit handlers, flushes stdio, then leaves."""
 
     def test_process_runs_equal_in_process_runs(self, tmp_path, monkeypatch, capsys):
         process, in_process = tmp_path / "process", tmp_path / "in_process"
@@ -1072,22 +1096,50 @@ class TestProcessEntry:
             assert code == {"exit 1": 1, "usage error": 2}.get(name, 0), name
         assert _tree(process) == _tree(in_process)
 
-    def test_process_entry_freezes_before_atexit_handlers(self):
-        script = (
-            "import atexit, gc, sys\n"
-            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
-            "sys.argv = ['vpskit', '--help']\n"
-            "from vpskit.cli import run\n"
-            "run()\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("usage: vpskit")
-        assert proc.stderr == "True\n"
+    def test_atexit_handlers_registered_before_the_entry_run(self, tmp_path):
+        proc = _entry(tmp_path, "atexit.register(lambda: print('handler ran', file=sys.stderr))")
+        assert (proc.returncode, proc.stderr) == (0, "handler ran\n")
+        assert json.loads(proc.stdout)["out"] == "g.flo"
+        assert vio.read_flow(tmp_path / "g.flo").vectors.shape == (4, 4, 2)
+
+    def test_a_summary_of_several_kb_reaches_a_pipe_whole(self, tmp_path, capsys):
+        taxonomy = ClassTaxonomy(tuple(ClassEntry(c, f"c{c}", "stuff") for c in range(201)))
+        classes = LabelGrid(np.arange(1, 201, dtype=np.uint32).reshape(1, 200))
+        pmap = PanopticMap(classes, LabelGrid(np.zeros((1, 200), dtype=np.uint32)))
+        manifest = str(vio.write_panoptic_sequence(tmp_path / "seq", [pmap], taxonomy))
+        argv = ["eval", "--pred", manifest, "--gt", manifest]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert len(want) > 8192  # more than the buffer of a piped stdout
+        proc = _entry(tmp_path, argv=argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("threads", [None, "3"])
+    def test_openblas_threads_are_one_unless_set(self, tmp_path, threads):
+        script = "atexit.register(lambda: print(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr))"
+        proc = _entry(tmp_path, script, threads=threads)
+        assert (proc.returncode, proc.stderr) == (0, f"{threads or 1}\n")
+
+    @pytest.mark.parametrize("broken", ["full device", "closed pipe"])
+    def test_a_failed_summary_write_is_a_one_line_error(self, tmp_path, broken):
+        if broken == "full device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            proc = _entry(tmp_path, stdout=stdout)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "OSError"
 
     @pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")
     def test_main_and_the_runpy_route_leave_the_collector_unfrozen(self, tmp_path, monkeypatch, capsys):
-        frozen = gc.get_freeze_count()
+        frozen, environ = gc.get_freeze_count(), dict(os.environ)
         flow = tmp_path / "f.flo"
         vio.write_flow(constant_flow(4, 4, 1.0, 0.0), flow)
         argv = ["invert-flow", "--in", str(flow), "--out", str(tmp_path / "g.flo")]
@@ -1098,6 +1150,7 @@ class TestProcessEntry:
             runpy.run_module("vpskit.cli", run_name="__main__")
         assert exc.value.code == 0
         assert gc.get_freeze_count() == frozen
+        assert dict(os.environ) == environ
 
     def test_console_script_is_the_process_entry(self):
         tomllib = pytest.importorskip("tomllib")

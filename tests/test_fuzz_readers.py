@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import generate_scene, small_taxonomy
+from helpers import decode_flow, decode_label_grid, generate_scene, small_taxonomy
 from vpskit import io as vio
 from vpskit.cli import _binding_pairs
 from vpskit.core import LabelGrid
@@ -180,13 +180,13 @@ binding_docs = (
 @given(lmap_files())
 @FUZZ
 def test_lmap_payloads_decode_or_raise(data):
-    parses_or_raises_vps_error(vio.decode_label_grid, data)
+    parses_or_raises_vps_error(decode_label_grid, data)
 
 
 @given(flo_files())
 @FUZZ
 def test_flo_payloads_decode_or_raise(data):
-    parses_or_raises_vps_error(vio.decode_flow, data)
+    parses_or_raises_vps_error(decode_flow, data)
 
 
 @given(track_docs.map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=24))

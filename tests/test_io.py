@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_semantic_sequence, zero_flow
+from helpers import decode_flow, decode_label_grid, write_semantic_sequence, zero_flow
 from vpskit.core import ClassEntry, ClassTaxonomy, FlowField, LabelGrid, PanopticMap
 from vpskit.errors import BadMagic, DimensionMismatch, FormatError, NonFinite, Overflow
 from vpskit.errors import ParseError, SequenceLengthMismatch, Truncated
@@ -40,27 +40,27 @@ class TestLabelGridFormat:
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
-            vio.decode_label_grid(b"NOPE" + b"\x00" * 12)
+            decode_label_grid(b"NOPE" + b"\x00" * 12)
 
     def test_truncated_header_and_payload(self):
         with pytest.raises(Truncated):
-            vio.decode_label_grid(b"LM")
+            decode_label_grid(b"LM")
         with pytest.raises(Truncated):
-            vio.decode_label_grid(b"LMAP\x01\x00\x00\x00")
+            decode_label_grid(b"LMAP\x01\x00\x00\x00")
         good = vio.encode_label_grid(LabelGrid(np.array([[1, 2], [3, 4]])))
         with pytest.raises(Truncated):
-            vio.decode_label_grid(good[:-1])
+            decode_label_grid(good[:-1])
         with pytest.raises(Truncated):
-            vio.decode_label_grid(good + b"\x00")
+            decode_label_grid(good + b"\x00")
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(FormatError):
-            vio.decode_label_grid(b"LMAP" + struct.pack("<II", 0, 5))
+            decode_label_grid(b"LMAP" + struct.pack("<II", 0, 5))
 
     def test_huge_declared_size_overflow(self):
         header = b"LMAP" + struct.pack("<II", 1 << 16, 1 << 16)
         with pytest.raises(Overflow):
-            vio.decode_label_grid(header)
+            decode_label_grid(header)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=50)
@@ -70,7 +70,7 @@ class TestLabelGridFormat:
             dtype=np.int64,
         )
         grid = LabelGrid(values)
-        assert vio.decode_label_grid(vio.encode_label_grid(grid)) == grid
+        assert decode_label_grid(vio.encode_label_grid(grid)) == grid
 
 
 class TestAtomicWrite:
@@ -129,23 +129,23 @@ class TestFlowFormat:
 
     def test_bad_sentinel(self):
         with pytest.raises(BadMagic):
-            vio.decode_flow(struct.pack("<fii", 1.0, 1, 1) + b"\x00" * 8)
+            decode_flow(struct.pack("<fii", 1.0, 1, 1) + b"\x00" * 8)
 
     def test_truncated(self):
         good = vio.encode_flow(zero_flow(2, 1))
         with pytest.raises(Truncated):
-            vio.decode_flow(good[:-4])
+            decode_flow(good[:-4])
         with pytest.raises(Truncated):
-            vio.decode_flow(good + b"\x00\x00")
+            decode_flow(good + b"\x00\x00")
 
     def test_non_finite_component(self):
         data = struct.pack("<fii", 202021.25, 1, 1) + struct.pack("<ff", np.nan, 0.0)
         with pytest.raises(NonFinite):
-            vio.decode_flow(data)
+            decode_flow(data)
 
     def test_negative_dims_rejected(self):
         with pytest.raises(FormatError):
-            vio.decode_flow(struct.pack("<fii", 202021.25, -1, 4))
+            decode_flow(struct.pack("<fii", 202021.25, -1, 4))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.randoms(use_true_random=False))
     @settings(max_examples=50)
@@ -155,7 +155,7 @@ class TestFlowFormat:
             dtype=np.float32,
         )
         flow = FlowField(vec)
-        assert vio.decode_flow(vio.encode_flow(flow)).vectors.tobytes() == flow.vectors.tobytes()
+        assert decode_flow(vio.encode_flow(flow)).vectors.tobytes() == flow.vectors.tobytes()
 
 
 class TestTracks:

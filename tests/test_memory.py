@@ -14,11 +14,11 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import generate_scene, scene_to_dict
+from helpers import decode_flow, generate_scene, scene_to_dict
 from vpskit import cli
 from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, present_ids, remap
 from vpskit.fillfuse import fill_and_fuse, rasterize_ownership
-from vpskit.io import decode_flow, encode_flow, encode_label_grid, read_flow, read_label_grid
+from vpskit.io import encode_flow, encode_label_grid, read_flow, read_label_grid
 from vpskit.io import write_flow, write_label_grid
 from vpskit.metrics import _frame_table, vpq
 from vpskit.render import colorize
