@@ -344,8 +344,9 @@ def run() -> None:
     unless OPENBLAS_NUM_THREADS is set: its idle worker cost CPU at every
     start. After main returns, the atexit handlers run and stdout and stderr
     are flushed; then the process leaves through ``os._exit``, without the
-    interpreter's teardown of numpy's modules and objects. As at a normal
-    exit, a flush that fails turns exit code 0 into 120. --help, usage
+    interpreter's teardown of numpy's modules and objects. No thread is
+    joined first: vpskit starts none. As at a normal exit, a flush that
+    fails turns exit code 0 into 120. --help, usage
     errors and any exception main raises leave through the interpreter's
     usual exit. main alone does none of this, so a caller's environment and
     exit stay as they were.
@@ -357,7 +358,7 @@ def run() -> None:
         if stream is not None:  # None when the process started with that descriptor closed
             try:
                 stream.flush()
-            except OSError:  # still holding a write that main has reported as failed, or another
+            except OSError:  # also a summary that main has reported unwritten, with exit code 1
                 code = code or 120
     os._exit(code)
 
