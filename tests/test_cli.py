@@ -1137,6 +1137,15 @@ class TestProcessEntry:
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"] == "OSError"
 
+    def test_a_flush_that_fails_after_main_exits_120(self, tmp_path):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        # the handler points stdout at a full device and leaves a line in its buffer
+        late = "atexit.register(lambda: (os.dup2(os.open('/dev/full', os.O_WRONLY), 1), print('late')))"
+        proc = _entry(tmp_path, late)
+        assert (proc.returncode, proc.stderr) == (120, "")
+        assert json.loads(proc.stdout)["out"] == "g.flo"
+
     @pytest.mark.filterwarnings("ignore:'vpskit.cli' found in sys.modules:RuntimeWarning")
     def test_main_and_the_runpy_route_leave_the_collector_unfrozen(self, tmp_path, monkeypatch, capsys):
         frozen, environ = gc.get_freeze_count(), dict(os.environ)
