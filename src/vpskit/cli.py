@@ -156,9 +156,10 @@ def _cmd_warpmatch(args) -> int:
     taxonomy = manifest.taxonomy
     if taxonomy is None:
         raise ParseError(f"{args.panoptic}: manifest must embed a taxonomy")
-    # The README walkthrough passes one manifest as both: parse it once.
+    # The README walkthrough passes one manifest as both: parse it once. realpath, unlike
+    # Path.resolve, leaves a symlink loop to read_manifest, which reports it as an OSError.
     flow_manifest = manifest
-    if Path(args.flows).resolve() != Path(args.panoptic).resolve():
+    if os.path.realpath(args.flows) != os.path.realpath(args.panoptic):
         flow_manifest = vio.read_manifest(args.flows)
     maps = vio.iter_panoptic_frames(args.panoptic, manifest)
     flows = vio.iter_flow_fields(args.flows, flow_manifest)

@@ -432,101 +432,65 @@ def overlap_table(a: tuple, b: tuple) -> Overlap:
 
     Each side is a 1-tuple of a label grid, or a (high, low) pair of grids
     labelled by pack_keys. One scan of the grids finds the runs along which
-    none of them changes, and only the run ends are coded (_label_codes):
-    the codes rank each side's labels (_ranked), and one count of
-    ``a_rank * n_b + b_rank`` (COCO panopticapi's pq_compute trick) per
-    joint run gives both sides' areas and every pair: ``np.bincount`` while
-    the label counts multiplied are at most the pixel count, ``np.unique``
-    beyond. Callers decide which labels count, per label, from the table.
+    none of them changes, and only the run ends are ranked (_rank_labels):
+    each side's labels, then the joint codes ``a_rank * n_b + b_rank`` (COCO
+    panopticapi's pq_compute trick), whose ranks, counted once per run,
+    give every pair and both sides' areas. Callers decide which labels
+    count, per label, from the table.
     """
     pixels = a[0].size
     # every pixel of a run shares its end's labels on both sides
     ends = _run_ends(*(grid.ravel() for grid in (*a, *b)))
-    lengths = np.diff(ends, prepend=-1)
-    a_side = _label_codes(tuple(grid.ravel()[ends] for grid in a), pixels)
-    b_side = _label_codes(tuple(grid.ravel()[ends] for grid in b), pixels)
-    a_labels, a_rank = _ranked(a_side, a_side.code)
-    b_labels, b_rank = _ranked(b_side, b_side.code)
-    n_a, n_b = a_labels.size, b_labels.size
-    joint = a_rank[a_side.code].astype(np.intp)
+    a_labels, a_rank = _rank_labels(tuple(grid.ravel()[ends] for grid in a), pixels)
+    b_labels, b_rank = _rank_labels(tuple(grid.ravel()[ends] for grid in b), pixels)
+    n_b = b_labels.size
+    joint = a_rank.astype(np.intp)
     joint *= n_b
-    joint += b_rank[b_side.code]
-    if n_a * n_b <= pixels:
-        table = np.bincount(joint, lengths, n_a * n_b)
-        codes = np.flatnonzero(table)
-        counts = table[codes]
-    else:
-        codes, inverse = np.unique(joint, return_inverse=True)
-        counts = np.bincount(inverse, lengths)
-    counts = counts.astype(np.intp)
+    joint += b_rank
+    codes, pair = _rank_labels((joint,), pixels)
+    counts = np.bincount(pair, np.diff(ends, prepend=-1)).astype(np.intp)
     rows, cols = np.divmod(codes, n_b)  # a rank, b rank; codes ascend, so pairs ascend by (a, b)
-    a_areas = np.bincount(rows, counts, n_a).astype(np.intp)
+    a_areas = np.bincount(rows, counts, a_labels.size).astype(np.intp)
     b_areas = np.bincount(cols, counts, n_b).astype(np.intp)
     return Overlap(a_labels, a_areas, b_labels, b_areas, rows, cols, counts)
 
 
-class _Codes(NamedTuple):
-    """One side of an overlap table: an integer code per element, and how to rank the codes."""
+def _rank_labels(grids: tuple, pixels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted labels in ``grids``, and each element's 0-based rank among them.
 
-    code: np.ndarray
-    radix: int  # code == high * radix + low
-    span: int  # one past the largest code
-    dtype: np.dtype  # of the low grid, and so of unpacked labels
-    packed: bool  # labels are pack_keys(high, low), not low alone
-    ranked: tuple | None  # (labels, rank), already known where factorize coded the elements
-
-
-def _label_codes(grids: tuple, pixels: int) -> _Codes:
-    """A side's integer code per element.
-
-    ``grids`` hold every label of the side's ``pixels`` pixels, once per
-    pixel or once per run. While the code range ``(max high + 1) * (max low
-    + 1)`` is at most the pixel count, a code is ``high * radix + low`` and
-    a presence table over the range ranks the codes (_ranked); wider ranges
-    sort the labels with factorize, and each code is its rank.
+    ``grids`` is a 1-tuple of a label array, or a (high, low) pair labelled
+    by pack_keys, holding every label of ``pixels`` pixels, once per pixel
+    or once per run: a side's labels, or overlap_table's joint codes. While the code range ``(max high + 1) * (max low + 1)``
+    is at most the pixel count, a presence table over the codes ``high *
+    radix + low`` ranks them; wider ranges sort the labels with factorize.
     """
     low = grids[-1]
     radix = int(low.max(initial=0)) + 1
     span = radix * (int(grids[0].max(initial=0)) + 1 if len(grids) == 2 else 1)
     if span > min(pixels, _MAX_LABEL):
-        keys = low if len(grids) == 1 else pack_keys(grids[0], low)
-        labels, _, index = factorize(keys)
-        ranked = labels, np.arange(labels.size, dtype=np.uint32)
-        return _Codes(index, radix, span, low.dtype, len(grids) == 2, ranked)
+        labels, _, index = factorize(low if len(grids) == 1 else pack_keys(*grids))
+        return labels, index
     code = low if len(grids) == 1 else grids[0] * np.uint32(radix) + low
-    return _Codes(code, radix, span, low.dtype, len(grids) == 2, None)
-
-
-def _ranked(side: _Codes, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A side's sorted labels, and per code its 0-based rank among them.
-
-    ``seen`` holds the side's code at the last pixel of each of its runs, or
-    at more pixels: every code present, and no other.
-    """
-    if side.ranked is not None:
-        return side.ranked
-    present = np.zeros(side.span, dtype=bool)
-    present[seen] = True
+    present = np.zeros(span, dtype=bool)
+    present[code] = True
     codes = np.flatnonzero(present)
-    high, rest = np.divmod(codes, side.radix)
-    labels = rest.astype(side.dtype)
-    if side.packed:
-        labels = pack_keys(high.astype(np.uint32), labels)
-    rank = np.zeros(side.span, dtype=np.uint32)
+    rank = np.zeros(span, dtype=np.uint32)
     rank[codes] = np.arange(codes.size, dtype=np.uint32)
-    return labels, rank
+    if len(grids) == 1:
+        return codes.astype(low.dtype), rank[code]
+    high, rest = np.divmod(codes, radix)
+    return pack_keys(high.astype(np.uint32), rest.astype(low.dtype)), rank[code]
 
 
 def _rank_runs(grids: tuple) -> tuple:
     """A side's sorted labels, and per run of equal labels in row-major order, its rank and length.
 
-    Ranks are 0-based, as _ranked gives them; only the run ends are coded (_label_codes).
+    Ranks are 0-based, as _rank_labels gives them; only the run ends are ranked.
     """
     flat = tuple(grid.ravel() for grid in grids)
     ends = _run_ends(*flat)
-    side = _label_codes(tuple(grid[ends] for grid in flat), flat[0].size)
-    labels, rank = _ranked(side, side.code)
-    return labels, rank[side.code], np.diff(ends, prepend=-1)
+    labels, rank = _rank_labels(tuple(grid[ends] for grid in flat), flat[0].size)
+    return labels, rank, np.diff(ends, prepend=-1)
 
 
 def _run_ends(*arrays: np.ndarray) -> np.ndarray:

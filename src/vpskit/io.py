@@ -95,10 +95,13 @@ def _read_text(path: str | Path) -> str:
 
 
 def _parse_object(text: str, where: str) -> dict:
-    """The JSON object in ``text``; anything else, too many digits included, is a ParseError."""
+    """The JSON object in ``text``; anything else is a ParseError.
+
+    So is a number of too many digits, or nesting past the recursion limit.
+    """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or too many digits
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits or too deep
         raise ParseError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")

@@ -579,6 +579,37 @@ class TestErrors:
         code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
         self.assert_one_error_line(code, out, err, "Overflow")
 
+    @pytest.mark.parametrize("route", ["config", "manifest", "track line"])
+    def test_json_nested_past_the_recursion_limit_is_one_parse_error_line(self, route, tmp_path, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        bad = tmp_path / "deep.json"
+        if route == "track line":
+            _, out, _ = run(capsys, ["synth", "--config", str(write_config(tmp_path, frames=2)),
+                                     "--out", str(tmp_path / "s")])
+            line = '{"frame": 0, "track_id": 1, "class_id": 10, "x0": 0, "y0": 0, "x1": 2, "y1": %s}'
+            bad.write_text(line % deep + "\n")
+            argv = ["fillfuse", "--semantic", json.loads(out)["semantic_manifest"], "--tracks", str(bad),
+                    "--out", str(tmp_path / "ff")]
+        else:
+            bad.write_text(deep)
+            argv = {
+                "config": ["synth", "--config", str(bad), "--out", str(tmp_path / "o")],
+                "manifest": ["eval", "--pred", str(bad), "--gt", str(bad)],
+            }[route]
+        code, out, err = run(capsys, argv)
+        self.assert_one_error_line(code, out, err, "ParseError")
+        assert json.loads(err)["message"].startswith("line 1: " if route == "track line" else f"{bad}: ")
+
+    def test_warpmatch_flows_in_a_symlink_loop_is_one_os_error_line(self, tmp_path, capsys):
+        config = write_config(tmp_path, frames=2)
+        _, out, _ = run(capsys, ["synth", "--config", str(config), "--out", str(tmp_path / "o")])
+        (tmp_path / "l1").symlink_to("l2")
+        (tmp_path / "l2").symlink_to("l1")
+        argv = ["warpmatch", "--panoptic", json.loads(out)["gt_manifest"], "--flows", str(tmp_path / "l1")]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "wm")])
+        self.assert_one_error_line(code, out, err, "OSError")
+        assert not (tmp_path / "wm").exists()
+
 
 class TestStreamedRuns:
     """synth, warpmatch and fillfuse write each frame as they make it, and the manifest last."""

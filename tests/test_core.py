@@ -528,20 +528,48 @@ def _overlap_side(draw, h, w):
     )
 
 
-class TestOverlapPaths:
-    """overlap_table gives np.unique's arrays, whichever way it ranks and counts the labels.
+def _rankings(a, b):
+    """overlap_table(a, b), and per ranking it made (a's labels, b's, the joint codes), whether it sorted."""
+    sorts, rank_labels = [], core._rank_labels
 
-    A side's labels are ranked by a presence table while its code range
-    ``(max high + 1) * (max low + 1)`` is at most the pixel count, and sorted by
-    factorize beyond; pairs are counted by np.bincount while the label counts
-    multiplied are at most the pixel count, and by np.unique beyond.
+    def spy(grids, pixels):
+        with mock.patch.object(core, "factorize", wraps=core.factorize) as sorter:
+            ranked = rank_labels(grids, pixels)
+        sorts.append(sorter.called)
+        return ranked
+
+    with mock.patch.object(core, "_rank_labels", spy):
+        got = overlap_table(a, b)
+    return got, sorts
+
+
+def _check_rankings(a, b) -> list[int]:
+    """Check overlap_table(a, b) against the oracle, and that each of its rankings sorted exactly
+    when its code span passed the pixel count; return the spans of a, b and the joint codes."""
+    want = oracle_overlap_table(a, b)
+    # codes ascend, so the last pair holds the largest joint code
+    joint = int(want.a_index[-1]) * want.b_labels.size + int(want.b_index[-1]) + 1
+    spans = [math.prod(int(g.max()) + 1 for g in side) for side in (a, b)] + [joint]
+    got, sorts = _rankings(a, b)
+    assert sorts == [span > a[0].size for span in spans]
+    _assert_same_overlap(got, want)
+    return spans
+
+
+class TestOverlapPaths:
+    """overlap_table gives np.unique's arrays, whichever way it ranks the labels.
+
+    It ranks three times: a's labels, b's, and the joint codes ``a_rank * n_b +
+    b_rank``. Each ranking uses a presence table while its code span, ``(max
+    high + 1) * (max low + 1)`` for a side and the largest joint code plus one
+    for the pairs, is at most the pixel count, and sorts with factorize beyond.
     """
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=300)
     def test_each_path_matches_the_unique_oracle(self, h, w, data):
         a, b = data.draw(_overlap_side(h, w)), data.draw(_overlap_side(h, w))
-        _assert_same_overlap(overlap_table(a, b), oracle_overlap_table(a, b))
+        _check_rankings(a, b)
 
     # A side's presence table has one bin per code of its range. Here a's range lands one step
     # below, at and one step above the 32 pixels of a 4x8 grid. The bound is the pixel count
@@ -558,30 +586,25 @@ class TestOverlapPaths:
         for grid, top in zip(a, a_max):
             grid.flat[31] = top
         b = ((pixels % 3).astype(np.uint32),)
-        with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
-            got = overlap_table(a, b)
-        assert spy.called != ranked
-        _assert_same_overlap(got, oracle_overlap_table(a, b))
+        assert (_check_rankings(a, b)[0] <= 32) == ranked
 
-    # 4x8 grids: a's 2 labels times b's 15, 16 or 17 land one step below, at and above 32 pixels
-    @pytest.mark.parametrize("n_b", [15, 16, 17])
-    def test_label_count_bound(self, n_b):
+    # 4x8 grids: a is 1 at the last pixel alone; b's first 31 pixels hold its 17 labels, and its
+    # last pixel puts the largest joint code (17 + b's rank there) one step below, at and above 32
+    @pytest.mark.parametrize("span", [31, 32, 33])
+    def test_joint_code_bound(self, span):
         pixels = np.arange(32).reshape(4, 8)
-        a, b = ((pixels % 2).astype(np.uint32),), ((pixels % n_b).astype(np.uint32),)
-        with mock.patch.object(np, "unique", wraps=np.unique) as spy:
-            got = overlap_table(a, b)
-        assert spy.called == (2 * n_b > 32)
-        _assert_same_overlap(got, oracle_overlap_table(a, b))
+        a, b = ((pixels == 31).astype(np.uint32),), ((pixels % 17).astype(np.uint32),)
+        b[0].flat[31] = span - 18
+        assert _check_rankings(a, b) == [2, 17, span]
 
-    def test_frame_size_grids_take_the_bincount_path(self):
+    def test_frame_size_grids_rank_by_presence_tables(self):
         # big-frames-sized: 640x320 pixels, 14 classes and 20 ids on each side
         rng = np.random.default_rng(5)
         a = (rng.integers(0, 14, (320, 640), dtype=np.uint32), rng.integers(0, 20, (320, 640), dtype=np.uint32))
         b = (a[0].copy(), rng.integers(0, 20, (320, 640), dtype=np.uint32))
-        with mock.patch.object(core, "factorize", wraps=core.factorize) as ranks:
-            with mock.patch.object(np, "unique", wraps=np.unique) as pairs:
-                got = overlap_table(a, b)
-        assert not ranks.called and not pairs.called
+        with mock.patch.object(np, "unique", wraps=np.unique) as sorter:
+            got, sorts = _rankings(a, b)
+        assert sorts == [False, False, False] and not sorter.called
         _assert_same_overlap(got, oracle_overlap_table(a, b))
 
     def test_crowd_sized_frame_tables_do_not_sort(self):
@@ -630,13 +653,9 @@ class TestOverlapRuns:
         a, b = data.draw(_run_side(h, w, pool)), data.draw(_run_side(h, w, pool))
         if ranking == "factorize":
             a[-1][-1, -1] = _TOP  # a code range past any pixel count
-        with mock.patch.object(core, "factorize", wraps=core.factorize) as spy:
-            got = overlap_table(a, b)
-        spans = [math.prod(int(g.max()) + 1 for g in side) for side in (a, b)]
-        assert spy.called == (max(spans) > h * w)
+        spans = _check_rankings(a, b)
         if ranking == "factorize":
-            assert spy.called
-        _assert_same_overlap(got, oracle_overlap_table(a, b))
+            assert spans[0] > h * w
 
     def test_one_side_changing_inside_a_label_run_of_the_other(self):
         # one label over the row on a; b's labels change twice inside it and come back
