@@ -589,7 +589,7 @@ class TestOverlapPaths:
         assert (_check_rankings(a, b)[0] <= 32) == ranked
 
     # 4x8 grids: a is 1 at the last pixel alone; b's first 31 pixels hold its 17 labels, and its
-    # last pixel puts the largest joint code (17 + b's rank there) one step below, at and above 32
+    # last pixel sets the joint span (17 + b's rank there + 1) one step below, at and above 32
     @pytest.mark.parametrize("span", [31, 32, 33])
     def test_joint_code_bound(self, span):
         pixels = np.arange(32).reshape(4, 8)
