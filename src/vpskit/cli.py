@@ -211,10 +211,11 @@ def _cmd_eval(args) -> int:
 def _cmd_render(args) -> int:
     from . import io as vio
 
-    maps, taxonomy = vio.load_panoptic_sequence(args.input)
-    if taxonomy is None:
+    manifest = vio.read_manifest(args.input)
+    maps = vio.iter_panoptic_frames(args.input, manifest)  # each read as render_sequence pulls it
+    if manifest.taxonomy is None:
         raise ParseError(f"{args.input}: manifest must embed a taxonomy")
-    paths = _cli.render_sequence(maps, taxonomy, args.out)
+    paths = _cli.render_sequence(maps, manifest.taxonomy, args.out)
     return _emit({"frames": len(paths), "out": str(Path(args.out))})
 
 
@@ -335,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too, under the builtin's name
+        print(json.dumps({"error": "MemoryError", "message": str(exc)}), file=sys.stderr)
         return 1
 
 

@@ -11,8 +11,9 @@ n^2 / 2^25.
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -71,7 +72,7 @@ def encode_ppm(image: np.ndarray) -> bytes:
     h, w = arr.shape[:2]
     if h < 1 or w < 1:
         raise ValueError("cannot encode a zero-size image")
-    return f"P6\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + memoryview(np.ascontiguousarray(arr))
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:
@@ -79,18 +80,16 @@ def write_ppm(image: np.ndarray, path: str | Path) -> None:
 
 
 def render_sequence(
-    maps: Sequence[PanopticMap],
+    maps: Iterable[PanopticMap],
     taxonomy: ClassTaxonomy,
     out_dir: str | Path,
 ) -> list[Path]:
     """Write one PPM per frame with zero-padded frame indices; returns the paths."""
-    for pmap in maps:  # an unknown class in any frame fails before the first write
-        taxonomy.thing_mask(pmap.classes.values)
+    # each map is colorized as it is pulled and only its image kept, all before the first write
+    images = list(map(colorize, maps, repeat(taxonomy)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i, pmap in enumerate(maps):
-        path = out_dir / f"frame_{_frame_stem(i, len(maps))}.ppm"
-        write_ppm(colorize(pmap, taxonomy), path)
-        paths.append(path)
+    paths = [out_dir / f"frame_{_frame_stem(i, len(images))}.ppm" for i in range(len(images))]
+    for image, path in zip(images, paths):
+        write_ppm(image, path)
     return paths

@@ -611,6 +611,30 @@ class TestErrors:
         assert not (tmp_path / "wm").exists()
 
 
+    def test_memory_exhaustion_is_one_memory_error_line(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no RLIMIT_AS")
+        doc = scene_config_doc(frames=2)
+        doc.update(width=16384, height=16384)  # at the pixel cap: one uint32 grid is 1 GiB
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        limit = 768 << 20  # below one grid, so its allocation fails before a page of it is touched
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(vpskit.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)  # the entry sets one thread: more would reserve more
+        proc = subprocess.run(
+            [sys.executable, "-m", "vpskit.cli", "synth", "--config", str(config),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        error = json.loads(proc.stderr)
+        assert error["error"] == "MemoryError" and "1.00 GiB" in error["message"]
+
+
 class TestStreamedRuns:
     """synth, warpmatch and fillfuse write each frame as they make it, and the manifest last."""
 
@@ -662,6 +686,16 @@ class TestStreamedRuns:
         error = self.warpmatch(capsys, self.sequence(tmp_path, flow_sizes=flow_sizes), out)
         assert error["error"] == "DimensionMismatch"
         assert "flow is" in error["message"] and "grids are 4x4" in error["message"]
+        assert not out.exists()
+
+    def test_render_reports_an_unknown_class_before_a_later_truncated_grid(self, tmp_path, capsys):
+        seq = self.sequence(tmp_path, unknown_frame=1)
+        victim = Path(seq).parent / "instances_0002.lmap"
+        victim.write_bytes(victim.read_bytes()[:-1])
+        out = tmp_path / "ppm"
+        error = self.failure(capsys, ["render", "--in", seq, "--out", str(out)])
+        # each frame is colorized as it is read, and the PPMs written once all are
+        assert error == {"error": "UnknownClass", "message": "class 99 at pixel (3, 1) not in taxonomy"}
         assert not out.exists()
 
     def test_fillfuse_unknown_class_in_the_last_frame_leaves_frames_but_no_manifest(

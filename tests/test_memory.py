@@ -19,9 +19,9 @@ from vpskit import cli
 from vpskit.core import ClassEntry, ClassTaxonomy, LabelGrid, PanopticMap, present_ids, remap
 from vpskit.fillfuse import fill_and_fuse, rasterize_ownership
 from vpskit.io import encode_flow, encode_label_grid, read_flow, read_label_grid
-from vpskit.io import write_flow, write_label_grid
+from vpskit.io import write_flow, write_label_grid, write_panoptic_sequence
 from vpskit.metrics import _frame_table, vpq
-from vpskit.render import colorize
+from vpskit.render import colorize, encode_ppm
 from vpskit.synth import Actor, Band, SceneConfig, background_classes, corrupt_masks
 from vpskit.synth import corrupt_shuffle_ids, generate
 from vpskit.warpmatch import IdAssignment, build_iou_matrix, invert_flow, relabel, warp_backward
@@ -145,12 +145,15 @@ def test_remap_table_path_peaks_at_most_2_grids(scene):
 
 
 def test_encoders_copy_the_payload_once(scene):
-    # the encoded bytes alone are 1 grid for a label grid and 2 for a flow
+    # the encoded bytes alone are 1 grid for a label grid, 2 for a flow and 0.75 for a PPM
     grid, flow = scene.panoptic[0].instances, scene.flows[0]
     grids = peak_grids(lambda: encode_label_grid(grid))
     assert grids <= 1.5, f"encode_label_grid peaked at {grids:.2f} grids"
     grids = peak_grids(lambda: encode_flow(flow))
     assert grids <= 2.5, f"encode_flow peaked at {grids:.2f} grids"
+    image = colorize(scene.panoptic[0], TAX)
+    grids = peak_grids(lambda: encode_ppm(image))
+    assert grids <= 1.125, f"encode_ppm peaked at {grids:.2f} grids"
 
 
 def test_readers_read_the_payload_into_the_result(scene, tmp_path):
@@ -230,3 +233,18 @@ def test_streamed_commands_peak_alike_at_4_and_16_frames(scene_config, tmp_path)
     peaks = {n: [peak_grids(lambda: run(argv)) for argv in commands(n)] for n in (4, 16)}
     for name, four, sixteen in zip(("synth", "warpmatch", "fillfuse"), peaks[4], peaks[16]):
         assert sixteen <= 1.1 * four, f"{name}: {four:.2f} grids at 4 frames, {sixteen:.2f} at 16"
+
+
+def test_render_holds_the_images_and_not_the_maps(scene, tmp_path):
+    """In-process ``cli.main`` render of 16 frames peaks within 16 images and one frame's working set."""
+
+    def render(frames: int) -> float:
+        maps = [scene.panoptic[i % 2] for i in range(frames)]
+        manifest = str(write_panoptic_sequence(tmp_path / f"seq{frames}", maps, TAX))
+        argv = ["render", "--in", manifest, "--out", str(tmp_path / f"ppm{frames}")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            return peak_grids(lambda: cli.main(argv))
+
+    render(2)  # imports and first-use caches, outside the measured runs
+    one, sixteen = render(1), render(16)  # one frame's run is its working set, its image included
+    assert sixteen <= 16 * 0.75 + one, f"{sixteen:.2f} grids at 16 frames, {one:.2f} at 1"

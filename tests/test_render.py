@@ -80,6 +80,13 @@ class TestPpm:
         assert [p.name for p in paths] == ["frame_0000.ppm", "frame_0001.ppm"]
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_a_one_shot_generator_renders_as_its_list(self, tmp_path):
+        maps = [pmap([[10, 1]], [[4, 0]]), pmap([[1, 11]], [[0, 2]])]
+        paths = render_sequence((m for m in maps), TAX, tmp_path / "gen")
+        want = render_sequence(maps, TAX, tmp_path / "list")
+        assert [p.name for p in paths] == ["frame_0000.ppm", "frame_0001.ppm"]
+        assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in want]
+
     def test_unknown_class_in_a_later_frame_writes_nothing(self, tmp_path):
         maps = [pmap([[10, 1]], [[4, 0]]), pmap([[42, 1]], [[4, 0]])]
         with pytest.raises(UnknownClass):
