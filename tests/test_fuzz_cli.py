@@ -137,7 +137,8 @@ def mutations(draw, scene: Path):
     if kind == "truncate":
         return name, kind, data[: draw(st.integers(0, len(data) - 1))]
     if kind == "dimensions":
-        fmt, low, high = ("<II", 0, (1 << 32) - 1) if name.endswith(".lmap") else ("<ii", -(1 << 31), (1 << 31) - 1)
+        lmap = name.endswith(".lmap")
+        fmt, low, high = ("<II", 0, (1 << 32) - 1) if lmap else ("<ii", -(1 << 31), (1 << 31) - 1)
         width, height = (draw(st.integers(0, 20) | st.integers(low, high)) for _ in range(2))
         return name, kind, data[:4] + struct.pack(fmt, width, height) + data[12:]
     if kind == "other file":
